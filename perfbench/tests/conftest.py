@@ -1,0 +1,12 @@
+"""Make ``perfbench`` and the program (``src/repro``) importable for these tests.
+
+Run from the repository root: ``python -m pytest perfbench/tests -q``.
+"""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT / "src", ROOT):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
