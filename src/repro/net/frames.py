@@ -134,17 +134,15 @@ class NetInstruments:
         self._need_graph.labels(role=self.role).inc()
 
 
-def pack_frame(message: WireMessage, codec: int | None = None) -> bytes:
+def pack_frame(message: WireMessage) -> bytes:
     """One message as a complete frame (header + codec byte + payload)."""
-    data = message.to_wire(codec)
+    data = message.to_wire()
     if len(data) > MAX_FRAME_BYTES:
         raise WireEncodeError(f"frame of {len(data)} bytes exceeds MAX_FRAME_BYTES")
     return len(data).to_bytes(_LENGTH_BYTES, "big") + data
 
 
-def pack_frame_into(
-    buffer: bytearray, message: WireMessage, codec: int | None = None
-) -> memoryview:
+def pack_frame_into(buffer: bytearray, message: WireMessage) -> memoryview:
     """Encode one frame into a caller-owned reusable buffer.
 
     Clears ``buffer``, encodes the frame into it, and returns a memoryview of
@@ -153,7 +151,7 @@ def pack_frame_into(
     allocating a fresh ``bytes`` per frame.  The view is valid until the next
     call with the same buffer.
     """
-    data = message.to_wire(codec)
+    data = message.to_wire()
     if len(data) > MAX_FRAME_BYTES:
         raise WireEncodeError(f"frame of {len(data)} bytes exceeds MAX_FRAME_BYTES")
     buffer.clear()
@@ -175,11 +173,10 @@ def _check_length(length: int) -> None:
 async def write_frame(
     writer: asyncio.StreamWriter,
     message: WireMessage,
-    codec: int | None = None,
     instruments: NetInstruments | None = None,
 ) -> None:
     """Send one message and drain (the drain is the backpressure point)."""
-    frame = pack_frame(message, codec)
+    frame = pack_frame(message)
     writer.write(frame)
     await writer.drain()
     if instruments is not None:
@@ -213,11 +210,10 @@ async def read_frame(
 def send_frame(
     sock: socket.socket,
     message: WireMessage,
-    codec: int | None = None,
     instruments: NetInstruments | None = None,
 ) -> None:
     """Blocking counterpart of :func:`write_frame`."""
-    frame = pack_frame(message, codec)
+    frame = pack_frame(message)
     sock.sendall(frame)
     if instruments is not None:
         instruments.frame_sent(len(frame))

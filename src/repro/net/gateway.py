@@ -20,11 +20,11 @@ internals) and speaks the frame protocol of :mod:`repro.net.frames`:
   are split back per connection afterwards.  Admission order is queue
   arrival order, so placement stays a pure function of frame arrival order
   exactly as it was under the old per-submit lock.
-* **Fingerprint negotiation.** A client that has already uploaded a graph
-  may submit with only its fingerprint; the gateway resolves it from an
-  LRU-bounded cache and answers ``NeedGraphReply`` on a miss (eviction or a
-  membership change, which invalidates the cache) so the client re-sends the
-  full payload once.  ``repro_net_payloads_deduped_total`` counts the elided
+* **Fingerprint dedup.** A client submits with only its graph's
+  fingerprint; the gateway resolves it from an LRU-bounded cache and answers
+  ``NeedGraphReply`` on a miss (first sight, eviction, or a membership
+  change, which invalidates the cache) so the client re-sends the full
+  payload once.  ``repro_net_payloads_deduped_total`` counts the elided
   uploads.
 * **Deadlines.** ``SubmitRequest.deadline`` / ``DispatchRequest.deadline``
   are *relative* second budgets (client clocks are never trusted).  An
@@ -58,14 +58,11 @@ import networkx as nx
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.net import address as net_address
 from repro.net.frames import NetInstruments, read_frame, write_frame
-from repro.wire.codec import codec_name, negotiate_codec
 from repro.wire.messages import (
     DispatchDoneReply,
     DispatchRequest,
     DispatchShardReply,
     ErrorReply,
-    Hello,
-    HelloReply,
     NeedGraphReply,
     Ping,
     Pong,
@@ -81,12 +78,7 @@ from repro.wire.messages import (
     WireMessage,
 )
 
-__all__ = ["ClusterGateway", "GATEWAY_FEATURES"]
-
-#: Capabilities a new gateway advertises in its hello reply.  ``need-graph``
-#: tells the client fingerprint-only submits are understood; a gateway
-#: without it (or one answering ``unsupported``) gets full payloads forever.
-GATEWAY_FEATURES = ("need-graph", "coalesce")
+__all__ = ["ClusterGateway"]
 
 
 @dataclass
@@ -95,15 +87,6 @@ class _Ticket:
 
     kwargs: dict[str, Any]
     future: asyncio.Future = field(repr=False)
-
-
-class _Connection:
-    """Per-connection negotiated state (codec today, features tomorrow)."""
-
-    __slots__ = ("codec",)
-
-    def __init__(self) -> None:
-        self.codec: int | None = None  # None = DEFAULT_CODEC (pre-hello traffic)
 
 
 class ClusterGateway:
@@ -230,7 +213,6 @@ class ClusterGateway:
     async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         self._instruments.connection_opened()
         self._active_connections += 1
-        conn = _Connection()
         try:
             while True:
                 message = await read_frame(reader, self._instruments)
@@ -238,7 +220,7 @@ class ClusterGateway:
                     break
                 async with self._inflight:
                     try:
-                        done = await self._answer(message, writer, conn)
+                        done = await self._answer(message, writer)
                     except Exception as error:  # noqa: BLE001 - reported to the peer
                         await self._send(
                             writer,
@@ -246,7 +228,6 @@ class ClusterGateway:
                                 code="gateway-error",
                                 message=f"{type(error).__name__}: {error}",
                             ),
-                            conn,
                         )
                         done = False
                 if done:
@@ -262,35 +243,21 @@ class ClusterGateway:
             except (ConnectionError, OSError, asyncio.CancelledError):
                 pass
 
-    async def _send(
-        self, writer: asyncio.StreamWriter, message: WireMessage, conn: _Connection
-    ) -> None:
-        await write_frame(writer, message, codec=conn.codec, instruments=self._instruments)
+    async def _send(self, writer: asyncio.StreamWriter, message: WireMessage) -> None:
+        await write_frame(writer, message, instruments=self._instruments)
 
-    async def _answer(
-        self, message: WireMessage, writer: asyncio.StreamWriter, conn: _Connection
-    ) -> bool:
+    async def _answer(self, message: WireMessage, writer: asyncio.StreamWriter) -> bool:
         """Serve one request; returns True when the connection should close."""
         if isinstance(message, SubmitRequest):
-            await self._send(writer, await self._submit(message), conn)
+            await self._send(writer, await self._submit(message))
         elif isinstance(message, DispatchRequest):
-            await self._dispatch(message, writer, conn)
+            await self._dispatch(message, writer)
         elif isinstance(message, StatsRequest):
-            await self._send(writer, self._stats(), conn)
-        elif isinstance(message, Hello):
-            conn.codec = negotiate_codec(message.codecs)
-            await self._send(
-                writer,
-                HelloReply(
-                    codec=codec_name(conn.codec),
-                    features=GATEWAY_FEATURES,
-                ),
-                conn,
-            )
+            await self._send(writer, self._stats())
         elif isinstance(message, Ping):
-            await self._send(writer, Pong(), conn)
+            await self._send(writer, Pong())
         elif isinstance(message, Shutdown):
-            await self._send(writer, ShutdownAck(), conn)
+            await self._send(writer, ShutdownAck())
             if self._stop is not None:
                 self._stop.set()
             return True
@@ -298,7 +265,6 @@ class ClusterGateway:
             await self._send(
                 writer,
                 ErrorReply(code="unsupported", message=f"gateway cannot serve {message.type!r}"),
-                conn,
             )
         return False
 
@@ -417,9 +383,7 @@ class ClusterGateway:
             duplicate=decision.duplicate,
         )
 
-    async def _dispatch(
-        self, request: DispatchRequest, writer: asyncio.StreamWriter, conn: _Connection
-    ) -> None:
+    async def _dispatch(self, request: DispatchRequest, writer: asyncio.StreamWriter) -> None:
         started = time.perf_counter()
         expires_at = started + request.deadline if request.deadline is not None else None
         # The mutex covers only the drain: queued submits keep coalescing
@@ -456,7 +420,6 @@ class ClusterGateway:
                     DispatchShardReply(
                         shard_id=shard_id, report=WireBatchReport.from_report(report)
                     ),
-                    conn,
                 )
         merged = self.coordinator.merge_reports(
             shard_reports, dispatch_seconds=time.perf_counter() - started
@@ -468,7 +431,6 @@ class ClusterGateway:
                 admission=WireAdmissionStats.from_stats(merged.admission),
                 expired=tuple(expired),
             ),
-            conn,
         )
 
     def _stats(self) -> StatsReply:

@@ -684,8 +684,9 @@ class RoutingService:
     def _publish_shm(self, fingerprint: str, artifact: PreprocessArtifact):
         """Publish ``artifact`` to the shm plane; ``None`` when unavailable.
 
-        Failures (platform without /dev/shm, segment exhaustion) degrade to
-        the spill path rather than failing the batch.
+        An unavailable plane (no ``multiprocessing.shared_memory``, no
+        /dev/shm, segment exhaustion) degrades to the spill path rather than
+        failing the batch; any other error is a bug and propagates.
         """
         try:
             if self._shm_store is None:
@@ -694,7 +695,7 @@ class RoutingService:
             if info is None:
                 info = self._shm_store.publish(fingerprint, artifact)
             return info
-        except Exception:
+        except (OSError, ImportError):
             return None
 
     def publish_segment(self, fingerprint: str, artifact: PreprocessArtifact):

@@ -10,9 +10,12 @@ dataclass here with
 * an explicit ``schema_version`` field (payloads carry it as ``"v"``; a
   mismatched version is rejected at decode time with
   :class:`~repro.wire.codec.SchemaVersionError`);
-* ``to_wire()`` / ``from_wire()`` — bytes via the msgpack-or-JSON codecs of
+* ``to_wire()`` / ``from_wire()`` — bytes via the JSON codec of
   :mod:`repro.wire.codec` (one codec id byte + body; framing lives in
   :mod:`repro.net.frames`);
+* **one field-driven codec** — a payload is derived from the dataclass
+  fields and their element-typed annotations (see :class:`WireMessage`), so
+  a message type is declared once, not written out twice by hand;
 * **unknown-field tolerance** — ``from_payload`` reads only the fields it
   knows, so a same-version peer that has grown extra fields (a rolling
   upgrade) still interoperates.
@@ -46,8 +49,19 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar, Mapping, Sequence, TypeVar
+from dataclasses import dataclass, field, fields
+from types import NoneType, UnionType
+from typing import (
+    Any,
+    Callable,
+    ClassVar,
+    Mapping,
+    TypeVar,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 import networkx as nx
 
@@ -82,8 +96,6 @@ __all__ = [
     "Pong",
     "Shutdown",
     "ShutdownAck",
-    "Hello",
-    "HelloReply",
     "NeedGraphReply",
     "ErrorReply",
     "ShardProcessRequest",
@@ -140,29 +152,102 @@ def _safe_tree(value: Any) -> tuple[bool, Any]:
 
 
 _M = TypeVar("_M", bound="WireMessage")
+_Codec = Callable[[Any], Any]
+
+#: Decode-time coercions of scalar leaves: a peer's non-numeric garbage in a
+#: numeric field fails the decode instead of flowing into the router.
+_COERCE: dict[Any, _Codec] = {int: int, float: float, bool: bool}
+
+# How a field's payload key is read (see WireMessage._fields_from_payload).
+_DEFAULTED, _OPTIONAL, _REQUIRED = "defaulted", "optional", "required"
+
+
+def _skip_none(codec: _Codec | None) -> _Codec | None:
+    if codec is None:
+        return None
+    return lambda value: None if value is None else codec(value)
+
+
+def _each(container: type, codec: _Codec | None) -> _Codec:
+    if codec is None:
+        return container
+    return lambda values: container(map(codec, values))
+
+
+def _values(codec: _Codec | None) -> _Codec:
+    if codec is None:
+        return dict
+    return lambda mapping: {key: codec(value) for key, value in mapping.items()}
+
+
+def _field_codecs(hint: Any) -> tuple[_Codec | None, _Codec | None]:
+    """``(encode, decode)`` derived from one field annotation (``None``: as is).
+
+    Nested messages travel as their payloads, ``tuple[X, ...]`` as lists,
+    ``dict[str, X]`` as objects, and ``int``/``float``/``bool`` leaves are
+    coerced on decode.
+    """
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is None and isinstance(hint, type) and issubclass(hint, WireMessage):
+        return hint.to_payload, hint.from_payload
+    if origin in (Union, UnionType):
+        (inner,) = [arg for arg in args if arg is not NoneType]
+        encode, decode = _field_codecs(inner)
+        return _skip_none(encode), _skip_none(decode)
+    if origin is tuple:
+        encode, decode = _field_codecs(args[0])
+        return _each(list, encode), _each(tuple, decode)
+    if hint is dict or origin is dict:
+        encode, decode = _field_codecs(args[1]) if args else (None, None)
+        return _values(encode), _values(decode)
+    return None, _COERCE.get(hint)
 
 
 @dataclass(frozen=True)
 class WireMessage:
-    """Base class: version checking, the type registry, and the byte codecs.
+    """Base class: version checking, the type registry, and the one codec.
 
-    Subclasses declare a unique ``type`` tag, implement ``to_payload`` /
-    ``_fields_from_payload``, and are registered via :func:`_register` so
-    :func:`decode_message` can dispatch on the tag.
+    Subclasses are frozen dataclasses that declare a unique ``type`` tag and
+    are registered via :func:`_register`, which derives each field's payload
+    codec from its annotation once per class (a field whose metadata holds
+    ``"wire": (encode, decode)`` supplies its own).  A payload is ``type``, then
+    ``v`` (the schema version), then every other field in declaration order.
+    Decoding ignores unknown keys, gives a missing or ``None`` field its
+    default (``None`` for optional fields), and rejects a payload that lacks
+    one of the class's ``required`` keys.
     """
 
     type: ClassVar[str] = ""
+    #: Payload keys decoding never defaults: a payload without one is malformed.
+    required: ClassVar[tuple[str, ...]] = ()
+    #: ``(name, encode, decode, read)`` per payload field, set by :func:`_register`.
+    _wire_fields: ClassVar[tuple] = ()
 
-    def _envelope(self) -> dict[str, Any]:
-        return {"type": self.type, "v": self.schema_version}
+    schema_version: int = field(default=WIRE_VERSION, kw_only=True)
 
-    def to_payload(self) -> dict[str, Any]:  # pragma: no cover - abstract
-        raise NotImplementedError
+    def to_payload(self) -> dict[str, Any]:
+        """This message as one JSON-safe payload dict."""
+        payload: dict[str, Any] = {"type": self.type, "v": self.schema_version}
+        for name, encode, _decode, _read in self._wire_fields:
+            value = getattr(self, name)
+            payload[name] = value if encode is None else encode(value)
+        return payload
 
     @classmethod
     def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
         """The constructor kwargs encoded in ``payload`` (known fields only)."""
-        raise NotImplementedError  # pragma: no cover - abstract
+        kwargs: dict[str, Any] = {}
+        for name, _encode, decode, read in cls._wire_fields:
+            if read == _REQUIRED:
+                value = payload[name]
+            else:
+                value = payload.get(name)
+                if value is None:
+                    if read == _OPTIONAL:
+                        kwargs[name] = None
+                    continue
+            kwargs[name] = value if decode is None else decode(value)
+        return kwargs
 
     @classmethod
     def from_payload(cls: type[_M], payload: Mapping[str, Any]) -> _M:
@@ -181,17 +266,14 @@ class WireMessage:
         except (KeyError, TypeError, ValueError, AttributeError) as error:
             raise WireDecodeError(f"malformed {cls.type!r} payload: {error}") from error
 
-    def to_wire(self, codec: int | None = None) -> bytes:
-        """This message as bytes: one codec id byte followed by the body."""
-        codec_id, body = encode_payload(self.to_payload(), codec)
-        return bytes((codec_id,)) + body
+    def to_wire(self) -> bytes:
+        """This message as bytes: the codec id byte followed by the JSON body."""
+        return encode_payload(self.to_payload())
 
     @classmethod
     def from_wire(cls: type[_M], data: bytes) -> _M:
         """Decode :meth:`to_wire` bytes; subclasses additionally check the type."""
-        if not data:
-            raise WireDecodeError("empty wire message")
-        message = decode_message(decode_payload(data[0], data[1:]))
+        message = decode_message(decode_payload(data))
         if cls is not WireMessage and not isinstance(message, cls):
             raise WireDecodeError(
                 f"expected a {cls.type!r} message, got {message.type!r}"
@@ -203,8 +285,27 @@ _MESSAGE_TYPES: dict[str, type[WireMessage]] = {}
 
 
 def _register(cls: type[_M]) -> type[_M]:
+    """Add a message class to the registry and derive its field codecs."""
     if not cls.type or cls.type in _MESSAGE_TYPES:
         raise ValueError(f"wire message type {cls.type!r} is missing or duplicated")
+    hints = get_type_hints(cls)
+    wire_fields = []
+    for spec in fields(cls):
+        if spec.name == "schema_version":
+            continue
+        hint = hints[spec.name]
+        encode, decode = spec.metadata.get("wire") or _field_codecs(hint)
+        if spec.name in cls.required:
+            read = _REQUIRED
+        elif hint is Any or NoneType in get_args(hint):
+            read = _OPTIONAL
+        else:
+            read = _DEFAULTED
+        wire_fields.append((spec.name, encode, decode, read))
+    unknown = set(cls.required) - {name for name, *_ in wire_fields}
+    if unknown:
+        raise ValueError(f"{cls.__name__}.required names unknown fields {sorted(unknown)}")
+    cls._wire_fields = tuple(wire_fields)
     _MESSAGE_TYPES[cls.type] = cls
     return cls
 
@@ -237,10 +338,20 @@ class WireGraph(WireMessage):
     """
 
     type: ClassVar[str] = "graph"
+    required: ClassVar[tuple[str, ...]] = ("nodes", "edges")
 
-    nodes: tuple = ()
-    edges: tuple = ()
-    schema_version: int = WIRE_VERSION
+    nodes: tuple[Any, ...] = ()
+    #: Fixed-shape ``(u, v, data)`` rows: the one field whose codec is not
+    #: derived from its annotation (each row must unpack into three parts).
+    edges: tuple[tuple[Any, Any, dict], ...] = field(
+        default=(),
+        metadata={
+            "wire": (
+                lambda edges: [[u, v, dict(data)] for u, v, data in edges],
+                lambda rows: tuple((u, v, dict(data)) for u, v, data in rows),
+            )
+        },
+    )
 
     @classmethod
     def from_graph(cls, graph: nx.Graph) -> "WireGraph":
@@ -280,19 +391,6 @@ class WireGraph(WireMessage):
             object.__setattr__(self, "_fingerprint", cached)
         return cached
 
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["nodes"] = list(self.nodes)
-        payload["edges"] = [[u, v, dict(data)] for u, v, data in self.edges]
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {
-            "nodes": tuple(payload["nodes"]),
-            "edges": tuple((u, v, dict(data)) for u, v, data in payload["edges"]),
-        }
-
 
 @_register
 @dataclass(frozen=True)
@@ -300,11 +398,11 @@ class WireRequest(WireMessage):
     """One routing request (source, destination, optional scalar payload)."""
 
     type: ClassVar[str] = "request"
+    required: ClassVar[tuple[str, ...]] = ("source", "destination")
 
     source: Any = None
     destination: Any = None
     payload: Any = None
-    schema_version: int = WIRE_VERSION
 
     @classmethod
     def from_request(cls, request: RoutingRequest) -> "WireRequest":
@@ -318,21 +416,6 @@ class WireRequest(WireMessage):
         return RoutingRequest(
             source=self.source, destination=self.destination, payload=self.payload
         )
-
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["source"] = self.source
-        payload["destination"] = self.destination
-        payload["payload"] = self.payload
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {
-            "source": payload["source"],
-            "destination": payload["destination"],
-            "payload": payload.get("payload"),
-        }
 
 
 @_register
@@ -348,6 +431,7 @@ class WirePlan(WireMessage):
     """
 
     type: ClassVar[str] = "plan"
+    required: ClassVar[tuple[str, ...]] = ("backend",)
 
     backend: str = ""
     backend_params: dict = field(default_factory=dict)
@@ -360,7 +444,6 @@ class WirePlan(WireMessage):
     shard_hint: str | None = None
     policy: str = "fixed"
     reason: str = ""
-    schema_version: int = WIRE_VERSION
 
     @classmethod
     def from_plan(cls, plan: ExecutionPlan) -> "WirePlan":
@@ -393,40 +476,6 @@ class WirePlan(WireMessage):
             reason=self.reason,
         )
 
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["backend"] = self.backend
-        payload["backend_params"] = dict(self.backend_params)
-        payload["kernel"] = self.kernel
-        payload["parallelism"] = self.parallelism
-        payload["max_workers"] = self.max_workers
-        payload["chunk_size"] = self.chunk_size
-        payload["fused"] = self.fused
-        payload["artifact_transport"] = self.artifact_transport
-        payload["shard_hint"] = self.shard_hint
-        payload["policy"] = self.policy
-        payload["reason"] = self.reason
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {
-            "backend": payload["backend"],
-            "backend_params": dict(payload.get("backend_params") or {}),
-            "kernel": payload.get("kernel", "numpy"),
-            "parallelism": payload.get("parallelism", "threads"),
-            "max_workers": payload.get("max_workers"),
-            "chunk_size": payload.get("chunk_size"),
-            # Peers one schema behind omit the fused/transport knobs; their
-            # plans execute un-fused over the spill path, which is always
-            # result-identical.
-            "fused": bool(payload.get("fused", False)),
-            "artifact_transport": payload.get("artifact_transport", "pickle"),
-            "shard_hint": payload.get("shard_hint"),
-            "policy": payload.get("policy", "fixed"),
-            "reason": payload.get("reason", ""),
-        }
-
 
 @_register
 @dataclass(frozen=True)
@@ -441,18 +490,18 @@ class WireShardQuery(WireMessage):
     """
 
     type: ClassVar[str] = "shard-query"
+    required: ClassVar[tuple[str, ...]] = ("fingerprint", "backend")
 
     fingerprint: str = ""
     graph: WireGraph | None = field(default_factory=WireGraph)
     graph_ref: str = ""
-    requests: tuple = ()
+    requests: tuple[WireRequest, ...] = ()
     load: int | None = None
     backend: str = ""
     backend_params: dict = field(default_factory=dict)
     workload: str = ""
     plan: WirePlan | None = None
     idempotency_key: str = ""
-    schema_version: int = WIRE_VERSION
 
     @classmethod
     def from_shard_query(
@@ -503,39 +552,6 @@ class WireShardQuery(WireMessage):
             idempotency_key=self.idempotency_key,
         )
 
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["fingerprint"] = self.fingerprint
-        payload["graph"] = self.graph.to_payload() if self.graph is not None else None
-        payload["graph_ref"] = self.graph_ref
-        payload["requests"] = [request.to_payload() for request in self.requests]
-        payload["load"] = self.load
-        payload["backend"] = self.backend
-        payload["backend_params"] = dict(self.backend_params)
-        payload["workload"] = self.workload
-        payload["plan"] = self.plan.to_payload() if self.plan is not None else None
-        payload["idempotency_key"] = self.idempotency_key
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        plan = payload.get("plan")
-        graph = payload.get("graph")
-        return {
-            "fingerprint": payload["fingerprint"],
-            "graph": WireGraph.from_payload(graph) if graph is not None else None,
-            "graph_ref": payload.get("graph_ref", ""),
-            "requests": tuple(
-                WireRequest.from_payload(entry) for entry in payload.get("requests", [])
-            ),
-            "load": payload.get("load"),
-            "backend": payload["backend"],
-            "backend_params": dict(payload.get("backend_params") or {}),
-            "workload": payload.get("workload", ""),
-            "plan": WirePlan.from_payload(plan) if plan is not None else None,
-            "idempotency_key": payload.get("idempotency_key", ""),
-        }
-
 
 @_register
 @dataclass(frozen=True)
@@ -548,6 +564,13 @@ class WireRouteResult(WireMessage):
     """
 
     type: ClassVar[str] = "route-result"
+    required: ClassVar[tuple[str, ...]] = (
+        "backend",
+        "delivered",
+        "total_tokens",
+        "query_rounds",
+        "preprocess_rounds",
+    )
 
     backend: str = ""
     delivered: int = 0
@@ -556,7 +579,6 @@ class WireRouteResult(WireMessage):
     preprocess_rounds: int = 0
     load: int = 1
     extra: dict = field(default_factory=dict)
-    schema_version: int = WIRE_VERSION
 
     @classmethod
     def from_result(cls, result) -> "WireRouteResult":
@@ -588,29 +610,6 @@ class WireRouteResult(WireMessage):
             extra=dict(self.extra),
         )
 
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["backend"] = self.backend
-        payload["delivered"] = self.delivered
-        payload["total_tokens"] = self.total_tokens
-        payload["query_rounds"] = self.query_rounds
-        payload["preprocess_rounds"] = self.preprocess_rounds
-        payload["load"] = self.load
-        payload["extra"] = dict(self.extra)
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {
-            "backend": payload["backend"],
-            "delivered": int(payload["delivered"]),
-            "total_tokens": int(payload["total_tokens"]),
-            "query_rounds": int(payload["query_rounds"]),
-            "preprocess_rounds": int(payload["preprocess_rounds"]),
-            "load": int(payload.get("load", 1)),
-            "extra": dict(payload.get("extra") or {}),
-        }
-
 
 @_register
 @dataclass(frozen=True)
@@ -618,6 +617,13 @@ class WireQueryResult(WireMessage):
     """One :class:`~repro.service.QueryResult` on the wire."""
 
     type: ClassVar[str] = "query-result"
+    required: ClassVar[tuple[str, ...]] = (
+        "query_id",
+        "fingerprint",
+        "backend",
+        "outcome",
+        "cache_hit",
+    )
 
     query_id: int = 0
     fingerprint: str = ""
@@ -627,7 +633,6 @@ class WireQueryResult(WireMessage):
     seconds: float = 0.0
     workload: str = ""
     plan: WirePlan | None = None
-    schema_version: int = WIRE_VERSION
 
     @classmethod
     def from_result(cls, result: QueryResult) -> "WireQueryResult":
@@ -654,32 +659,6 @@ class WireQueryResult(WireMessage):
             plan=self.plan.to_plan() if self.plan is not None else None,
         )
 
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["query_id"] = self.query_id
-        payload["fingerprint"] = self.fingerprint
-        payload["backend"] = self.backend
-        payload["outcome"] = self.outcome.to_payload()
-        payload["cache_hit"] = self.cache_hit
-        payload["seconds"] = self.seconds
-        payload["workload"] = self.workload
-        payload["plan"] = self.plan.to_payload() if self.plan is not None else None
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        plan = payload.get("plan")
-        return {
-            "query_id": int(payload["query_id"]),
-            "fingerprint": payload["fingerprint"],
-            "backend": payload["backend"],
-            "outcome": WireRouteResult.from_payload(payload["outcome"]),
-            "cache_hit": bool(payload["cache_hit"]),
-            "seconds": float(payload.get("seconds", 0.0)),
-            "workload": payload.get("workload", ""),
-            "plan": WirePlan.from_payload(plan) if plan is not None else None,
-        }
-
 
 @_register
 @dataclass(frozen=True)
@@ -693,7 +672,7 @@ class WireBatchReport(WireMessage):
 
     type: ClassVar[str] = "batch-report"
 
-    results: tuple = ()
+    results: tuple[WireQueryResult, ...] = ()
     distinct_graphs: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
@@ -702,7 +681,6 @@ class WireBatchReport(WireMessage):
     preprocess_seconds: float = 0.0
     route_seconds: float = 0.0
     wall_seconds: float = 0.0
-    schema_version: int = WIRE_VERSION
 
     @classmethod
     def from_report(cls, report: BatchReport) -> "WireBatchReport":
@@ -731,35 +709,6 @@ class WireBatchReport(WireMessage):
             wall_seconds=self.wall_seconds,
         )
 
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["results"] = [result.to_payload() for result in self.results]
-        payload["distinct_graphs"] = self.distinct_graphs
-        payload["cache_hits"] = self.cache_hits
-        payload["cache_misses"] = self.cache_misses
-        payload["preprocess_rounds_incurred"] = self.preprocess_rounds_incurred
-        payload["preprocess_rounds_reused"] = self.preprocess_rounds_reused
-        payload["preprocess_seconds"] = self.preprocess_seconds
-        payload["route_seconds"] = self.route_seconds
-        payload["wall_seconds"] = self.wall_seconds
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {
-            "results": tuple(
-                WireQueryResult.from_payload(entry) for entry in payload.get("results", [])
-            ),
-            "distinct_graphs": int(payload.get("distinct_graphs", 0)),
-            "cache_hits": int(payload.get("cache_hits", 0)),
-            "cache_misses": int(payload.get("cache_misses", 0)),
-            "preprocess_rounds_incurred": int(payload.get("preprocess_rounds_incurred", 0)),
-            "preprocess_rounds_reused": int(payload.get("preprocess_rounds_reused", 0)),
-            "preprocess_seconds": float(payload.get("preprocess_seconds", 0.0)),
-            "route_seconds": float(payload.get("route_seconds", 0.0)),
-            "wall_seconds": float(payload.get("wall_seconds", 0.0)),
-        }
-
 
 @_register
 @dataclass(frozen=True)
@@ -772,7 +721,6 @@ class WireAdmissionStats(WireMessage):
     accepted: int = 0
     rejected: int = 0
     shed: int = 0
-    schema_version: int = WIRE_VERSION
 
     @classmethod
     def from_stats(cls, stats: AdmissionStats) -> "WireAdmissionStats":
@@ -791,23 +739,6 @@ class WireAdmissionStats(WireMessage):
             shed=self.shed,
         )
 
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["offered"] = self.offered
-        payload["accepted"] = self.accepted
-        payload["rejected"] = self.rejected
-        payload["shed"] = self.shed
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {
-            "offered": int(payload.get("offered", 0)),
-            "accepted": int(payload.get("accepted", 0)),
-            "rejected": int(payload.get("rejected", 0)),
-            "shed": int(payload.get("shed", 0)),
-        }
-
 
 @_register
 @dataclass(frozen=True)
@@ -816,12 +747,11 @@ class WireClusterReport(WireMessage):
 
     type: ClassVar[str] = "cluster-report"
 
-    shard_reports: dict = field(default_factory=dict)
+    shard_reports: dict[str, WireBatchReport] = field(default_factory=dict)
     dispatch_seconds: float = 0.0
     admission: WireAdmissionStats = field(default_factory=WireAdmissionStats)
     lost_batches: int = 0
     requeued_batches: int = 0
-    schema_version: int = WIRE_VERSION
 
     @classmethod
     def from_report(cls, report) -> "WireClusterReport":
@@ -850,77 +780,56 @@ class WireClusterReport(WireMessage):
             requeued_batches=self.requeued_batches,
         )
 
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["shard_reports"] = {
-            shard_id: report.to_payload() for shard_id, report in self.shard_reports.items()
-        }
-        payload["dispatch_seconds"] = self.dispatch_seconds
-        payload["admission"] = self.admission.to_payload()
-        payload["lost_batches"] = self.lost_batches
-        payload["requeued_batches"] = self.requeued_batches
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {
-            "shard_reports": {
-                shard_id: WireBatchReport.from_payload(entry)
-                for shard_id, entry in (payload.get("shard_reports") or {}).items()
-            },
-            "dispatch_seconds": float(payload.get("dispatch_seconds", 0.0)),
-            "admission": WireAdmissionStats.from_payload(
-                payload.get("admission") or WireAdmissionStats().to_payload()
-            ),
-            "lost_batches": int(payload.get("lost_batches", 0)),
-            "requeued_batches": int(payload.get("requeued_batches", 0)),
-        }
-
 
 # -- protocol messages -------------------------------------------------------------
 
 
-def _simple(type_tag: str, doc: str) -> Callable[[type], type]:
-    """Decorator factory for field-less control messages."""
-
-    def wrap(cls: type) -> type:
-        cls.type = type_tag
-        cls.__doc__ = doc
-        cls.to_payload = WireMessage._envelope
-        cls._fields_from_payload = classmethod(lambda _cls, _payload: {})
-        return _register(dataclass(frozen=True)(cls))
-
-    return wrap
-
-
-@_simple("ping", "Liveness probe.")
+@_register
+@dataclass(frozen=True)
 class Ping(WireMessage):
-    schema_version: int = WIRE_VERSION
+    """Liveness probe."""
+
+    type: ClassVar[str] = "ping"
 
 
-@_simple("pong", "Liveness reply.")
+@_register
+@dataclass(frozen=True)
 class Pong(WireMessage):
-    schema_version: int = WIRE_VERSION
+    """Liveness reply."""
+
+    type: ClassVar[str] = "pong"
 
 
-@_simple("shutdown", "Orderly server shutdown request.")
+@_register
+@dataclass(frozen=True)
 class Shutdown(WireMessage):
-    schema_version: int = WIRE_VERSION
+    """Orderly server shutdown request."""
+
+    type: ClassVar[str] = "shutdown"
 
 
-@_simple("shutdown-ack", "The server acknowledges shutdown and will stop.")
+@_register
+@dataclass(frozen=True)
 class ShutdownAck(WireMessage):
-    schema_version: int = WIRE_VERSION
+    """The server acknowledges shutdown and will stop."""
+
+    type: ClassVar[str] = "shutdown-ack"
 
 
-@_simple("shard-stats-request", "Ask a shard server for its lifetime stats row.")
+@_register
+@dataclass(frozen=True)
 class ShardStatsRequest(WireMessage):
-    schema_version: int = WIRE_VERSION
+    """Ask a shard server for its lifetime stats row."""
+
+    type: ClassVar[str] = "shard-stats-request"
 
 
-@_simple("stats-request", "Ask the gateway for cluster-level admission/queue stats.")
+@_register
+@dataclass(frozen=True)
 class StatsRequest(WireMessage):
-    schema_version: int = WIRE_VERSION
+    """Ask the gateway for cluster-level admission/queue stats."""
+
+    type: ClassVar[str] = "stats-request"
 
 
 @_register
@@ -932,75 +841,6 @@ class ErrorReply(WireMessage):
 
     code: str = "error"
     message: str = ""
-    schema_version: int = WIRE_VERSION
-
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["code"] = self.code
-        payload["message"] = self.message
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {"code": payload.get("code", "error"), "message": payload.get("message", "")}
-
-
-@_register
-@dataclass(frozen=True)
-class Hello(WireMessage):
-    """Peer → server, first frame on a connection: negotiate the wire codec.
-
-    ``codecs`` is the peer's supported codec names, best first; ``features``
-    advertises optional protocol extensions (e.g. ``"need-graph"`` for
-    fingerprint-negotiated payloads).  Rolling-upgrade tolerant both ways: a
-    server that predates the handshake answers ``ErrorReply(code="unsupported")``
-    and the peer falls back to per-message defaults; a peer that never says
-    hello is served with the defaults too.
-    """
-
-    type: ClassVar[str] = "hello"
-
-    codecs: tuple = ("json",)
-    features: tuple = ()
-    schema_version: int = WIRE_VERSION
-
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["codecs"] = list(self.codecs)
-        payload["features"] = list(self.features)
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {
-            "codecs": tuple(payload.get("codecs") or ("json",)),
-            "features": tuple(payload.get("features") or ()),
-        }
-
-
-@_register
-@dataclass(frozen=True)
-class HelloReply(WireMessage):
-    """Server → peer: the codec chosen for this connection plus server features."""
-
-    type: ClassVar[str] = "hello-reply"
-
-    codec: str = "json"
-    features: tuple = ()
-    schema_version: int = WIRE_VERSION
-
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["codec"] = self.codec
-        payload["features"] = list(self.features)
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {
-            "codec": payload.get("codec", "json"),
-            "features": tuple(payload.get("features") or ()),
-        }
 
 
 @_register
@@ -1016,17 +856,7 @@ class NeedGraphReply(WireMessage):
 
     type: ClassVar[str] = "need-graph"
 
-    fingerprints: tuple = ()
-    schema_version: int = WIRE_VERSION
-
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["fingerprints"] = list(self.fingerprints)
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {"fingerprints": tuple(payload.get("fingerprints") or ())}
+    fingerprints: tuple[str, ...] = ()
 
 
 @_register
@@ -1042,34 +872,8 @@ class ShardProcessRequest(WireMessage):
 
     type: ClassVar[str] = "shard-process"
 
-    queries: tuple = ()
-    graphs: dict = field(default_factory=dict)
-    schema_version: int = WIRE_VERSION
-
-    @classmethod
-    def from_queries(cls, queries: Sequence[ShardQuery]) -> "ShardProcessRequest":
-        return cls(queries=tuple(WireShardQuery.from_shard_query(query) for query in queries))
-
-    def to_queries(self) -> list[ShardQuery]:
-        return [query.to_shard_query() for query in self.queries]
-
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["queries"] = [query.to_payload() for query in self.queries]
-        payload["graphs"] = {ref: graph.to_payload() for ref, graph in self.graphs.items()}
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {
-            "queries": tuple(
-                WireShardQuery.from_payload(entry) for entry in payload.get("queries", [])
-            ),
-            "graphs": {
-                ref: WireGraph.from_payload(entry)
-                for ref, entry in (payload.get("graphs") or {}).items()
-            },
-        }
+    queries: tuple[WireShardQuery, ...] = ()
+    graphs: dict[str, WireGraph] = field(default_factory=dict)
 
 
 @_register
@@ -1078,18 +882,9 @@ class ShardProcessReply(WireMessage):
     """Shard server → coordinator: the slice's :class:`WireBatchReport`."""
 
     type: ClassVar[str] = "shard-report"
+    required: ClassVar[tuple[str, ...]] = ("report",)
 
     report: WireBatchReport = field(default_factory=WireBatchReport)
-    schema_version: int = WIRE_VERSION
-
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["report"] = self.report.to_payload()
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {"report": WireBatchReport.from_payload(payload["report"])}
 
 
 @_register
@@ -1100,16 +895,6 @@ class ShardStatsReply(WireMessage):
     type: ClassVar[str] = "shard-stats"
 
     row: dict = field(default_factory=dict)
-    schema_version: int = WIRE_VERSION
-
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["row"] = dict(self.row)
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {"row": dict(payload.get("row") or {})}
 
 
 @_register
@@ -1132,47 +917,13 @@ class SubmitRequest(WireMessage):
 
     graph: WireGraph | None = None
     graph_fingerprint: str = ""
-    requests: tuple = ()
+    requests: tuple[WireRequest, ...] = ()
     load: int | None = None
     backend: str | None = None
     backend_params: dict | None = None
     workload: str = ""
     deadline: float | None = None
     idempotency_key: str | None = None
-    schema_version: int = WIRE_VERSION
-
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["graph"] = self.graph.to_payload() if self.graph is not None else None
-        payload["graph_fingerprint"] = self.graph_fingerprint
-        payload["requests"] = [request.to_payload() for request in self.requests]
-        payload["load"] = self.load
-        payload["backend"] = self.backend
-        payload["backend_params"] = (
-            dict(self.backend_params) if self.backend_params is not None else None
-        )
-        payload["workload"] = self.workload
-        payload["deadline"] = self.deadline
-        payload["idempotency_key"] = self.idempotency_key
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        params = payload.get("backend_params")
-        graph = payload.get("graph")
-        return {
-            "graph": WireGraph.from_payload(graph) if graph is not None else None,
-            "graph_fingerprint": payload.get("graph_fingerprint", ""),
-            "requests": tuple(
-                WireRequest.from_payload(entry) for entry in payload.get("requests", [])
-            ),
-            "load": payload.get("load"),
-            "backend": payload.get("backend"),
-            "backend_params": dict(params) if params is not None else None,
-            "workload": payload.get("workload", ""),
-            "deadline": payload.get("deadline"),
-            "idempotency_key": payload.get("idempotency_key"),
-        }
 
 
 @_register
@@ -1186,24 +937,6 @@ class SubmitReply(WireMessage):
     accepted: bool = False
     shed: int = 0
     duplicate: bool = False
-    schema_version: int = WIRE_VERSION
-
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["shard_id"] = self.shard_id
-        payload["accepted"] = self.accepted
-        payload["shed"] = self.shed
-        payload["duplicate"] = self.duplicate
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {
-            "shard_id": payload.get("shard_id", ""),
-            "accepted": bool(payload.get("accepted", False)),
-            "shed": int(payload.get("shed", 0)),
-            "duplicate": bool(payload.get("duplicate", False)),
-        }
 
 
 @_register
@@ -1220,16 +953,6 @@ class DispatchRequest(WireMessage):
     type: ClassVar[str] = "dispatch"
 
     deadline: float | None = None
-    schema_version: int = WIRE_VERSION
-
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["deadline"] = self.deadline
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {"deadline": payload.get("deadline")}
 
 
 @_register
@@ -1238,23 +961,10 @@ class DispatchShardReply(WireMessage):
     """Gateway → client: one shard's batch report, streamed on completion."""
 
     type: ClassVar[str] = "dispatch-shard"
+    required: ClassVar[tuple[str, ...]] = ("report",)
 
     shard_id: str = ""
     report: WireBatchReport = field(default_factory=WireBatchReport)
-    schema_version: int = WIRE_VERSION
-
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["shard_id"] = self.shard_id
-        payload["report"] = self.report.to_payload()
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {
-            "shard_id": payload.get("shard_id", ""),
-            "report": WireBatchReport.from_payload(payload["report"]),
-        }
 
 
 @_register
@@ -1270,25 +980,7 @@ class DispatchDoneReply(WireMessage):
 
     dispatch_seconds: float = 0.0
     admission: WireAdmissionStats = field(default_factory=WireAdmissionStats)
-    expired: tuple = ()
-    schema_version: int = WIRE_VERSION
-
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["dispatch_seconds"] = self.dispatch_seconds
-        payload["admission"] = self.admission.to_payload()
-        payload["expired"] = list(self.expired)
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {
-            "dispatch_seconds": float(payload.get("dispatch_seconds", 0.0)),
-            "admission": WireAdmissionStats.from_payload(
-                payload.get("admission") or WireAdmissionStats().to_payload()
-            ),
-            "expired": tuple(payload.get("expired", ())),
-        }
+    expired: tuple[str, ...] = ()
 
 
 @_register
@@ -1299,37 +991,19 @@ class StatsReply(WireMessage):
     type: ClassVar[str] = "stats-reply"
 
     admission: WireAdmissionStats = field(default_factory=WireAdmissionStats)
-    queue_depths: dict = field(default_factory=dict)
+    queue_depths: dict[str, int] = field(default_factory=dict)
     shard_count: int = 0
-    schema_version: int = WIRE_VERSION
-
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["admission"] = self.admission.to_payload()
-        payload["queue_depths"] = dict(self.queue_depths)
-        payload["shard_count"] = self.shard_count
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {
-            "admission": WireAdmissionStats.from_payload(
-                payload.get("admission") or WireAdmissionStats().to_payload()
-            ),
-            "queue_depths": {
-                shard_id: int(depth)
-                for shard_id, depth in (payload.get("queue_depths") or {}).items()
-            },
-            "shard_count": int(payload.get("shard_count", 0)),
-        }
 
 
 # -- elastic-tier messages: heartbeats, fault injection, artifact handoff ----------
 
 
-@_simple("heartbeat", "Coordinator → shard: liveness probe expecting a heartbeat reply.")
+@_register
+@dataclass(frozen=True)
 class HeartbeatRequest(WireMessage):
-    schema_version: int = WIRE_VERSION
+    """Coordinator → shard: liveness probe expecting a heartbeat reply."""
+
+    type: ClassVar[str] = "heartbeat"
 
 
 @_register
@@ -1343,24 +1017,6 @@ class HeartbeatReply(WireMessage):
     healthy: bool = True
     batches_served: int = 0
     queries_served: int = 0
-    schema_version: int = WIRE_VERSION
-
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["shard_id"] = self.shard_id
-        payload["healthy"] = self.healthy
-        payload["batches_served"] = self.batches_served
-        payload["queries_served"] = self.queries_served
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {
-            "shard_id": payload.get("shard_id", ""),
-            "healthy": bool(payload.get("healthy", True)),
-            "batches_served": int(payload.get("batches_served", 0)),
-            "queries_served": int(payload.get("queries_served", 0)),
-        }
 
 
 @_register
@@ -1377,20 +1033,6 @@ class FaultInjectRequest(WireMessage):
 
     kind: str = ""
     seconds: float = 0.0
-    schema_version: int = WIRE_VERSION
-
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["kind"] = self.kind
-        payload["seconds"] = self.seconds
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {
-            "kind": payload.get("kind", ""),
-            "seconds": float(payload.get("seconds", 0.0)),
-        }
 
 
 @_register
@@ -1401,16 +1043,6 @@ class FaultInjectReply(WireMessage):
     type: ClassVar[str] = "fault-inject-reply"
 
     applied: bool = True
-    schema_version: int = WIRE_VERSION
-
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["applied"] = self.applied
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {"applied": bool(payload.get("applied", True))}
 
 
 @_register
@@ -1426,16 +1058,6 @@ class ArtifactExportRequest(WireMessage):
     type: ClassVar[str] = "artifact-export"
 
     fingerprint: str = ""
-    schema_version: int = WIRE_VERSION
-
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["fingerprint"] = self.fingerprint
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {"fingerprint": payload.get("fingerprint", "")}
 
 
 @_register
@@ -1453,22 +1075,6 @@ class ArtifactExportReply(WireMessage):
     fingerprint: str = ""
     segment: str | None = None
     found: bool = False
-    schema_version: int = WIRE_VERSION
-
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["fingerprint"] = self.fingerprint
-        payload["segment"] = self.segment
-        payload["found"] = self.found
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {
-            "fingerprint": payload.get("fingerprint", ""),
-            "segment": payload.get("segment"),
-            "found": bool(payload.get("found", False)),
-        }
 
 
 @_register
@@ -1480,20 +1086,6 @@ class ArtifactAdoptRequest(WireMessage):
 
     fingerprint: str = ""
     segment: str = ""
-    schema_version: int = WIRE_VERSION
-
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["fingerprint"] = self.fingerprint
-        payload["segment"] = self.segment
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {
-            "fingerprint": payload.get("fingerprint", ""),
-            "segment": payload.get("segment", ""),
-        }
 
 
 @_register
@@ -1504,16 +1096,6 @@ class ArtifactAdoptReply(WireMessage):
     type: ClassVar[str] = "artifact-adopt-reply"
 
     adopted: bool = False
-    schema_version: int = WIRE_VERSION
-
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["adopted"] = self.adopted
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {"adopted": bool(payload.get("adopted", False))}
 
 
 # -- durability: write-ahead journal records ---------------------------------------
@@ -1535,29 +1117,8 @@ class JournalAdmit(WireMessage):
     key: str = ""
     shard_id: str = ""
     accepted: bool = False
-    shed_keys: tuple = ()
+    shed_keys: tuple[str, ...] = ()
     query: WireShardQuery | None = None
-    schema_version: int = WIRE_VERSION
-
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["key"] = self.key
-        payload["shard_id"] = self.shard_id
-        payload["accepted"] = self.accepted
-        payload["shed_keys"] = list(self.shed_keys)
-        payload["query"] = self.query.to_payload() if self.query is not None else None
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        query = payload.get("query")
-        return {
-            "key": payload.get("key", ""),
-            "shard_id": payload.get("shard_id", ""),
-            "accepted": bool(payload.get("accepted", False)),
-            "shed_keys": tuple(payload.get("shed_keys") or ()),
-            "query": WireShardQuery.from_payload(query) if query is not None else None,
-        }
 
 
 @_register
@@ -1575,22 +1136,6 @@ class JournalComplete(WireMessage):
     key: str = ""
     fingerprint: str = ""
     shard_id: str = ""
-    schema_version: int = WIRE_VERSION
-
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["key"] = self.key
-        payload["fingerprint"] = self.fingerprint
-        payload["shard_id"] = self.shard_id
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return {
-            "key": payload.get("key", ""),
-            "fingerprint": payload.get("fingerprint", ""),
-            "shard_id": payload.get("shard_id", ""),
-        }
 
 
 @_register
@@ -1609,78 +1154,19 @@ class JournalCheckpoint(WireMessage):
 
     type: ClassVar[str] = "journal-checkpoint"
 
-    shard_ids: tuple = ()
+    shard_ids: tuple[str, ...] = ()
     next_shard_index: int = 0
-    seen_fingerprints: tuple = ()
-    pending: tuple = ()  # WireShardQuery, admission order
-    completed_keys: tuple = ()
-    warm: tuple = ()  # WireShardQuery exemplars, last-use order
+    seen_fingerprints: tuple[str, ...] = ()
+    pending: tuple[WireShardQuery, ...] = ()  # admission order
+    completed_keys: tuple[str, ...] = ()
+    warm: tuple[WireShardQuery, ...] = ()  # exemplars, last-use order
     auto_key_counter: int = 0
-    admission: dict = field(default_factory=dict)  # shard -> stats dict
+    admission: dict[str, dict] = field(default_factory=dict)  # shard -> stats dict
     lost_batches: int = 0
     requeued_batches: int = 0
     failovers: int = 0
     duplicate_results: int = 0
-    hot_ewma: dict = field(default_factory=dict)
-    replicas: dict = field(default_factory=dict)
-    planner_state: dict | None = None
+    hot_ewma: dict[str, float] = field(default_factory=dict)
+    replicas: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    planner_state: dict[str, dict] | None = None
     planner_version: int = 0
-    schema_version: int = WIRE_VERSION
-
-    def to_payload(self) -> dict[str, Any]:
-        payload = self._envelope()
-        payload["shard_ids"] = list(self.shard_ids)
-        payload["next_shard_index"] = self.next_shard_index
-        payload["seen_fingerprints"] = list(self.seen_fingerprints)
-        payload["pending"] = [query.to_payload() for query in self.pending]
-        payload["completed_keys"] = list(self.completed_keys)
-        payload["warm"] = [query.to_payload() for query in self.warm]
-        payload["auto_key_counter"] = self.auto_key_counter
-        payload["admission"] = {shard: dict(stats) for shard, stats in self.admission.items()}
-        payload["lost_batches"] = self.lost_batches
-        payload["requeued_batches"] = self.requeued_batches
-        payload["failovers"] = self.failovers
-        payload["duplicate_results"] = self.duplicate_results
-        payload["hot_ewma"] = dict(self.hot_ewma)
-        payload["replicas"] = {key: list(owners) for key, owners in self.replicas.items()}
-        payload["planner_state"] = (
-            {key: dict(entry) for key, entry in self.planner_state.items()}
-            if self.planner_state is not None
-            else None
-        )
-        payload["planner_version"] = self.planner_version
-        return payload
-
-    @classmethod
-    def _fields_from_payload(cls, payload: Mapping[str, Any]) -> dict[str, Any]:
-        planner_state = payload.get("planner_state")
-        return {
-            "shard_ids": tuple(payload.get("shard_ids") or ()),
-            "next_shard_index": int(payload.get("next_shard_index", 0)),
-            "seen_fingerprints": tuple(payload.get("seen_fingerprints") or ()),
-            "pending": tuple(
-                WireShardQuery.from_payload(entry) for entry in payload.get("pending") or ()
-            ),
-            "completed_keys": tuple(payload.get("completed_keys") or ()),
-            "warm": tuple(
-                WireShardQuery.from_payload(entry) for entry in payload.get("warm") or ()
-            ),
-            "auto_key_counter": int(payload.get("auto_key_counter", 0)),
-            "admission": {
-                shard: dict(stats) for shard, stats in (payload.get("admission") or {}).items()
-            },
-            "lost_batches": int(payload.get("lost_batches", 0)),
-            "requeued_batches": int(payload.get("requeued_batches", 0)),
-            "failovers": int(payload.get("failovers", 0)),
-            "duplicate_results": int(payload.get("duplicate_results", 0)),
-            "hot_ewma": dict(payload.get("hot_ewma") or {}),
-            "replicas": {
-                key: tuple(owners) for key, owners in (payload.get("replicas") or {}).items()
-            },
-            "planner_state": (
-                {key: dict(entry) for key, entry in planner_state.items()}
-                if planner_state is not None
-                else None
-            ),
-            "planner_version": int(payload.get("planner_version", 0)),
-        }

@@ -182,3 +182,21 @@ def test_cluster_warm_handoff_uses_shm_plane():
         moved = sum(handoffs.values())
         assert handoffs.get("path=shm", 0.0) == moved
     assert leaked_segments() == []
+
+
+def test_publish_degrades_only_when_the_plane_is_unavailable(artifact, monkeypatch):
+    """No space or no /dev/shm means "no segment"; any other error surfaces."""
+
+    def out_of_space(self, fingerprint, artifact):
+        raise OSError(28, "No space left on device")
+
+    def buggy(self, fingerprint, artifact):
+        raise RuntimeError("flatten bug")
+
+    with RoutingService(metrics=MetricsRegistry()) as service:
+        monkeypatch.setattr(ShmArtifactStore, "publish", out_of_space)
+        assert service.publish_segment("d" * 16, artifact) is None
+        monkeypatch.setattr(ShmArtifactStore, "publish", buggy)
+        with pytest.raises(RuntimeError, match="flatten bug"):
+            service.publish_segment("d" * 16, artifact)
+    assert leaked_segments() == []

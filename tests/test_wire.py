@@ -22,7 +22,6 @@ from repro.service.fingerprint import graph_fingerprint
 from repro.service.service import RoutingService
 from repro.wire import (
     CODEC_JSON,
-    HAVE_MSGPACK,
     WIRE_VERSION,
     ArtifactAdoptReply,
     ArtifactAdoptRequest,
@@ -36,8 +35,6 @@ from repro.wire import (
     FaultInjectRequest,
     HeartbeatReply,
     HeartbeatRequest,
-    Hello,
-    HelloReply,
     JournalAdmit,
     JournalCheckpoint,
     JournalComplete,
@@ -253,16 +250,6 @@ MESSAGE_STRATEGIES = {
     "shard-stats-request": st.just(ShardStatsRequest()),
     "stats-request": st.just(StatsRequest()),
     "error": st.builds(ErrorReply, code=names, message=st.text(max_size=30)),
-    "hello": st.builds(
-        Hello,
-        codecs=st.lists(st.sampled_from(["json", "msgpack"]), min_size=1, max_size=2).map(tuple),
-        features=st.lists(names, max_size=3).map(tuple),
-    ),
-    "hello-reply": st.builds(
-        HelloReply,
-        codec=st.sampled_from(["json", "msgpack"]),
-        features=st.lists(names, max_size=3).map(tuple),
-    ),
     "need-graph": st.builds(
         NeedGraphReply, fingerprints=st.lists(names, max_size=3).map(tuple)
     ),
@@ -355,9 +342,6 @@ def test_every_registered_type_has_a_strategy():
 @given(message=st.one_of(*MESSAGE_STRATEGIES.values()))
 def test_wire_round_trip_is_identity(message):
     assert message_from_wire(message.to_wire()) == message
-    # Pinning the JSON codec explicitly must round-trip too (msgpack-capable
-    # peers still answer JSON-only ones).
-    assert message_from_wire(message.to_wire(CODEC_JSON)) == message
 
 
 # -- versioning and tolerance ------------------------------------------------------
@@ -392,31 +376,25 @@ def test_typed_from_wire_checks_the_type():
         SubmitReply.from_wire(Ping().to_wire())
 
 
-# -- codec gating ------------------------------------------------------------------
+# -- the codec ---------------------------------------------------------------------
 
 
 def test_json_codec_round_trips_payloads():
-    codec, body = encode_payload({"a": 1, "b": [1.5, None, True]}, CODEC_JSON)
-    assert codec == CODEC_JSON
-    assert decode_payload(codec, body) == {"a": 1, "b": [1.5, None, True]}
+    data = encode_payload({"a": 1, "b": [1.5, None, True]})
+    assert data[0] == CODEC_JSON
+    assert decode_payload(data) == {"a": 1, "b": [1.5, None, True]}
 
 
 def test_unknown_codec_id_is_rejected():
-    with pytest.raises(WireDecodeError):
-        decode_payload(99, b"{}")
+    # Id 1 was the optional binary codec of older releases; only JSON is left.
+    for codec in (1, 99):
+        with pytest.raises(WireDecodeError):
+            decode_payload(bytes([codec]) + b"{}")
 
 
 def test_non_dict_payload_is_rejected():
     with pytest.raises(WireDecodeError):
-        decode_payload(CODEC_JSON, b"[1,2,3]")
-
-
-@pytest.mark.skipif(HAVE_MSGPACK, reason="msgpack installed: frames decode fine")
-def test_msgpack_frames_fail_loudly_without_the_package():
-    from repro.wire import CODEC_MSGPACK
-
-    with pytest.raises(WireDecodeError):
-        decode_payload(CODEC_MSGPACK, b"\x80")
+        decode_payload(bytes([CODEC_JSON]) + b"[1,2,3]")
 
 
 def test_unencodable_values_raise_wire_encode_error():

@@ -1,0 +1,505 @@
+"""Golden wire bytes: the encoded form of every message type is pinned.
+
+Journals on disk and peers on the other end of a socket read these bytes, so
+any change to them is a wire-format change (and needs a ``WIRE_VERSION``
+bump).  Each registered message type has one fixed, representative instance
+here whose ``to_wire()`` output must equal the pinned bytes exactly — key
+order, separators, nesting and all — and which must decode back to an equal
+message.  A second group pins the payload keys a decoder refuses to default
+(dropping one is a malformed message, not an old peer) and the numeric
+coercions that reject garbage from a peer.
+"""
+
+import pytest
+
+from repro.wire import (
+    WIRE_VERSION,
+    ArtifactAdoptReply,
+    ArtifactAdoptRequest,
+    ArtifactExportReply,
+    ArtifactExportRequest,
+    DispatchDoneReply,
+    DispatchRequest,
+    DispatchShardReply,
+    ErrorReply,
+    FaultInjectReply,
+    FaultInjectRequest,
+    HeartbeatReply,
+    HeartbeatRequest,
+    JournalAdmit,
+    JournalCheckpoint,
+    JournalComplete,
+    NeedGraphReply,
+    Ping,
+    Pong,
+    ShardProcessReply,
+    ShardProcessRequest,
+    ShardStatsReply,
+    ShardStatsRequest,
+    Shutdown,
+    ShutdownAck,
+    StatsReply,
+    StatsRequest,
+    SubmitReply,
+    SubmitRequest,
+    WireAdmissionStats,
+    WireBatchReport,
+    WireClusterReport,
+    WireDecodeError,
+    WireGraph,
+    WirePlan,
+    WireQueryResult,
+    WireRequest,
+    WireRouteResult,
+    WireShardQuery,
+    decode_message,
+    message_from_wire,
+)
+from repro.wire.messages import _MESSAGE_TYPES
+
+# -- one representative instance per registered type -------------------------------
+
+GRAPH = WireGraph(
+    nodes=(0, 1, 2, 3),
+    edges=((0, 1, {}), (1, 2, {"weight": 2}), (2, 3, {}), (3, 0, {"weight": 1.5})),
+)
+GRAPH_REF = "c5b1e0d8b8c2d8bb"  # stands in for a WireGraph.fingerprint() hash
+PLAN = WirePlan(
+    backend="deterministic",
+    backend_params={"epsilon": 0.5, "seed": 7},
+    kernel="numpy",
+    parallelism="threads",
+    max_workers=2,
+    chunk_size=None,
+    fused=True,
+    artifact_transport="shm",
+    shard_hint="shard-1",
+    policy="cost",
+    reason="golden",
+)
+REQUESTS = (
+    WireRequest(source=0, destination=2),
+    WireRequest(source=1, destination=3, payload={"tag": [1, "x", None]}),
+)
+QUERY = WireShardQuery(
+    fingerprint="fp-1",
+    graph=GRAPH,
+    graph_ref="",
+    requests=REQUESTS,
+    load=2,
+    backend="deterministic",
+    backend_params={"epsilon": 0.5},
+    workload="permutation",
+    plan=PLAN,
+    idempotency_key="key-1",
+)
+REF_QUERY = WireShardQuery(
+    fingerprint="fp-1",
+    graph=None,
+    graph_ref=GRAPH_REF,
+    requests=REQUESTS[:1],
+    load=None,
+    backend="deterministic",
+    workload="permutation",
+    idempotency_key="key-2",
+)
+ROUTE = WireRouteResult(
+    backend="deterministic",
+    delivered=2,
+    total_tokens=2,
+    query_rounds=7,
+    preprocess_rounds=11,
+    load=1,
+    extra={"paths": 4, "label": "ok"},
+)
+QUERY_RESULT = WireQueryResult(
+    query_id=3,
+    fingerprint="fp-1",
+    backend="deterministic",
+    outcome=ROUTE,
+    cache_hit=True,
+    seconds=0.25,
+    workload="permutation",
+    plan=PLAN,
+)
+BATCH = WireBatchReport(
+    results=(QUERY_RESULT,),
+    distinct_graphs=1,
+    cache_hits=1,
+    cache_misses=0,
+    preprocess_rounds_incurred=0,
+    preprocess_rounds_reused=11,
+    preprocess_seconds=0.0,
+    route_seconds=0.125,
+    wall_seconds=0.5,
+)
+ADMISSION = WireAdmissionStats(offered=5, accepted=4, rejected=1, shed=2)
+
+INSTANCES = {
+    "graph": GRAPH,
+    "request": REQUESTS[1],
+    "plan": PLAN,
+    "shard-query": QUERY,
+    "route-result": ROUTE,
+    "query-result": QUERY_RESULT,
+    "batch-report": BATCH,
+    "admission-stats": ADMISSION,
+    "cluster-report": WireClusterReport(
+        shard_reports={"shard-0": BATCH},
+        dispatch_seconds=0.75,
+        admission=ADMISSION,
+        lost_batches=0,
+        requeued_batches=1,
+    ),
+    "ping": Ping(),
+    "pong": Pong(),
+    "shutdown": Shutdown(),
+    "shutdown-ack": ShutdownAck(),
+    "shard-stats-request": ShardStatsRequest(),
+    "stats-request": StatsRequest(),
+    "error": ErrorReply(code="deadline", message="submit deadline expired"),
+    "need-graph": NeedGraphReply(fingerprints=(GRAPH_REF, "other")),
+    "shard-process": ShardProcessRequest(queries=(REF_QUERY, QUERY), graphs={GRAPH_REF: GRAPH}),
+    "shard-report": ShardProcessReply(report=BATCH),
+    "shard-stats": ShardStatsReply(row={"shard": "shard-0", "batches": 3, "hit_ratio": 0.5}),
+    "submit": SubmitRequest(
+        graph=None,
+        graph_fingerprint=GRAPH_REF,
+        requests=REQUESTS,
+        load=None,
+        backend="deterministic",
+        backend_params={"epsilon": 0.5},
+        workload="permutation",
+        deadline=2.5,
+        idempotency_key="client-abc-1",
+    ),
+    "submit-reply": SubmitReply(shard_id="shard-1", accepted=True, shed=1, duplicate=False),
+    "dispatch": DispatchRequest(deadline=None),
+    "dispatch-shard": DispatchShardReply(shard_id="shard-0", report=BATCH),
+    "dispatch-done": DispatchDoneReply(
+        dispatch_seconds=0.75, admission=ADMISSION, expired=("shard-2",)
+    ),
+    "stats-reply": StatsReply(
+        admission=ADMISSION, queue_depths={"shard-0": 0, "shard-1": 3}, shard_count=2
+    ),
+    "heartbeat": HeartbeatRequest(),
+    "heartbeat-reply": HeartbeatReply(
+        shard_id="shard-0", healthy=True, batches_served=4, queries_served=9
+    ),
+    "fault-inject": FaultInjectRequest(kind="slow", seconds=0.5),
+    "fault-inject-reply": FaultInjectReply(applied=True),
+    "artifact-export": ArtifactExportRequest(fingerprint="fp-1"),
+    "artifact-export-reply": ArtifactExportReply(
+        fingerprint="fp-1", segment="repro-shm-1-1-fp1", found=True
+    ),
+    "artifact-adopt": ArtifactAdoptRequest(fingerprint="fp-1", segment="repro-shm-1-1-fp1"),
+    "artifact-adopt-reply": ArtifactAdoptReply(adopted=True),
+    "journal-admit": JournalAdmit(
+        key="key-1", shard_id="shard-1", accepted=True, shed_keys=("key-0",), query=QUERY
+    ),
+    "journal-complete": JournalComplete(key="key-1", fingerprint="fp-1", shard_id="shard-1"),
+    "journal-checkpoint": JournalCheckpoint(
+        shard_ids=("shard-0", "shard-1"),
+        next_shard_index=2,
+        seen_fingerprints=("fp-1",),
+        pending=(REF_QUERY,),
+        completed_keys=("key-0",),
+        warm=(QUERY,),
+        auto_key_counter=17,
+        admission={"shard-0": {"offered": 5, "accepted": 4, "rejected": 1, "shed": 2}},
+        lost_batches=0,
+        requeued_batches=1,
+        failovers=1,
+        duplicate_results=0,
+        hot_ewma={"fp-1": 0.5},
+        replicas={"fp-1": ("shard-0", "shard-1")},
+        planner_state={"deterministic": {"ms": 1.5, "samples": 3}},
+        planner_version=3,
+    ),
+}
+
+# -- the pinned bytes --------------------------------------------------------------
+
+GOLDEN: dict[str, bytes] = {
+    "admission-stats": (
+        b'\x00{"type":"admission-stats","v":1,"offered":5,"accepted":4,"rejected":1,"shed":'
+        b'2}'
+    ),
+    "artifact-adopt": (
+        b'\x00{"type":"artifact-adopt","v":1,"fingerprint":"fp-1","segment":"repro-shm-1-1-'
+        b'fp1"}'
+    ),
+    "artifact-adopt-reply": b'\x00{"type":"artifact-adopt-reply","v":1,"adopted":true}',
+    "artifact-export": b'\x00{"type":"artifact-export","v":1,"fingerprint":"fp-1"}',
+    "artifact-export-reply": (
+        b'\x00{"type":"artifact-export-reply","v":1,"fingerprint":"fp-1","segment":"repro-s'
+        b'hm-1-1-fp1","found":true}'
+    ),
+    "batch-report": (
+        b'\x00{"type":"batch-report","v":1,"results":[{"type":"query-result","v":1,"query_i'
+        b'd":3,"fingerprint":"fp-1","backend":"deterministic","outcome":{"type":"route-resu'
+        b'lt","v":1,"backend":"deterministic","delivered":2,"total_tokens":2,"query_rounds"'
+        b':7,"preprocess_rounds":11,"load":1,"extra":{"paths":4,"label":"ok"}},"cache_hit":'
+        b'true,"seconds":0.25,"workload":"permutation","plan":{"type":"plan","v":1,"backend'
+        b'":"deterministic","backend_params":{"epsilon":0.5,"seed":7},"kernel":"numpy","par'
+        b'allelism":"threads","max_workers":2,"chunk_size":null,"fused":true,"artifact_tran'
+        b'sport":"shm","shard_hint":"shard-1","policy":"cost","reason":"golden"}}],"distinc'
+        b't_graphs":1,"cache_hits":1,"cache_misses":0,"preprocess_rounds_incurred":0,"prepr'
+        b'ocess_rounds_reused":11,"preprocess_seconds":0.0,"route_seconds":0.125,"wall_seco'
+        b'nds":0.5}'
+    ),
+    "cluster-report": (
+        b'\x00{"type":"cluster-report","v":1,"shard_reports":{"shard-0":{"type":"batch-repo'
+        b'rt","v":1,"results":[{"type":"query-result","v":1,"query_id":3,"fingerprint":"fp-'
+        b'1","backend":"deterministic","outcome":{"type":"route-result","v":1,"backend":"de'
+        b'terministic","delivered":2,"total_tokens":2,"query_rounds":7,"preprocess_rounds":'
+        b'11,"load":1,"extra":{"paths":4,"label":"ok"}},"cache_hit":true,"seconds":0.25,"wo'
+        b'rkload":"permutation","plan":{"type":"plan","v":1,"backend":"deterministic","back'
+        b'end_params":{"epsilon":0.5,"seed":7},"kernel":"numpy","parallelism":"threads","ma'
+        b'x_workers":2,"chunk_size":null,"fused":true,"artifact_transport":"shm","shard_hin'
+        b't":"shard-1","policy":"cost","reason":"golden"}}],"distinct_graphs":1,"cache_hits'
+        b'":1,"cache_misses":0,"preprocess_rounds_incurred":0,"preprocess_rounds_reused":11'
+        b',"preprocess_seconds":0.0,"route_seconds":0.125,"wall_seconds":0.5}},"dispatch_se'
+        b'conds":0.75,"admission":{"type":"admission-stats","v":1,"offered":5,"accepted":4,'
+        b'"rejected":1,"shed":2},"lost_batches":0,"requeued_batches":1}'
+    ),
+    "dispatch": b'\x00{"type":"dispatch","v":1,"deadline":null}',
+    "dispatch-done": (
+        b'\x00{"type":"dispatch-done","v":1,"dispatch_seconds":0.75,"admission":{"type":"ad'
+        b'mission-stats","v":1,"offered":5,"accepted":4,"rejected":1,"shed":2},"expired":["'
+        b'shard-2"]}'
+    ),
+    "dispatch-shard": (
+        b'\x00{"type":"dispatch-shard","v":1,"shard_id":"shard-0","report":{"type":"batch-r'
+        b'eport","v":1,"results":[{"type":"query-result","v":1,"query_id":3,"fingerprint":"'
+        b'fp-1","backend":"deterministic","outcome":{"type":"route-result","v":1,"backend":'
+        b'"deterministic","delivered":2,"total_tokens":2,"query_rounds":7,"preprocess_round'
+        b's":11,"load":1,"extra":{"paths":4,"label":"ok"}},"cache_hit":true,"seconds":0.25,'
+        b'"workload":"permutation","plan":{"type":"plan","v":1,"backend":"deterministic","b'
+        b'ackend_params":{"epsilon":0.5,"seed":7},"kernel":"numpy","parallelism":"threads",'
+        b'"max_workers":2,"chunk_size":null,"fused":true,"artifact_transport":"shm","shard_'
+        b'hint":"shard-1","policy":"cost","reason":"golden"}}],"distinct_graphs":1,"cache_h'
+        b'its":1,"cache_misses":0,"preprocess_rounds_incurred":0,"preprocess_rounds_reused"'
+        b':11,"preprocess_seconds":0.0,"route_seconds":0.125,"wall_seconds":0.5}}'
+    ),
+    "error": b'\x00{"type":"error","v":1,"code":"deadline","message":"submit deadline expired"}',
+    "fault-inject": b'\x00{"type":"fault-inject","v":1,"kind":"slow","seconds":0.5}',
+    "fault-inject-reply": b'\x00{"type":"fault-inject-reply","v":1,"applied":true}',
+    "graph": (
+        b'\x00{"type":"graph","v":1,"nodes":[0,1,2,3],"edges":[[0,1,{}],[1,2,{"weight":2}],'
+        b'[2,3,{}],[3,0,{"weight":1.5}]]}'
+    ),
+    "heartbeat": b'\x00{"type":"heartbeat","v":1}',
+    "heartbeat-reply": (
+        b'\x00{"type":"heartbeat-reply","v":1,"shard_id":"shard-0","healthy":true,"batches_'
+        b'served":4,"queries_served":9}'
+    ),
+    "journal-admit": (
+        b'\x00{"type":"journal-admit","v":1,"key":"key-1","shard_id":"shard-1","accepted":t'
+        b'rue,"shed_keys":["key-0"],"query":{"type":"shard-query","v":1,"fingerprint":"fp-1'
+        b'","graph":{"type":"graph","v":1,"nodes":[0,1,2,3],"edges":[[0,1,{}],[1,2,{"weight'
+        b'":2}],[2,3,{}],[3,0,{"weight":1.5}]]},"graph_ref":"","requests":[{"type":"request'
+        b'","v":1,"source":0,"destination":2,"payload":null},{"type":"request","v":1,"sourc'
+        b'e":1,"destination":3,"payload":{"tag":[1,"x",null]}}],"load":2,"backend":"determi'
+        b'nistic","backend_params":{"epsilon":0.5},"workload":"permutation","plan":{"type":'
+        b'"plan","v":1,"backend":"deterministic","backend_params":{"epsilon":0.5,"seed":7},'
+        b'"kernel":"numpy","parallelism":"threads","max_workers":2,"chunk_size":null,"fused'
+        b'":true,"artifact_transport":"shm","shard_hint":"shard-1","policy":"cost","reason"'
+        b':"golden"},"idempotency_key":"key-1"}}'
+    ),
+    "journal-checkpoint": (
+        b'\x00{"type":"journal-checkpoint","v":1,"shard_ids":["shard-0","shard-1"],"next_sh'
+        b'ard_index":2,"seen_fingerprints":["fp-1"],"pending":[{"type":"shard-query","v":1,'
+        b'"fingerprint":"fp-1","graph":null,"graph_ref":"c5b1e0d8b8c2d8bb","requests":[{"ty'
+        b'pe":"request","v":1,"source":0,"destination":2,"payload":null}],"load":null,"back'
+        b'end":"deterministic","backend_params":{},"workload":"permutation","plan":null,"id'
+        b'empotency_key":"key-2"}],"completed_keys":["key-0"],"warm":[{"type":"shard-query"'
+        b',"v":1,"fingerprint":"fp-1","graph":{"type":"graph","v":1,"nodes":[0,1,2,3],"edge'
+        b's":[[0,1,{}],[1,2,{"weight":2}],[2,3,{}],[3,0,{"weight":1.5}]]},"graph_ref":"","r'
+        b'equests":[{"type":"request","v":1,"source":0,"destination":2,"payload":null},{"ty'
+        b'pe":"request","v":1,"source":1,"destination":3,"payload":{"tag":[1,"x",null]}}],"'
+        b'load":2,"backend":"deterministic","backend_params":{"epsilon":0.5},"workload":"pe'
+        b'rmutation","plan":{"type":"plan","v":1,"backend":"deterministic","backend_params"'
+        b':{"epsilon":0.5,"seed":7},"kernel":"numpy","parallelism":"threads","max_workers":'
+        b'2,"chunk_size":null,"fused":true,"artifact_transport":"shm","shard_hint":"shard-1'
+        b'","policy":"cost","reason":"golden"},"idempotency_key":"key-1"}],"auto_key_counte'
+        b'r":17,"admission":{"shard-0":{"offered":5,"accepted":4,"rejected":1,"shed":2}},"l'
+        b'ost_batches":0,"requeued_batches":1,"failovers":1,"duplicate_results":0,"hot_ewma'
+        b'":{"fp-1":0.5},"replicas":{"fp-1":["shard-0","shard-1"]},"planner_state":{"determ'
+        b'inistic":{"ms":1.5,"samples":3}},"planner_version":3}'
+    ),
+    "journal-complete": (
+        b'\x00{"type":"journal-complete","v":1,"key":"key-1","fingerprint":"fp-1","shard_id'
+        b'":"shard-1"}'
+    ),
+    "need-graph": b'\x00{"type":"need-graph","v":1,"fingerprints":["c5b1e0d8b8c2d8bb","other"]}',
+    "ping": b'\x00{"type":"ping","v":1}',
+    "plan": (
+        b'\x00{"type":"plan","v":1,"backend":"deterministic","backend_params":{"epsilon":0.'
+        b'5,"seed":7},"kernel":"numpy","parallelism":"threads","max_workers":2,"chunk_size"'
+        b':null,"fused":true,"artifact_transport":"shm","shard_hint":"shard-1","policy":"co'
+        b'st","reason":"golden"}'
+    ),
+    "pong": b'\x00{"type":"pong","v":1}',
+    "query-result": (
+        b'\x00{"type":"query-result","v":1,"query_id":3,"fingerprint":"fp-1","backend":"det'
+        b'erministic","outcome":{"type":"route-result","v":1,"backend":"deterministic","del'
+        b'ivered":2,"total_tokens":2,"query_rounds":7,"preprocess_rounds":11,"load":1,"extr'
+        b'a":{"paths":4,"label":"ok"}},"cache_hit":true,"seconds":0.25,"workload":"permutat'
+        b'ion","plan":{"type":"plan","v":1,"backend":"deterministic","backend_params":{"eps'
+        b'ilon":0.5,"seed":7},"kernel":"numpy","parallelism":"threads","max_workers":2,"chu'
+        b'nk_size":null,"fused":true,"artifact_transport":"shm","shard_hint":"shard-1","pol'
+        b'icy":"cost","reason":"golden"}}'
+    ),
+    "request": (
+        b'\x00{"type":"request","v":1,"source":1,"destination":3,"payload":{"tag":[1,"x",nu'
+        b'll]}}'
+    ),
+    "route-result": (
+        b'\x00{"type":"route-result","v":1,"backend":"deterministic","delivered":2,"total_t'
+        b'okens":2,"query_rounds":7,"preprocess_rounds":11,"load":1,"extra":{"paths":4,"lab'
+        b'el":"ok"}}'
+    ),
+    "shard-process": (
+        b'\x00{"type":"shard-process","v":1,"queries":[{"type":"shard-query","v":1,"fingerp'
+        b'rint":"fp-1","graph":null,"graph_ref":"c5b1e0d8b8c2d8bb","requests":[{"type":"req'
+        b'uest","v":1,"source":0,"destination":2,"payload":null}],"load":null,"backend":"de'
+        b'terministic","backend_params":{},"workload":"permutation","plan":null,"idempotenc'
+        b'y_key":"key-2"},{"type":"shard-query","v":1,"fingerprint":"fp-1","graph":{"type":'
+        b'"graph","v":1,"nodes":[0,1,2,3],"edges":[[0,1,{}],[1,2,{"weight":2}],[2,3,{}],[3,'
+        b'0,{"weight":1.5}]]},"graph_ref":"","requests":[{"type":"request","v":1,"source":0'
+        b',"destination":2,"payload":null},{"type":"request","v":1,"source":1,"destination"'
+        b':3,"payload":{"tag":[1,"x",null]}}],"load":2,"backend":"deterministic","backend_p'
+        b'arams":{"epsilon":0.5},"workload":"permutation","plan":{"type":"plan","v":1,"back'
+        b'end":"deterministic","backend_params":{"epsilon":0.5,"seed":7},"kernel":"numpy","'
+        b'parallelism":"threads","max_workers":2,"chunk_size":null,"fused":true,"artifact_t'
+        b'ransport":"shm","shard_hint":"shard-1","policy":"cost","reason":"golden"},"idempo'
+        b'tency_key":"key-1"}],"graphs":{"c5b1e0d8b8c2d8bb":{"type":"graph","v":1,"nodes":['
+        b'0,1,2,3],"edges":[[0,1,{}],[1,2,{"weight":2}],[2,3,{}],[3,0,{"weight":1.5}]]}}}'
+    ),
+    "shard-query": (
+        b'\x00{"type":"shard-query","v":1,"fingerprint":"fp-1","graph":{"type":"graph","v":'
+        b'1,"nodes":[0,1,2,3],"edges":[[0,1,{}],[1,2,{"weight":2}],[2,3,{}],[3,0,{"weight":'
+        b'1.5}]]},"graph_ref":"","requests":[{"type":"request","v":1,"source":0,"destinatio'
+        b'n":2,"payload":null},{"type":"request","v":1,"source":1,"destination":3,"payload"'
+        b':{"tag":[1,"x",null]}}],"load":2,"backend":"deterministic","backend_params":{"eps'
+        b'ilon":0.5},"workload":"permutation","plan":{"type":"plan","v":1,"backend":"determ'
+        b'inistic","backend_params":{"epsilon":0.5,"seed":7},"kernel":"numpy","parallelism"'
+        b':"threads","max_workers":2,"chunk_size":null,"fused":true,"artifact_transport":"s'
+        b'hm","shard_hint":"shard-1","policy":"cost","reason":"golden"},"idempotency_key":"'
+        b'key-1"}'
+    ),
+    "shard-report": (
+        b'\x00{"type":"shard-report","v":1,"report":{"type":"batch-report","v":1,"results":'
+        b'[{"type":"query-result","v":1,"query_id":3,"fingerprint":"fp-1","backend":"determ'
+        b'inistic","outcome":{"type":"route-result","v":1,"backend":"deterministic","delive'
+        b'red":2,"total_tokens":2,"query_rounds":7,"preprocess_rounds":11,"load":1,"extra":'
+        b'{"paths":4,"label":"ok"}},"cache_hit":true,"seconds":0.25,"workload":"permutation'
+        b'","plan":{"type":"plan","v":1,"backend":"deterministic","backend_params":{"epsilo'
+        b'n":0.5,"seed":7},"kernel":"numpy","parallelism":"threads","max_workers":2,"chunk_'
+        b'size":null,"fused":true,"artifact_transport":"shm","shard_hint":"shard-1","policy'
+        b'":"cost","reason":"golden"}}],"distinct_graphs":1,"cache_hits":1,"cache_misses":0'
+        b',"preprocess_rounds_incurred":0,"preprocess_rounds_reused":11,"preprocess_seconds'
+        b'":0.0,"route_seconds":0.125,"wall_seconds":0.5}}'
+    ),
+    "shard-stats": (
+        b'\x00{"type":"shard-stats","v":1,"row":{"shard":"shard-0","batches":3,"hit_ratio":'
+        b'0.5}}'
+    ),
+    "shard-stats-request": b'\x00{"type":"shard-stats-request","v":1}',
+    "shutdown": b'\x00{"type":"shutdown","v":1}',
+    "shutdown-ack": b'\x00{"type":"shutdown-ack","v":1}',
+    "stats-reply": (
+        b'\x00{"type":"stats-reply","v":1,"admission":{"type":"admission-stats","v":1,"offe'
+        b'red":5,"accepted":4,"rejected":1,"shed":2},"queue_depths":{"shard-0":0,"shard-1":'
+        b'3},"shard_count":2}'
+    ),
+    "stats-request": b'\x00{"type":"stats-request","v":1}',
+    "submit": (
+        b'\x00{"type":"submit","v":1,"graph":null,"graph_fingerprint":"c5b1e0d8b8c2d8bb","r'
+        b'equests":[{"type":"request","v":1,"source":0,"destination":2,"payload":null},{"ty'
+        b'pe":"request","v":1,"source":1,"destination":3,"payload":{"tag":[1,"x",null]}}],"'
+        b'load":null,"backend":"deterministic","backend_params":{"epsilon":0.5},"workload":'
+        b'"permutation","deadline":2.5,"idempotency_key":"client-abc-1"}'
+    ),
+    "submit-reply": (
+        b'\x00{"type":"submit-reply","v":1,"shard_id":"shard-1","accepted":true,"shed":1,"d'
+        b'uplicate":false}'
+    ),
+}
+GRAPH_FINGERPRINT = "ef7b1a690e6e0e02bbd4ab553f97b80e95ac009db79e876ef8c57b63fcdcfeee"
+
+
+def test_every_registered_type_is_pinned():
+    assert set(INSTANCES) == set(_MESSAGE_TYPES)
+    assert set(GOLDEN) == set(_MESSAGE_TYPES)
+
+
+@pytest.mark.parametrize("tag", sorted(INSTANCES))
+def test_wire_bytes_are_pinned(tag):
+    message = INSTANCES[tag]
+    assert message.to_wire() == GOLDEN[tag]
+    assert message_from_wire(GOLDEN[tag]) == message
+
+
+def test_graph_fingerprint_is_pinned():
+    assert GRAPH.fingerprint() == GRAPH_FINGERPRINT
+
+
+# -- required keys and numeric coercion --------------------------------------------
+
+#: Payload keys a decoder indexes unconditionally: a payload without one is
+#: malformed, never silently defaulted.
+REQUIRED_KEYS = [
+    ("graph", "nodes"),
+    ("graph", "edges"),
+    ("request", "source"),
+    ("request", "destination"),
+    ("plan", "backend"),
+    ("shard-query", "fingerprint"),
+    ("shard-query", "backend"),
+    ("route-result", "backend"),
+    ("route-result", "delivered"),
+    ("route-result", "total_tokens"),
+    ("route-result", "query_rounds"),
+    ("route-result", "preprocess_rounds"),
+    ("query-result", "query_id"),
+    ("query-result", "fingerprint"),
+    ("query-result", "backend"),
+    ("query-result", "outcome"),
+    ("query-result", "cache_hit"),
+    ("shard-report", "report"),
+    ("dispatch-shard", "report"),
+]
+
+
+@pytest.mark.parametrize("tag, key", REQUIRED_KEYS)
+def test_missing_required_key_is_rejected(tag, key):
+    payload = INSTANCES[tag].to_payload()
+    del payload[key]
+    with pytest.raises(WireDecodeError):
+        decode_message(payload)
+
+
+@pytest.mark.parametrize(
+    "tag, key",
+    [
+        ("route-result", "delivered"),
+        ("query-result", "query_id"),
+        ("admission-stats", "offered"),
+        ("submit-reply", "shed"),
+        ("heartbeat-reply", "batches_served"),
+        ("journal-checkpoint", "next_shard_index"),
+        ("batch-report", "preprocess_seconds"),
+    ],
+)
+def test_non_numeric_value_in_numeric_field_is_rejected(tag, key):
+    payload = INSTANCES[tag].to_payload()
+    payload[key] = "many"
+    with pytest.raises(WireDecodeError):
+        decode_message(payload)
+
+
+def test_missing_optional_keys_take_their_defaults():
+    payload = {"type": "submit-reply", "v": WIRE_VERSION}
+    assert decode_message(payload) == SubmitReply()
