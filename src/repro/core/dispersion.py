@@ -138,9 +138,12 @@ def disperse(
         }
         return stats
     if use_numpy():
-        from repro.kernels.dispersion import disperse_numpy
+        from repro.kernels.batched import disperse_many_numpy
 
-        return disperse_numpy(state, shuffler, part_sizes, load, flatten_quality, ledger, phase)
+        stats = disperse_many_numpy([state], shuffler, part_sizes, flatten_quality)[0]
+        if ledger is not None:
+            ledger.charge(phase, stats.rounds)
+        return stats
 
     max_part_size = max(part_sizes) if part_sizes else 1
     rounds = 0
@@ -245,9 +248,9 @@ def disperse_many(
     The fused twin of calling :func:`disperse` once per state (no ledger —
     callers charge ``stats.rounds`` themselves): every state's token
     movements, statistics, and round counts are identical to its solo run,
-    but under the numpy kernel all states share one transfer-planning pass
-    per matching (:func:`repro.kernels.batched.disperse_many_numpy`), which
-    is what makes warm same-graph query batches cheap.
+    but under the numpy kernel all states share one planning pass and one
+    token sort per matching (:func:`repro.kernels.batched.disperse_many_numpy`),
+    which is what makes warm same-graph query batches cheap.
     """
     if not states:
         return []

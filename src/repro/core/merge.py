@@ -56,8 +56,8 @@ class Task3Result:
     rounds: int = 0
 
 
-def _part_vertices(node: HierarchyNode) -> list[list]:
-    if use_numpy():
+def _part_vertices(node: HierarchyNode, memoize: bool) -> list[list]:
+    if memoize:
         cached = getattr(node, "_sorted_parts_cache", None)
         if cached is None:
             cached = node._sorted_parts_cache = [sorted(part.vertices) for part in node.parts]
@@ -65,8 +65,8 @@ def _part_vertices(node: HierarchyNode) -> list[list]:
     return [sorted(part.vertices) for part in node.parts]
 
 
-def _part_of_vertex(node: HierarchyNode) -> dict:
-    if use_numpy():
+def _part_of_vertex(node: HierarchyNode, memoize: bool) -> dict:
+    if memoize:
         cached = getattr(node, "_part_of_cache", None)
         if cached is None:
             cached = node._part_of_cache = node.part_of_vertex()
@@ -81,6 +81,7 @@ def _dispersed_dummies(
     part_sizes: list[int],
     dummies_per_vertex: int,
     flatten_quality: int,
+    memoize: bool,
 ) -> tuple[DispersionState, DispersionStats]:
     """The fully dispersed dummy configuration for ``dummies_per_vertex``.
 
@@ -92,7 +93,7 @@ def _dispersed_dummies(
     accounting exactly.
     """
     cache = None
-    if use_numpy():
+    if memoize:
         cache = getattr(node, "_dummy_dispersion_cache", None)
         if cache is None:
             cache = node._dummy_dispersion_cache = {}
@@ -141,10 +142,11 @@ def solve_task3(
     if node.shuffler is None:
         raise RuntimeError("node has no shuffler; run preprocessing before routing queries")
     shuffler: Shuffler = node.shuffler
-    parts = _part_vertices(node)
+    memoize = use_numpy()
+    parts = _part_vertices(node, memoize)
     part_sizes = [len(vertices) for vertices in parts]
     t = len(parts)
-    part_of = _part_of_vertex(node)
+    part_of = _part_of_vertex(node, memoize)
     flatten_quality = node.flatten_quality()
     if dummies_per_vertex is None:
         dummies_per_vertex = 2 * max(1, load)
@@ -154,8 +156,7 @@ def solve_task3(
         return result
     if t == 1:
         # Single part: every token already sits in its marked part.
-        only = parts[0]
-        for index, token in enumerate(tokens):
+        for token in tokens:
             result.assignments[token.token_id] = token.current_vertex
         return result
 
@@ -186,6 +187,8 @@ def solve_task3(
             flatten_quality,
             real_state,
             result,
+            memoize,
+            shuffler.quality,
         )
     return result
 
@@ -202,16 +205,19 @@ def _finish_task3(
     flatten_quality: int,
     real_state: DispersionState,
     result: Task3Result,
+    memoize: bool,
+    shuffler_quality: int,
 ) -> None:
     """Steps 2-3 of Task 3 (dummy dispersion + pairing), after the reals moved.
 
     Shared between :func:`solve_task3` and :func:`solve_task3_many`; the
     caller holds the ``"task3"`` ledger phase open and has already set (and
-    charged) ``result.real_stats``.
+    charged) ``result.real_stats``.  ``memoize`` (the numpy kernel is
+    active) and ``shuffler_quality`` are read once per node by the caller.
     """
     # -- 2. disperse the dummy tokens -----------------------------------
     dummy_state, result.dummy_stats = _dispersed_dummies(
-        node, shuffler, parts, part_sizes, dummies_per_vertex, flatten_quality
+        node, shuffler, parts, part_sizes, dummies_per_vertex, flatten_quality, memoize
     )
     if len(shuffler) > 0:
         # disperse() would have charged this phase itself had it been
@@ -252,9 +258,7 @@ def _finish_task3(
                 )
     # Walking each paired token back along the dummy's dispersion route
     # costs one more pass over the shuffler paths.
-    walk_back = send_round_cost(
-        max(1, 2 * load), shuffler.quality * max(1, flatten_quality)
-    )
+    walk_back = send_round_cost(max(1, 2 * load), shuffler_quality * max(1, flatten_quality))
     merge_rounds += walk_back
     ledger.charge("merge", merge_rounds)
     result.rounds = result.real_stats.rounds + result.dummy_stats.rounds + merge_rounds
@@ -280,10 +284,11 @@ def solve_task3_many(
     if node.shuffler is None:
         raise RuntimeError("node has no shuffler; run preprocessing before routing queries")
     shuffler: Shuffler = node.shuffler
-    parts = _part_vertices(node)
+    memoize = use_numpy()
+    parts = _part_vertices(node, memoize)
     part_sizes = [len(vertices) for vertices in parts]
     t = len(parts)
-    part_of = _part_of_vertex(node)
+    part_of = _part_of_vertex(node, memoize)
     flatten_quality = node.flatten_quality()
 
     results = [Task3Result() for _ in token_groups]
@@ -312,6 +317,7 @@ def solve_task3_many(
     real_stats_list = disperse_many(
         real_states, shuffler, part_sizes, list(loads), flatten_quality
     )
+    shuffler_quality = shuffler.quality
 
     for index, result in enumerate(results):
         ledger = ledgers[index]
@@ -335,5 +341,7 @@ def solve_task3_many(
                 flatten_quality,
                 real_states[index],
                 result,
+                memoize,
+                shuffler_quality,
             )
     return results

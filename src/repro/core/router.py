@@ -462,6 +462,7 @@ class ExpanderRouter:
         assert self.decomposition is not None and self.best_index is not None
 
         # Per-query setup, exactly as in route().
+        vertices = sorted(self.graph.nodes())
         token_groups: list[list[Token]] = []
         resolved_loads: list[int] = []
         for requests, load in zip(request_groups, loads):
@@ -478,9 +479,7 @@ class ExpanderRouter:
                     max(source_counts.values(), default=1),
                     max(destination_counts.values(), default=1),
                 )
-            instance = Task1Instance(
-                vertices=sorted(self.graph.nodes()), tokens=tokens, load=load
-            )
+            instance = Task1Instance(vertices=vertices, tokens=tokens, load=load)
             problems = instance.validate()
             if problems:
                 raise ValueError("invalid Task 1 instance: " + "; ".join(problems))
@@ -516,6 +515,9 @@ class ExpanderRouter:
                 ledgers,
                 stats_list,
             )
+            reversal_quality = max(
+                (leaf.flatten_quality() for leaf in self.decomposition.leaves()), default=1
+            )
             for index, tokens in enumerate(token_groups):
                 needs_reversal = [
                     token for token in tokens if token.current_vertex != token.destination
@@ -527,10 +529,6 @@ class ExpanderRouter:
                             per_best.get(token.current_vertex, 0) + 1
                         )
                     max_per_best = max(per_best.values(), default=1)
-                    reversal_quality = max(
-                        (leaf.flatten_quality() for leaf in self.decomposition.leaves()),
-                        default=1,
-                    )
                     ledgers[index].charge(
                         "delegation-reversal",
                         send_round_cost(max_per_best, reversal_quality),

@@ -59,35 +59,6 @@ class ShufflerMatching:
                 pairs.append((b, a))
         return pairs
 
-    # -- memoized fast-path accessors (numpy kernel only) -------------------
-    #
-    # Both caches are lazily attached attributes rather than dataclass fields
-    # so that shufflers pickled before this change (service artifacts on disk)
-    # still unpickle and simply rebuild the caches on first use.
-
-    def sorted_fractional(self) -> tuple[list[tuple[int, int]], list[float]]:
-        """The fractional matching as parallel (pairs, values) lists in sorted pair order."""
-        cached = getattr(self, "_sorted_fractional", None)
-        if cached is None:
-            items = sorted(self.fractional.items())
-            cached = ([pair for pair, _ in items], [value for _, value in items])
-            self._sorted_fractional = cached
-        return cached
-
-    def portal_pair_count(self, part_of: dict, i: int, j: int) -> int:
-        """``len(self.portals(part_of, i, j))`` from a table built once per matching."""
-        cached = getattr(self, "_portal_counts", None)
-        if cached is None or cached[0] is not part_of:
-            counts: dict[tuple[int, int], int] = {}
-            for a, b in self.matching_edges:
-                pa, pb = part_of.get(a), part_of.get(b)
-                counts[(pa, pb)] = counts.get((pa, pb), 0) + 1
-                if pa != pb:
-                    counts[(pb, pa)] = counts.get((pb, pa), 0) + 1
-            cached = (part_of, counts)
-            self._portal_counts = cached
-        return cached[1].get((i, j), 0)
-
 
 @dataclass
 class Shuffler:

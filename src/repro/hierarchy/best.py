@@ -18,7 +18,9 @@ This module computes:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Hashable
 
 from repro.hierarchy.node import HierarchicalDecomposition, HierarchyNode
@@ -85,33 +87,23 @@ def best_counts_per_part(node: HierarchyNode) -> list[int]:
     inherit that order) this is exactly the information a vertex needs to
     rewrite a destination marker ``i_z`` into ``(j_z, i'_z)`` at query time.
     """
-    from repro.kernels import use_numpy
-
-    if use_numpy():
-        cached = getattr(node, "_best_counts_cache", None)
-        if cached is None:
-            cached = node._best_counts_cache = [
-                len(part.child.best_vertices()) if part.child is not None else 0
-                for part in node.parts
-            ]
-        return cached
-    counts: list[int] = []
-    for part in node.parts:
-        child = part.child
-        counts.append(len(child.best_vertices()) if child is not None else 0)
-    return counts
+    return [len(part.child.best_vertices()) if part.child is not None else 0 for part in node.parts]
 
 
 def locate_best_rank(node: HierarchyNode, marker: int) -> tuple[int, int]:
     """Rewrite a destination marker at an internal node (Section 4).
 
     Returns ``(j_z, i'_z)``: the index of the part containing the ``marker``-th
-    best vertex of ``node`` and the marker relative to that part.
+    best vertex of ``node`` and the marker relative to that part.  Bisects the
+    node's cumulative best counts, built on first use and attached to the
+    node (a pure function of the frozen hierarchy).
     """
-    counts = best_counts_per_part(node)
-    remaining = marker
-    for index, count in enumerate(counts):
-        if remaining < count:
-            return index, remaining
-        remaining -= count
-    raise IndexError(f"marker {marker} out of range for node with {sum(counts)} best vertices")
+    ends = getattr(node, "_best_rank_ends", None)
+    if ends is None:
+        ends = node._best_rank_ends = list(accumulate(best_counts_per_part(node)))
+    index = bisect_right(ends, marker)
+    if index == len(ends):
+        raise IndexError(
+            f"marker {marker} out of range for node with {ends[-1] if ends else 0} best vertices"
+        )
+    return index, marker - (ends[index - 1] if index else 0)

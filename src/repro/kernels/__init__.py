@@ -4,16 +4,24 @@ The reproduction has two implementations of every hot inner loop:
 
 * ``reference`` — the original dict-and-loop implementations, kept as the
   faithful (and slow) executable specification.  Selecting it also disables
-  the deterministic memoizations (shuffler-quality caches, portal tables,
-  dummy-dispersion replay cache), so the reference mode reproduces the
+  the deterministic memoizations (shuffler-quality caches, dispersion pair
+  tables, dummy-dispersion replay cache), so the reference mode reproduces the
   pre-kernel serving behaviour end to end — it is the baseline the
   perf-regression harness (``benchmarks/harness.py``) measures against.
 * ``numpy`` — vectorized kernels over integer-indexed arrays plus the
   memoized fast paths.  This is the default.  The kernels are *equivalent by
   construction and by test*: rounds, deliveries, congestion/dilation and
   every backend :class:`~repro.backends.base.RouteResult` are identical to
-  the reference implementations (``tests/test_kernels.py`` asserts this
-  property-based over random expanders and workloads).
+  the reference implementations (``tests/test_kernels.py`` and
+  ``tests/test_fused.py`` assert this property-based over random expanders
+  and workloads).
+
+Dispersion (Lemma 6.2) has one array kernel,
+:func:`repro.kernels.batched.disperse_many_numpy`, serving both the solo
+:func:`~repro.core.dispersion.disperse` (one state) and the fused
+:func:`~repro.core.dispersion.disperse_many` (a batch of states).  The
+scheduler, sorting, conductance, and matrix kernels live in the sibling
+modules.
 
 Selection: the ``REPRO_KERNEL`` environment variable (read lazily, so tests
 and the harness can flip it), or programmatically via :func:`set_kernel` /

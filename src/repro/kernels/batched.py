@@ -1,37 +1,35 @@
-"""Fused cross-query batch kernels — one stacked call for many queries.
+"""Array-native batch kernels — one stacked call for many queries.
 
-The numpy kernels of :mod:`repro.kernels.dispersion` and
-:mod:`repro.kernels.scheduler` removed the per-*token* Python loops, but the
-serving layer still ran one full kernel invocation per query: a warm batch of
-``B`` same-graph queries paid ``B`` times the fixed per-call cost (counts
-matrix setup, per-origin partner loops, the scheduler's round loop).  This
-module gives those kernels a *batch axis*:
-
-* :func:`plan_transfers_batched` plans one shuffler iteration for ``B``
-  dispersion states at once — the counts matrix grows a leading batch
-  dimension and the largest-remainder rounding, tie-breaking, and emission
-  order are reproduced per batch entry bit for bit (the batch index becomes
-  the outermost ``lexsort`` key, so each entry's block orders exactly as the
-  single-query kernel orders it);
-* :func:`disperse_many_numpy` replays a whole shuffler on ``B`` states with
-  one planning pass per matching, using a *union* mark axis.  Marks a state
-  does not hold occupy all-zero columns, and zero columns are inert under the
-  rounding rule (zero amounts, zero floors, zero remainders — bumps are
-  confined to each ``(batch, mark)`` block), so every state's transfers,
-  statistics, and charged rounds are identical to a solo
-  :func:`~repro.kernels.dispersion.disperse_numpy` run;
+* :func:`disperse_many_numpy` is the numpy dispersion kernel (Lemma 6.2) for
+  one state or ``B`` states at once; :func:`~repro.core.dispersion.disperse`
+  calls it with a single state and
+  :func:`~repro.core.dispersion.disperse_many` with a whole batch.  Every
+  queued item is one row of flat arrays kept sorted by cell ``(entry, part,
+  mark column)`` and queue position.  Per shuffler matching,
+  :func:`plan_transfers_batched` yields the transfer chunks of every
+  ``(origin, partner)`` pair at once, each row's rank in its cell picks its
+  chunk (and so its target), and one stable sort appends the movers behind
+  the stayers of their new cell.  Queues are written back once at the end.
+  This is exact because a matching never pops more than the snapshot count
+  of a cell, so pops only ever take items that were present when the
+  iteration started.  Marks a state does not hold occupy all-zero columns of
+  the union mark axis, which never send anything, so every state's queues,
+  statistics, and charged rounds are identical to a solo run of the
+  reference loop.
 * :func:`schedule_token_batches_numpy` resolves edge conflicts for ``B``
   independent scheduler instances in a single pending loop — per-batch edge
   codes are offset into disjoint ranges, so the one ``np.unique`` winner
   scan per round settles every batch's contested edges simultaneously.
 
-``tests/test_fused.py`` asserts the equivalences with hypothesis over random
-expanders and the workload catalog.
+``tests/test_fused.py`` and ``tests/test_kernels.py`` assert the
+equivalences with hypothesis over random expanders and the workload catalog.
 """
 
 from __future__ import annotations
 
-import math
+from collections import Counter
+from itertools import chain
+from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -39,84 +37,127 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.congest.scheduler import ScheduledToken, ScheduleResult
     from repro.core.dispersion import DispersionState, DispersionStats
-    from repro.cutmatching.shuffler import Shuffler
+    from repro.cutmatching.shuffler import Shuffler, ShufflerMatching
 
 __all__ = [
+    "PairTable",
+    "pair_table",
     "plan_transfers_batched",
     "disperse_many_numpy",
     "schedule_token_batches_numpy",
 ]
 
 
-def plan_transfers_batched(counts: np.ndarray, matching) -> list[list[tuple[int, int, int, int]]]:
-    """One iteration's transfers for every batch entry at once.
+class PairTable:
+    """The partner grid of one shuffler matching, plus its transfer-plan memo.
+
+    Row ``origin`` holds that part's partners in ascending target order (the
+    emission order), padded with zero-value slots to the widest row ``D``.
+    """
+
+    def __init__(self, shuffler: "Shuffler", matching: "ShufflerMatching") -> None:
+        t = shuffler.part_count
+        partners: list[list[tuple[int, float]]] = [[] for _ in range(t)]
+        for (u, v), value in sorted(matching.fractional.items()):
+            partners[u].append((v, value / 2.0))
+            partners[v].append((u, value / 2.0))
+        width = max(map(len, partners), default=0)
+        #: ``(t, D)`` partner part per slot (0 on padding).
+        self.targets = np.zeros((t, width), dtype=np.int64)
+        #: ``(t, D)`` ``value / 2`` per slot (0.0 on padding).
+        self.half_values = np.zeros((t, width))
+        #: ``(D, t)`` slot of each origin's ``j``-th partner in sorted-pair
+        #: order, the order the reference sums amounts in (padding last).
+        self.sum_slots = np.tile(np.arange(width)[:, None], (1, t))
+        for origin, row in enumerate(partners):
+            by_target = sorted(range(len(row)), key=lambda j: row[j][0])
+            for slot, j in enumerate(by_target):
+                self.targets[origin, slot], self.half_values[origin, slot] = row[j]
+                self.sum_slots[j, origin] = slot
+        #: ``(t, t)`` ``max(1, portal-pair count)`` per (origin, target).
+        self.portal_pairs = np.ones((t, t), dtype=np.int64)
+        portals: Counter = Counter()
+        for a, b in matching.matching_edges:
+            pa, pb = shuffler.part_of.get(a), shuffler.part_of.get(b)
+            portals[(pa, pb)] += 1
+            if pa != pb:
+                portals[(pb, pa)] += 1
+        for (pa, pb), count in portals.items():
+            if pa is not None and pb is not None:
+                self.portal_pairs[pa, pb] = max(1, count)
+        #: the matching's embedding quality.
+        self.quality = matching.quality
+        #: ``(t, C, D)`` memo of :func:`plan_transfers_batched`.
+        self.chunk_ends = np.zeros((t, 0, width), dtype=np.int32)
+
+
+def pair_table(shuffler: "Shuffler", matching: "ShufflerMatching") -> PairTable:
+    """The :class:`PairTable` of ``matching`` (a matching of ``shuffler``).
+
+    Built once and attached lazily to the matching, so artifacts pickled
+    without it still load and rebuild it on first use.
+    """
+    cached = getattr(matching, "_pair_table", None)
+    if cached is None:
+        cached = matching._pair_table = PairTable(shuffler, matching)
+    return cached
+
+
+def plan_transfers_batched(counts: np.ndarray, table: PairTable) -> np.ndarray:
+    """One matching's transfer plan, covering every cell of every batch entry.
+
+    The reference rounding rule makes a cell's transfers a function of its
+    origin and its token count alone, so the plan is a table over ``(origin,
+    count)``, memoized on ``table`` and grown by doubling.
 
     Args:
         counts: int64 array of shape ``(B, t, m)`` — per batch entry, the
-            per-(part, mark) token counts snapshot.
-        matching: the shuffler matching being replayed.
+            per-(part, mark column) token counts snapshot.
+        table: the matching's :class:`PairTable`.
 
     Returns:
-        Per batch entry, the ``(origin, target, mark_index, amount)`` list in
-        exactly the order :func:`repro.kernels.dispersion._plan_transfers`
-        produces for that entry's counts alone.
+        The ``(t, C, D)`` cumulative chunk ends, ``C > counts.max()``: a cell
+        of ``origin`` holding ``count`` tokens sends its queue positions
+        ``[ends[slot - 1], ends[slot])`` to ``table.targets[origin, slot]``.
     """
-    from repro.kernels.dispersion import _partner_table
+    limit = int(counts.max(initial=0))
+    ends = table.chunk_ends
+    if ends.shape[1] <= limit:
+        ends = table.chunk_ends = np.cumsum(_allocate(table, 2 * limit + 1), axis=2, dtype=np.int32)
+    return ends
 
-    batch = counts.shape[0]
-    transfers: list[list[tuple[int, int, int, int]]] = [[] for _ in range(batch)]
-    for origin, (half_values, targets, target_order, sorted_targets) in _partner_table(
-        matching
-    ).items():
-        rows = counts[:, origin, :]
-        if targets.size == 1:
-            # One partner: allocation is the plain floor (see the solo kernel).
-            allocation = np.floor(half_values[0] * rows).astype(np.int64)
-            target = int(targets[0])
-            for entry, mark_index in np.argwhere(allocation > 0):
-                transfers[entry].append(
-                    (origin, target, int(mark_index), int(allocation[entry, mark_index]))
-                )
-            continue
 
-        group_size = targets.size
-        mark_count = rows.shape[1]
-        amounts = half_values[None, :, None] * rows[:, None, :]
-        floors = np.floor(amounts)
-        allocation = floors.astype(np.int64)
-        # Sequential accumulation over partners, matching the reference's
-        # builtins.sum order bit for bit (independent per batch entry).
-        totals = amounts[:, 0, :].copy()
-        for i in range(1, group_size):
-            totals += amounts[:, i, :]
-        budget = np.minimum(rows, np.floor(totals).astype(np.int64))
-        remaining = budget - allocation.sum(axis=1)
-        if (remaining > 0).any():
-            fractions = amounts - floors
-            # The batch index is the outermost lexsort key: within one
-            # entry's block the order is exactly the solo kernel's
-            # (mark, -fraction, target) order.
-            mark_key = np.tile(np.repeat(np.arange(mark_count), group_size), batch)
-            batch_key = np.repeat(np.arange(batch), mark_count * group_size)
-            fraction_key = fractions.transpose(0, 2, 1).ravel()
-            target_key = np.tile(targets, batch * mark_count)
-            order = np.lexsort((target_key, -fraction_key, mark_key, batch_key))
-            position_in_mark = np.arange(batch * mark_count * group_size) % group_size
-            bump = position_in_mark < np.repeat(remaining.ravel(), group_size)
-            flat = allocation.transpose(0, 2, 1).copy().ravel()
-            flat[order[bump]] += 1
-            allocation = flat.reshape(batch, mark_count, group_size).transpose(0, 2, 1)
-        emitted = allocation[:, target_order, :]
-        for entry, mark_index, target_position in np.argwhere(emitted.transpose(0, 2, 1) > 0):
-            transfers[entry].append(
-                (
-                    origin,
-                    int(sorted_targets[target_position]),
-                    int(mark_index),
-                    int(emitted[entry, target_position, mark_index]),
-                )
-            )
-    return transfers
+def _allocate(table: PairTable, size: int) -> np.ndarray:
+    """``(t, size, D)`` transfer amounts per origin and count ``0 .. size - 1``.
+
+    Amounts are ``(value / 2) * count``, floored; the budget left over per
+    ``(origin, count)`` goes one unit each to the largest remainders, ties
+    broken by target.
+    """
+    t, width = table.targets.shape
+    amounts = table.half_values[:, None, :] * np.arange(size)[None, :, None]
+    floors = np.floor(amounts)
+    allocation = floors.astype(np.int64)
+    # Sequential accumulation in sorted-pair order matches the reference's
+    # builtins.sum bit for bit (padding slots add +0.0, which is exact).
+    origins = np.arange(t)
+    totals = np.zeros((t, size))
+    for slots in table.sum_slots:
+        totals += amounts[origins, :, slots]
+    budget = np.minimum(np.arange(size), np.floor(totals).astype(np.int64))
+    remaining = budget - allocation.sum(axis=2)
+    # A slot's bump rank is the number of peers ahead of it under
+    # (-fraction, target); slots are in target order, so a tie goes to the
+    # lower slot.  Bumps only ever reach positive fractions (there are fewer
+    # leftover units than those), so zero-value padding is inert.
+    fractions = amounts - floors
+    rank = np.zeros(amounts.shape, dtype=np.int64)
+    for peer in range(width):
+        peer_fraction = fractions[:, :, peer : peer + 1]
+        rank += peer_fraction > fractions
+        rank[:, :, peer + 1 :] += peer_fraction == fractions[:, :, peer + 1 :]
+    allocation += rank < remaining[:, :, None]
+    return allocation
 
 
 def disperse_many_numpy(
@@ -125,11 +166,10 @@ def disperse_many_numpy(
     part_sizes,
     flatten_quality: int,
 ) -> list["DispersionStats"]:
-    """Replay the shuffler on every state with one planning pass per matching.
+    """Replay the shuffler on every state (mutated in place) at once.
 
-    Token movements, statistics, and round counts per state are identical to
-    calling :func:`~repro.kernels.dispersion.disperse_numpy` on each state
-    alone; the batching only amortizes the per-iteration planning work.
+    Queues, statistics, and round counts per state are identical to the
+    reference :func:`~repro.core.dispersion.disperse` on that state alone.
     """
     from repro.core.cost import send_round_cost, sort_round_cost
     from repro.core.dispersion import DispersionStats
@@ -138,70 +178,127 @@ def disperse_many_numpy(
     if batch == 0:
         return []
     t = states[0].part_count
-
     own_marks = [state.marks() for state in states]
-    union_marks = sorted(set().union(*[set(marks) for marks in own_marks]), key=repr)
-    mark_column = {mark: column for column, mark in enumerate(union_marks)}
-    counts = np.zeros((batch, t, max(len(union_marks), 1)), dtype=np.int64)
-    for entry, state in enumerate(states):
-        for part, per_mark in state.queues.items():
-            for mark, items in per_mark.items():
-                if items:
-                    counts[entry, part, mark_column[mark]] = len(items)
+    union_marks = sorted(set().union(*own_marks), key=repr)
+    column_of = {mark: column for column, mark in enumerate(union_marks)}
+    m = max(len(union_marks), 1)
+    cells = batch * t * m
 
-    stats_list = [DispersionStats() for _ in range(batch)]
-    max_part_size = max(part_sizes) if part_sizes else 1
-    part_of = shuffler.part_of
-    rounds = [0] * batch
+    # One row per queued item, sorted by cell (entry, part, mark column) then
+    # queue position.  A cell keeps its queue key once it has held one, as
+    # pop_front/push_back do.
+    queued = sorted(
+        (
+            ((entry * t + part) * m + column_of[mark], queue)
+            for entry, state in enumerate(states)
+            for part, per_mark in state.queues.items()
+            for mark, queue in per_mark.items()
+        ),
+        key=itemgetter(0),
+    )
+    keyed = np.fromiter((cell for cell, _ in queued), dtype=np.int64, count=len(queued))
+    lengths = np.fromiter((len(queue) for _, queue in queued), dtype=np.int64, count=len(queued))
+    total = int(lengths.sum())
+    items = np.fromiter(chain.from_iterable(q for _, q in queued), dtype=object, count=total)
+    row_cell = np.repeat(keyed, lengths)
+    positions = np.arange(total)
+    rows = positions
+    present = np.zeros(cells, dtype=bool)
+    present[keyed] = True
+    counts = np.zeros(cells, dtype=np.int64)
+    counts[keyed] = lengths
+    counts = counts.reshape(batch, t, m)
+
+    max_loads: list[np.ndarray] = []
+    portal_tokens: list[np.ndarray] = []
     for matching in shuffler.matchings:
-        planned = (
-            plan_transfers_batched(counts, matching)
-            if union_marks
-            else [[] for _ in range(batch)]
-        )
-        for entry, state in enumerate(states):
-            stats = stats_list[entry]
-            stats.iterations += 1
-            outgoing: dict[tuple[int, int], int] = {}
-            for origin, target, mark_index, amount in planned[entry]:
-                mark = union_marks[mark_index]
-                items = state.pop_front(origin, mark, amount)
-                state.push_back(target, mark, items)
-                moved = len(items)
-                counts[entry, origin, mark_index] -= moved
-                counts[entry, target, mark_index] += moved
-                outgoing[(origin, target)] = outgoing.get((origin, target), 0) + moved
+        table = pair_table(shuffler, matching)
+        chunk_ends = plan_transfers_batched(counts, table)
+        flat_counts = counts.ravel()
+        origin = row_cell // m % t
+        rank = positions - (np.cumsum(flat_counts) - flat_counts)[row_cell]
+        # A row's slot is how many chunk ends of its cell lie at or below its
+        # rank; slot == D means it stays.
+        slot = np.count_nonzero(chunk_ends[origin, flat_counts[row_cell]] <= rank[:, None], axis=1)
+        moved = slot < chunk_ends.shape[2]
+        outgoing = np.zeros(batch * t * t, dtype=np.int64)
+        if moved.any():
+            source = origin[moved]
+            target = table.targets[source, slot[moved]]
+            entry = row_cell[moved] // (t * m)
+            outgoing = np.bincount((entry * t + source) * t + target, minlength=batch * t * t)
+            row_cell[moved] += (target - source) * m
+            # Stable sort: stayers keep their queue order and movers follow in
+            # (origin, rank) order — the reference's push_back order.
+            order = np.argsort(2 * row_cell + moved, kind="stable")
+            row_cell = row_cell[order]
+            rows = rows[order]
+            counts = np.bincount(row_cell, minlength=cells).reshape(batch, t, m)
+            present |= counts.ravel() > 0
+        max_loads.append(counts.sum(axis=2).max(axis=1))
+        per_portal = -(-outgoing.reshape(batch, t * t) // table.portal_pairs.ravel())
+        portal_tokens.append(per_portal.max(axis=1, initial=1))
 
-            # -- round accounting for this iteration (Lemma 6.7) -------------
-            current_max_load = int(counts[entry].sum(axis=1).max(initial=0))
-            stats.max_part_load = max(stats.max_part_load, current_max_load)
-            per_part_load = max(1, math.ceil(current_max_load / max(1, max_part_size)))
-            portal_sort = sort_round_cost(max_part_size, per_part_load, flatten_quality)
-            tokens_per_portal = 1
-            for (origin, target), amount in outgoing.items():
-                portal_pairs = max(1, matching.portal_pair_count(part_of, origin, target))
-                tokens_per_portal = max(tokens_per_portal, math.ceil(amount / portal_pairs))
-            send = send_round_cost(tokens_per_portal, matching.quality * max(1, flatten_quality))
-            rounds[entry] += portal_sort + send
+    # -- round accounting (Lemma 6.7) -----------------------------------------
+    iterations = len(shuffler.matchings)
+    max_part_size = max(part_sizes) if part_sizes else 1
+    loads = np.asarray(max_loads, dtype=np.int64).reshape(iterations, batch)
+    part_loads = np.maximum(1, -(-loads // max(1, max_part_size))).tolist()
+    portal_tokens_rows = np.asarray(portal_tokens, dtype=np.int64).reshape(iterations, batch)
+    sort_cost: dict[int, int] = {}
+    rounds = [0] * batch
+    for matching, per_part, per_portal in zip(
+        shuffler.matchings, part_loads, portal_tokens_rows.tolist()
+    ):
+        path_quality = pair_table(shuffler, matching).quality * max(1, flatten_quality)
+        for entry in range(batch):
+            load = per_part[entry]
+            if load not in sort_cost:
+                sort_cost[load] = sort_round_cost(max_part_size, load, flatten_quality)
+            rounds[entry] += sort_cost[load] + send_round_cost(per_portal[entry], path_quality)
+
+    # -- write the queues back ------------------------------------------------
+    flat_items = items[rows].tolist()
+    flat_counts = counts.ravel()
+    kept = np.flatnonzero(present)
+    cell_ends = np.cumsum(flat_counts)[kept]
+    for state in states:
+        for per_mark in state.queues.values():
+            per_mark.clear()
+    for entry, part, column, start, end in zip(
+        *(axis.tolist() for axis in np.unravel_index(kept, counts.shape)),
+        (cell_ends - flat_counts[kept]).tolist(),
+        cell_ends.tolist(),
+    ):
+        states[entry].queues[part][union_marks[column]] = flat_items[start:end]
 
     # -- Definition 6.1 window check, per state over its own marks -------------
     total_vertices = sum(part_sizes) if part_sizes else t
-    for entry, state in enumerate(states):
-        stats = stats_list[entry]
-        stats.rounds = rounds[entry]
+    totals = counts.sum(axis=1)
+    lower = 0.9 * totals / t - 0.1 * total_vertices / (t * t)
+    upper = 1.1 * totals / t + 0.1 * total_vertices / (t * t)
+    slack = iterations * 1.0
+    inside = ((lower - slack)[:, None, :] <= counts) & (counts <= (upper + slack)[:, None, :])
+    inside_per_mark = inside.sum(axis=1).tolist()
+    per_mark_counts = counts.transpose(0, 2, 1).tolist()
+    mark_totals = totals.tolist()
+    peaks = loads.max(axis=0, initial=0).tolist()
+    stats_list = []
+    for entry in range(batch):
+        stats = DispersionStats(
+            iterations=iterations,
+            total_cells=t * len(own_marks[entry]),
+            max_part_load=peaks[entry],
+            rounds=rounds[entry],
+        )
         for mark in own_marks[entry]:
-            column = mark_column[mark]
-            total = int(counts[entry, :, column].sum())
-            stats.mark_totals[mark] = total
-            lower = 0.9 * total / t - 0.1 * total_vertices / (t * t)
-            upper = 1.1 * total / t + 0.1 * total_vertices / (t * t)
-            slack = stats.iterations * 1.0
-            for part in range(t):
-                count = int(counts[entry, part, column])
-                stats.final_counts[(part, mark)] = count
-                stats.total_cells += 1
-                if lower - slack <= count <= upper + slack:
-                    stats.within_window += 1
+            column = column_of[mark]
+            stats.mark_totals[mark] = mark_totals[entry][column]
+            stats.final_counts.update(
+                zip([(part, mark) for part in range(t)], per_mark_counts[entry][column])
+            )
+            stats.within_window += inside_per_mark[entry][column]
+        stats_list.append(stats)
     return stats_list
 
 

@@ -7,8 +7,8 @@ replaces that copy chain with one ``multiprocessing.shared_memory`` segment
 per fingerprint:
 
 * :meth:`ShmArtifactStore.publish` flattens the artifact once — a pickle-5
-  *skeleton* whose numpy payloads (CSR adjacency of every graph, partner
-  tables, portal tables, hierarchy caches) are carried as out-of-band raw
+  *skeleton* whose numpy payloads (CSR adjacency of every graph, dispersion
+  pair tables, hierarchy caches) are carried as out-of-band raw
   buffers — and lays skeleton + buffer table + aligned buffers out in a
   single named segment;
 * :func:`attach` maps the segment and rebuilds the artifact with
@@ -160,31 +160,23 @@ class _ArtifactPickler(pickle.Pickler):
 def _prewarm(artifact: Any) -> None:
     """Materialize the deterministic numpy-mode caches before flattening.
 
-    Partner tables, sorted-part caches, and the dummy-dispersion replay are
-    pure functions of the artifact; building them on the publisher side turns
-    them into shared out-of-band arrays every attaching worker reuses instead
-    of recomputing per process.
+    The per-matching pair tables of the dispersion kernel are pure functions
+    of the artifact; building them on the publisher side turns them into
+    shared out-of-band arrays every attaching worker reuses instead of
+    recomputing per process.
     """
-    try:
-        from repro.kernels import use_numpy
-        from repro.kernels.dispersion import _partner_table
+    from repro.kernels import use_numpy
+    from repro.kernels.batched import pair_table
 
-        if not use_numpy():
-            return
-        decomposition = getattr(artifact, "decomposition", None)
-        if decomposition is None:
-            return
-        for node in decomposition.all_nodes():
-            shuffler = getattr(node, "shuffler", None)
-            if shuffler is None:
-                continue
-            for matching in shuffler.matchings:
-                _partner_table(matching)
-                matching.sorted_fractional()
-    except Exception:
-        # Pre-warming is a best-effort optimization; publishing an artifact
-        # without warmed caches is still correct.
-        pass
+    decomposition = getattr(artifact, "decomposition", None)
+    if decomposition is None or not use_numpy():
+        return
+    for node in decomposition.all_nodes():
+        shuffler = node.shuffler
+        if shuffler is None:
+            continue
+        for matching in shuffler.matchings:
+            pair_table(shuffler, matching)
 
 
 def flatten_artifact(artifact: Any, prewarm: bool = True) -> tuple[bytes, list[memoryview]]:

@@ -4,6 +4,7 @@ import networkx as nx
 import pytest
 
 from repro.graphs.conductance import spectral_gap
+from repro.graphs.generators import random_regular_expander
 from repro.hierarchy.best import best_counts_per_part, build_best_index, locate_best_rank
 from repro.hierarchy.builder import (
     HierarchyParameters,
@@ -130,6 +131,33 @@ def test_locate_best_rank_is_consistent_with_global_order(hierarchy):
         assert child.best_vertices()[remainder] == best[marker]
     with pytest.raises(IndexError):
         locate_best_rank(root, len(best))
+
+
+def _linear_locate(counts, marker):
+    """The straightforward marker rewrite: scan the parts' best counts in order."""
+    remaining = marker
+    for index, count in enumerate(counts):
+        if remaining < count:
+            return index, remaining
+        remaining -= count
+    raise IndexError(marker)
+
+
+@pytest.mark.parametrize(
+    ("n", "seed", "epsilon"), [(96, 7, 0.34), (160, 2, 0.5)], ids=["n96-deep", "n160-wide"]
+)
+def test_locate_best_rank_matches_linear_scan_on_every_internal_node(n, seed, epsilon):
+    decomposition = build_hierarchy(
+        random_regular_expander(n, degree=8, seed=seed), HierarchyParameters(epsilon=epsilon)
+    )
+    internal = [node for node in decomposition.all_nodes() if not node.is_leaf]
+    assert len(internal) > 1
+    for node in internal:
+        counts = best_counts_per_part(node)
+        for marker in range(sum(counts)):
+            assert locate_best_rank(node, marker) == _linear_locate(counts, marker)
+        with pytest.raises(IndexError):
+            locate_best_rank(node, sum(counts))
 
 
 def test_embed_virtual_expander_produces_connected_low_degree_graph(regular_expander):

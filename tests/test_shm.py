@@ -18,6 +18,7 @@ import pytest
 
 from repro.core.router import ExpanderRouter
 from repro.core.tokens import RoutingRequest
+from repro.kernels import batched
 from repro.metrics import MetricsRegistry
 from repro.planner import ExecutionPlan
 from repro.service import RoutingService, leaked_segments, shm_available, shm_enabled
@@ -69,6 +70,29 @@ def test_flatten_unflatten_round_trip(artifact):
     assert clone.fingerprint == artifact.fingerprint
     assert clone.epsilon == artifact.epsilon
     assert _route_facts(clone) == _route_facts(artifact)
+
+
+def test_flatten_prewarms_pair_tables_and_propagates_build_errors(monkeypatch):
+    router = ExpanderRouter(nx.random_regular_graph(4, 48, seed=9), epsilon=0.5)
+    router.preprocess()
+    fresh = router.export_artifact()
+    matchings = [
+        matching
+        for node in fresh.decomposition.all_nodes()
+        if node.shuffler is not None
+        for matching in node.shuffler.matchings
+    ]
+    assert matchings
+
+    def broken_table(shuffler, matching):
+        raise RuntimeError("pair table build failed")
+
+    monkeypatch.setattr(batched, "PairTable", broken_table)
+    with pytest.raises(RuntimeError, match="pair table build failed"):
+        flatten_artifact(fresh)
+    monkeypatch.undo()
+    flatten_artifact(fresh)
+    assert all(isinstance(m._pair_table, batched.PairTable) for m in matchings)
 
 
 def test_publish_attach_round_trip(artifact):
