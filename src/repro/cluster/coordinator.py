@@ -623,7 +623,7 @@ class ClusterCoordinator:
         (still open, about to close).  Local workers hand the artifact over
         in-process; shard servers publish/attach a shared-memory segment via
         the artifact-handoff wire messages, so the tcp transport rides the
-        same plane (with shm disabled a remote pair rebuilds instead).
+        same plane (without shm a remote pair rebuilds instead).
         Returns how many artifacts migrated.
         """
         migrated = 0

@@ -39,7 +39,7 @@ from repro.planner import ExecutionPlan, QueryPlanner
 from repro.service.cache import ArtifactCache
 from repro.service.service import DEFAULT_BACKEND, BatchReport, RoutingService
 from repro.service.shm import attach as shm_attach
-from repro.service.shm import shm_available, shm_enabled
+from repro.service.shm import shm_available
 
 __all__ = ["FAULT_KINDS", "ShardCrashed", "ShardQuery", "ShardWorker", "WarmHandoff"]
 
@@ -62,7 +62,7 @@ class WarmHandoff:
 
     Either ``segment`` names a shared-memory segment the adopter attaches
     zero-copy, or ``artifact`` carries the object directly (the fallback when
-    the shm plane is disabled or unavailable).  Exactly one is set.
+    the shm plane is unavailable).  Exactly one is set.
     """
 
     fingerprint: str
@@ -217,14 +217,14 @@ class ShardWorker:
         """Hand one warm artifact off for adoption elsewhere, or ``None``.
 
         Prefers the shared-memory plane (the adopter attaches the published
-        segment zero-copy); when shm is disabled or publishing fails the
+        segment zero-copy); when shm is unavailable or publishing fails the
         handoff degrades to carrying the artifact object directly, which is
         still copy-free for the in-process local transport.
         """
         artifact = self.service.cache.peek(fingerprint)
         if artifact is None:
             return None
-        if shm_enabled() and shm_available():
+        if shm_available():
             info = self.service.publish_segment(fingerprint, artifact)
             if info is not None:
                 return WarmHandoff(fingerprint=fingerprint, segment=info.name)

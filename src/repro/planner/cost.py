@@ -232,16 +232,6 @@ class CostModel:
     ) -> None:
         self.observe(backend, kernel, n, "query", seconds, workload=workload)
 
-    def observe_fused_query(
-        self, backend: str, kernel: str, n: int, seconds: float, workload: str = ""
-    ) -> None:
-        """Fold one fused-batch *per-query* wall-clock into the ``fused`` curve.
-
-        ``seconds`` is the fused pass divided by its batch size — the number
-        that competes with a sequential per-query observation.
-        """
-        self.observe(backend, kernel, n, "fused", seconds, workload=workload)
-
     def observe_preprocess(
         self, backend: str, kernel: str, n: int, seconds: float
     ) -> None:
@@ -300,63 +290,6 @@ class CostModel:
             kernel=kernel,
             bucket=bucket,
             phase=phase,
-            prior=prior,
-            calibrated=calibrated,
-            samples=samples,
-            cost=prior if calibrated is None else calibrated,
-            scope=scope,
-            workload_samples=0 if specific is None else int(specific[1]),
-        )
-
-    def fused_prior_factor(self, batch: int) -> float:
-        """Prior per-query cost multiplier when ``batch`` queries fuse into one pass.
-
-        A fused pass shares the hierarchy walk, the ledger plumbing, and the
-        kernel setup across the batch; only the per-query token work stays
-        proportional.  The seed splits a query ~45%/55% between shared and
-        proportional work — deliberately conservative (measured fused passes
-        do better), since calibration replaces it after two observations.
-        """
-        batch = max(int(batch), 1)
-        return 0.45 + 0.55 / batch
-
-    def estimate_fused(
-        self,
-        backend: str,
-        kernel: str,
-        n: int,
-        batch: int = 2,
-        load: int = 1,
-        workload: str = "",
-    ) -> CostEstimate:
-        """The effective *per-query* estimate when routed as a fused batch.
-
-        Calibrated from ``fused``-phase observations
-        (:meth:`observe_fused_query`) when any exist; otherwise the sequential
-        query prior scaled by :meth:`fused_prior_factor`.
-        """
-        bucket = size_bucket(n)
-        prior = (
-            self.prior_query_rounds(backend, n, load=load)
-            * PRIOR_ROUND_SECONDS
-            * self.fused_prior_factor(batch)
-        )
-        with self._lock:
-            specific = self._state.get((backend, kernel, bucket, "fused", workload))
-            aggregate = self._state.get((backend, kernel, bucket, "fused", ""))
-        if specific is not None:
-            entry, scope = specific, ("workload" if workload else "aggregate")
-        else:
-            entry, scope = aggregate, "aggregate"
-        calibrated = None if entry is None else float(entry[0])
-        samples = 0 if entry is None else int(entry[1])
-        if calibrated is None:
-            scope = ""
-        return CostEstimate(
-            backend=backend,
-            kernel=kernel,
-            bucket=bucket,
-            phase="fused",
             prior=prior,
             calibrated=calibrated,
             samples=samples,

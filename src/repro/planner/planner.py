@@ -362,7 +362,6 @@ class QueryPlanner:
         parallelism = self._pick_parallelism(chosen_estimate, notes)
         chunk = self._pick_chunk(chosen_estimate, notes)
         fused = self._pick_fused(chosen_name, notes)
-        transport = self._pick_transport(parallelism, notes)
         plan = ExecutionPlan(
             backend=chosen_name,
             backend_params=dict(backend_params or {}),
@@ -371,7 +370,6 @@ class QueryPlanner:
             max_workers=self.max_workers,
             chunk_size=chunk,
             fused=fused,
-            artifact_transport=transport,
             policy=policy,
             reason=reason,
         )
@@ -422,19 +420,6 @@ class QueryPlanner:
             )
         return capable
 
-    def _pick_transport(self, parallelism: str, notes: list[str]) -> str:
-        """Ship artifacts to process workers over shared memory when available."""
-        if parallelism != "processes":
-            return "pickle"
-        try:
-            from repro.service.shm import shm_enabled
-        except ImportError:  # pragma: no cover - shm module always ships
-            return "pickle"
-        if shm_enabled():
-            notes.append("process workers attach artifacts over shared memory")
-            return "shm"
-        return "pickle"
-
     def _pick_chunk(self, estimate: CostEstimate, notes: list[str]) -> int | None:
         if (
             self.chunk_size > 1
@@ -455,14 +440,6 @@ class QueryPlanner:
     ) -> None:
         """Fold one observed per-query wall-clock back into the cost model."""
         self.cost_model.observe_query(
-            plan.backend, plan.kernel, n, seconds, workload=workload
-        )
-
-    def record_fused_query(
-        self, plan: ExecutionPlan, n: int, seconds: float, workload: str = ""
-    ) -> None:
-        """Fold one fused-batch per-query wall-clock into the fused curve."""
-        self.cost_model.observe_fused_query(
             plan.backend, plan.kernel, n, seconds, workload=workload
         )
 

@@ -30,7 +30,6 @@ from repro.service.shm import (
     ShmSegmentInfo,
     leaked_segments,
     shm_available,
-    shm_enabled,
 )
 
 __all__ = [
@@ -49,5 +48,4 @@ __all__ = [
     "ShmSegmentInfo",
     "leaked_segments",
     "shm_available",
-    "shm_enabled",
 ]

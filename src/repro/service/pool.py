@@ -13,6 +13,9 @@ instead:
   distinct artifact to disk once, and each worker process loads it at most
   once into its module-level runner cache (``artifact once per worker``).
   Subsequent queries for the same fingerprint hit the warm runner directly.
+  The spill directory is the only artifact transport to workers: measured
+  against publishing shared-memory segments it was as fast warm and faster
+  cold, so :mod:`repro.service.shm` serves the cluster's warm handoff only.
 
 Everything here is module-level so ``ProcessPoolExecutor`` can pickle task
 references; the runner cache survives for the life of the worker process
@@ -21,7 +24,6 @@ references; the runner cache survives for the life of the worker process
 
 from __future__ import annotations
 
-import os
 import pickle
 import time
 from dataclasses import dataclass, field
@@ -48,7 +50,6 @@ __all__ = [
     "build_in_worker",
     "route_in_worker",
     "route_group_in_worker",
-    "runner_cache_limit",
     "spill_path",
 ]
 
@@ -73,10 +74,10 @@ class BuildTask:
 class RouteTask:
     """One routing query shipped to a worker process.
 
-    ``graph`` may be ``None`` for artifact-backed fingerprints the parent has
-    already spilled: the worker recovers the graph from the artifact itself
+    ``graph`` is ``None`` for artifact-backed fingerprints, which the parent
+    always spills: the worker recovers the graph from the artifact itself
     (the deterministic backend's :class:`PreprocessArtifact` carries its
-    decomposition's base graph), so warm-path queries ship only the requests.
+    decomposition's base graph), so those queries ship only the requests.
     """
 
     fingerprint: str
@@ -87,7 +88,6 @@ class RouteTask:
     params: Mapping[str, Any] = field(default_factory=dict)
     spill_dir: str | None = None
     kernel: str = "numpy"
-    shm_segment: str | None = None
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,8 @@ class FusedRouteTask:
     The worker routes every group through the backend's ``route_many`` (one
     stacked kernel pass) when the backend supports fusion, falling back to
     per-group ``route`` calls otherwise; per-group results are identical
-    either way.  Artifact transport matches :class:`RouteTask` — shared
-    memory first (``shm_segment``), spill directory second.
+    either way.  The artifact reaches the worker exactly as for
+    :class:`RouteTask`, through the spill directory.
     """
 
     fingerprint: str
@@ -109,7 +109,6 @@ class FusedRouteTask:
     params: Mapping[str, Any] = field(default_factory=dict)
     spill_dir: str | None = None
     kernel: str = "numpy"
-    shm_segment: str | None = None
 
 
 def spill_path(spill_dir: str | Path, fingerprint: str) -> Path:
@@ -122,17 +121,7 @@ _RUNNERS: dict[str, RoutingBackend] = {}
 
 #: Most runners a worker process retains; the parent's ArtifactCache bounds
 #: memory in the coordinator process and this bounds it in the workers.
-_RUNNER_CACHE_LIMIT = max(1, int(os.environ.get("REPRO_POOL_RUNNER_CACHE", "16")))
-
-
-def runner_cache_limit() -> int:
-    """How many runners each worker process retains (``REPRO_POOL_RUNNER_CACHE``).
-
-    The parent mirrors worker runner caches with the same bound to decide
-    when re-spilling an artifact would be redundant (see
-    ``RoutingService._route_batch_processes``).
-    """
-    return _RUNNER_CACHE_LIMIT
+_RUNNER_CACHE_LIMIT = 16
 
 
 def _cache_runner(fingerprint: str, runner: RoutingBackend) -> None:
@@ -181,16 +170,7 @@ def _runner_for(task: RouteTask | FusedRouteTask) -> tuple[RoutingBackend, bool]
         return runner, True
     factory = backend_factory(task.backend)
     artifact = None
-    if task.shm_segment is not None and supports_artifacts(factory):
-        # Zero-copy path: the parent published the artifact to a shared
-        # segment; the rebuilt artifact's arrays are views into shared pages.
-        try:
-            from repro.service.shm import attach
-
-            artifact = attach(task.shm_segment)
-        except (FileNotFoundError, ValueError):
-            artifact = None  # segment gone or unreadable: fall back to spill
-    if artifact is None and task.spill_dir is not None and supports_artifacts(factory):
+    if task.spill_dir is not None and supports_artifacts(factory):
         path = spill_path(task.spill_dir, task.fingerprint)
         if path.exists():
             with open(path, "rb") as handle:

@@ -86,10 +86,9 @@ from repro.service.pool import (
     build_in_worker,
     route_group_in_worker,
     route_in_worker,
-    runner_cache_limit,
     spill_path,
 )
-from repro.service.shm import ShmArtifactStore, shm_enabled
+from repro.service.shm import ShmArtifactStore
 from repro.workloads import Workload
 
 __all__ = [
@@ -552,12 +551,6 @@ class RoutingService:
             "Worker-process runner resolutions (warm cache hit vs cold load).",
             labels=("state",),
         )
-        self._m_spill_skipped = self.metrics.counter(
-            "repro_service_pool_spill_skipped_total",
-            "Artifact spill writes skipped, by reason (shm transport or "
-            "worker runner cache already warm).",
-            labels=("reason",),
-        )
         self._m_fused_batches = self.metrics.counter(
             "repro_service_fused_batches_total",
             "Same-fingerprint query groups routed through one fused kernel pass.",
@@ -572,14 +565,9 @@ class RoutingService:
         # Insertion-ordered so the oldest spilled artifacts trim first.
         self._spilled: dict[str, None] = {}
         self._spill_finalizer: weakref.finalize | None = None
-        # Zero-copy artifact plane for process-mode slices whose plan asks
-        # for artifact_transport="shm"; created lazily, unlinked on close.
+        # Shared-memory plane for the cluster's warm-key handoff
+        # (publish_segment); created lazily, unlinked on close.
         self._shm_store: ShmArtifactStore | None = None
-        # Parent-side mirror of the worker processes' runner caches (same
-        # LRU bound).  Exact when the pool has one worker — which is when the
-        # redundant-spill skip is applied; with more workers a task may land
-        # on a cold sibling, so the mirror is advisory only.
-        self._worker_warm: OrderedDict[str, None] = OrderedDict()
         self._closed = False
         self._pending: list[RoutingQuery] = []
         self._next_query_id = 0
@@ -681,12 +669,15 @@ class RoutingService:
             del self._spilled[fingerprint]
             spill_path(self._spill_dir, fingerprint).unlink(missing_ok=True)
 
-    def _publish_shm(self, fingerprint: str, artifact: PreprocessArtifact):
-        """Publish ``artifact`` to the shm plane; ``None`` when unavailable.
+    def publish_segment(self, fingerprint: str, artifact: PreprocessArtifact):
+        """Publish ``artifact`` on this service's shm plane (idempotent).
 
-        An unavailable plane (no ``multiprocessing.shared_memory``, no
-        /dev/shm, segment exhaustion) degrades to the spill path rather than
-        failing the batch; any other error is a bug and propagates.
+        Returns the :class:`~repro.service.shm.ShmSegmentInfo`, or ``None``
+        when the plane is unavailable (no ``multiprocessing.shared_memory``,
+        no /dev/shm, segment exhaustion); any other error is a bug and
+        propagates.  The cluster's warm-key handoff calls this to export a
+        shard's artifact for zero-copy adoption elsewhere; the segment lives
+        until the service closes.
         """
         try:
             if self._shm_store is None:
@@ -697,38 +688,6 @@ class RoutingService:
             return info
         except (OSError, ImportError):
             return None
-
-    def publish_segment(self, fingerprint: str, artifact: PreprocessArtifact):
-        """Publish ``artifact`` on this service's shm plane (idempotent).
-
-        Returns the :class:`~repro.service.shm.ShmSegmentInfo`, or ``None``
-        when the plane is unavailable.  The cluster's warm-key handoff calls
-        this to export a shard's artifact for zero-copy adoption elsewhere;
-        the segment lives until the store trims it or the service closes.
-        """
-        return self._publish_shm(fingerprint, artifact)
-
-    def _note_worker_task(self, fingerprint: str) -> None:
-        """Mirror one worker-side runner-cache touch (LRU, same bound)."""
-        self._worker_warm[fingerprint] = None
-        self._worker_warm.move_to_end(fingerprint)
-        while len(self._worker_warm) > runner_cache_limit():
-            self._worker_warm.popitem(last=False)
-
-    def _maybe_spill(
-        self,
-        fingerprint: str,
-        artifact: PreprocessArtifact,
-        *,
-        skip_reason: str | None,
-    ) -> None:
-        """Spill ``artifact`` unless already spilled or redundant (counted)."""
-        if fingerprint in self._spilled:
-            return
-        if skip_reason is not None:
-            self._m_spill_skipped.labels(reason=skip_reason).inc()
-            return
-        self._spill_artifact(fingerprint, artifact)
 
     def close(self) -> None:
         """Shut the worker pool down and remove the artifact spill directory.
@@ -753,7 +712,6 @@ class RoutingService:
         if self._shm_store is not None:
             self._shm_store.close()
             self._shm_store = None
-        self._worker_warm.clear()
 
     def __enter__(self) -> "RoutingService":
         return self
@@ -1189,7 +1147,6 @@ class RoutingService:
         # per-query timing and results are identical either way.
         route_start = time.perf_counter()
         chunk_futures = []
-        fused_ids: set[int] = set()
         for fingerprint, group in by_fingerprint.items():
             runner = runners[fingerprint]
             plan = group[0].plan
@@ -1205,7 +1162,6 @@ class RoutingService:
                 chunk_futures.append(
                     (group, pool.submit(self._route_group_fused, runner, group))
                 )
-                fused_ids.update(query.query_id for query in group)
                 self._m_fused_batches.labels(mode="threads").inc()
                 continue
             chunk_size = plan.effective_chunk_size if plan is not None else 1
@@ -1219,8 +1175,6 @@ class RoutingService:
             for query, (outcome, seconds) in zip(chunk, future.result()):
                 self._m_query_seconds.labels(backend=query.backend).observe(seconds)
                 self._record_query(query, seconds)
-                if query.query_id in fused_ids:
-                    self._record_fused(query, seconds)
                 report.results.append(
                     QueryResult(
                         query_id=query.query_id,
@@ -1256,41 +1210,6 @@ class RoutingService:
             return query.plan.kernel if query.plan is not None else default_kernel
 
         self._trim_spill_dir(keep=set(by_fingerprint))
-        if self._shm_store is not None:
-            self._shm_store.trim(
-                max(16, 4 * getattr(self.cache, "capacity", 4)),
-                keep=set(by_fingerprint),
-            )
-        # The pool mirror is only exact with a single worker process: a task
-        # can otherwise land on a sibling whose runner cache never saw the
-        # fingerprint, so the redundant-spill skip stays off.
-        single_worker = getattr(pool, "_max_workers", 0) == 1
-
-        shm_segments: dict[str, str] = {}
-
-        def wants_shm(group: list[RoutingQuery]) -> bool:
-            plan = group[0].plan
-            return (
-                plan is not None
-                and plan.artifact_transport == "shm"
-                and shm_enabled()
-                and supports_artifacts(backend_factory(group[0].backend))
-            )
-
-        def ship(fingerprint: str, artifact: PreprocessArtifact, group) -> None:
-            """Make the artifact reachable by workers: shm first, spill second."""
-            if wants_shm(group):
-                info = self._publish_shm(fingerprint, artifact)
-                if info is not None:
-                    shm_segments[fingerprint] = info.name
-                    self._maybe_spill(fingerprint, artifact, skip_reason="shm")
-                    return
-            skip = (
-                "runner-warm"
-                if single_worker and fingerprint in self._worker_warm
-                else None
-            )
-            self._maybe_spill(fingerprint, artifact, skip_reason=skip)
 
         warm: dict[str, bool] = {}
         cold: dict[str, RoutingQuery] = {}
@@ -1303,7 +1222,7 @@ class RoutingService:
             if cached is not None:
                 warm[fingerprint] = True
                 report.preprocess_rounds_reused += cached.preprocessing_rounds
-                ship(fingerprint, cached, group)
+                self._spill_artifact(fingerprint, cached)
             else:
                 warm[fingerprint] = False
                 cold[fingerprint] = query
@@ -1325,11 +1244,9 @@ class RoutingService:
             self._m_pool_tasks.labels(kind="build").inc(len(futures))
             for fingerprint, future in futures.items():
                 info, artifact = future.result()
-                # The building worker retained the runner in its cache.
-                self._note_worker_task(fingerprint)
                 if artifact is not None:
                     self.cache.put(fingerprint, artifact)
-                    ship(fingerprint, artifact, by_fingerprint[fingerprint])
+                    self._spill_artifact(fingerprint, artifact)
                     report.preprocess_rounds_incurred += artifact.preprocessing_rounds
                 else:
                     report.preprocess_rounds_incurred += info.rounds
@@ -1345,21 +1262,14 @@ class RoutingService:
         spill = str(self._spill_dir) if self._spill_dir is not None else None
 
         def task_graph(query: RoutingQuery) -> nx.Graph | None:
-            # Spilled and shm-published artifacts carry their own graph;
-            # those queries ship only the request list.  Queries relying on
-            # the runner-warm skip still ship the graph so a mirror miss
-            # degrades to a (slow but correct) in-worker rebuild.
-            reachable = (
-                query.fingerprint in self._spilled
-                or query.fingerprint in shm_segments
-            )
-            return None if reachable else query.graph
+            # Spilled artifacts carry their own graph, so those queries ship
+            # only the request list; stateless backends need the graph.
+            return None if query.fingerprint in self._spilled else query.graph
 
         solo_futures = []
         fused_futures = []
         for fingerprint, group in by_fingerprint.items():
             plan = group[0].plan
-            self._note_worker_task(fingerprint)
             if (
                 plan is not None
                 and plan.fused
@@ -1375,7 +1285,6 @@ class RoutingService:
                     params=self._resolved_backend_params(group[0]),
                     spill_dir=spill,
                     kernel=query_kernel(group[0]),
-                    shm_segment=shm_segments.get(fingerprint),
                 )
                 fused_futures.append(
                     (group, pool.submit(route_group_in_worker, task))
@@ -1392,19 +1301,15 @@ class RoutingService:
                     params=self._resolved_backend_params(query),
                     spill_dir=spill,
                     kernel=query_kernel(query),
-                    shm_segment=shm_segments.get(query.fingerprint),
                 )
                 solo_futures.append((query, pool.submit(route_in_worker, task)))
         self._m_pool_tasks.labels(kind="route").inc(
             len(solo_futures) + len(fused_futures)
         )
 
-        def record(query: RoutingQuery, outcome: RouteResult, seconds: float,
-                   fused: bool) -> None:
+        def record(query: RoutingQuery, outcome: RouteResult, seconds: float) -> None:
             self._m_query_seconds.labels(backend=query.backend).observe(seconds)
             self._record_query(query, seconds)
-            if fused:
-                self._record_fused(query, seconds)
             report.results.append(
                 QueryResult(
                     query_id=query.query_id,
@@ -1423,7 +1328,7 @@ class RoutingService:
             self._m_pool_runner_loads.labels(
                 state="warm" if runner_warm else "cold"
             ).inc()
-            record(query, outcome, seconds, fused=False)
+            record(query, outcome, seconds)
         for group, future in fused_futures:
             outcomes, group_seconds, runner_warm = future.result()
             self._m_pool_runner_loads.labels(
@@ -1431,7 +1336,7 @@ class RoutingService:
             ).inc()
             per_query = group_seconds / max(1, len(group))
             for query, outcome in zip(group, outcomes):
-                record(query, outcome, per_query, fused=True)
+                record(query, outcome, per_query)
         report.route_seconds += time.perf_counter() - route_start
 
     def _resolved_backend_params(self, query: RoutingQuery) -> dict[str, Any]:
@@ -1517,16 +1422,6 @@ class RoutingService:
         """Feed one observed routing wall-clock back into the cost model."""
         if self.planner is not None and query.plan is not None:
             self.planner.record_query(
-                query.plan,
-                query.graph.number_of_nodes(),
-                seconds,
-                workload=query.workload,
-            )
-
-    def _record_fused(self, query: RoutingQuery, seconds: float) -> None:
-        """Feed one fused-batch per-query wall-clock into the fused cost curve."""
-        if self.planner is not None and query.plan is not None:
-            self.planner.record_fused_query(
                 query.plan,
                 query.graph.number_of_nodes(),
                 seconds,

@@ -1,10 +1,8 @@
-"""Zero-copy shared-memory artifact plane (``REPRO_SHM``).
+"""Zero-copy shared-memory artifact plane for the cluster's warm-key handoff.
 
-Process-mode serving used to ship every :class:`~repro.core.router.PreprocessArtifact`
-to the workers through pickle + a disk spill: one full serialize on the
-parent, one disk write, then one full parse *per worker*.  This module
-replaces that copy chain with one ``multiprocessing.shared_memory`` segment
-per fingerprint:
+When the cluster rebalances, a warm :class:`~repro.core.router.PreprocessArtifact`
+moves from one shard server to another.  This module carries it in one
+``multiprocessing.shared_memory`` segment per fingerprint:
 
 * :meth:`ShmArtifactStore.publish` flattens the artifact once — a pickle-5
   *skeleton* whose numpy payloads (CSR adjacency of every graph, dispersion
@@ -14,16 +12,18 @@ per fingerprint:
 * :func:`attach` maps the segment and rebuilds the artifact with
   ``pickle.loads(..., buffers=...)`` over memoryviews *into the segment*:
   the heavy arrays are zero-copy views of shared pages, never duplicated
-  per worker;
+  per adopter;
 * the store keeps a refcounted registry per fingerprint with
   ``create → attach → unlink`` lifecycle, finalizer-backed leak protection
   (a dropped store unlinks its segments), and ``repro_shm_*`` metrics
   (segments, bytes, attaches, unlink latency).
 
-``REPRO_SHM=0`` (or an unavailable ``/dev/shm``) disables the plane and the
-serving layer falls back to the existing spill path;
-``tests/test_shm.py`` asserts round-trip equality, unlink-on-close, and the
-fallback.
+Process-pool workers do not use this plane: measured against the pickle
+spill directory of :mod:`repro.service.pool` it tied on warm batches and lost
+on cold ones, so the spill directory is their only artifact transport.  Where
+``/dev/shm`` is unavailable (:func:`shm_available` is false) the handoff
+carries the artifact object itself.  ``tests/test_shm.py`` asserts
+round-trip equality, unlink-on-close, and the handoff.
 """
 
 from __future__ import annotations
@@ -42,10 +42,8 @@ import networkx as nx
 from repro.metrics import MetricsRegistry, default_registry
 
 __all__ = [
-    "SHM_ENV",
     "SEGMENT_PREFIX",
     "shm_available",
-    "shm_enabled",
     "flatten_artifact",
     "unflatten_artifact",
     "attach",
@@ -54,12 +52,10 @@ __all__ = [
     "leaked_segments",
 ]
 
-SHM_ENV = "REPRO_SHM"
 SEGMENT_PREFIX = "repro-shm"
 _MAGIC = b"RSHM"
 _LAYOUT_VERSION = 1
 _ALIGN = 64
-_FALSY = {"0", "false", "off", "no"}
 
 
 def _shared_memory_module():
@@ -87,13 +83,6 @@ def shm_available() -> bool:
         except Exception:
             _available = False
     return _available
-
-
-def shm_enabled() -> bool:
-    """The ``REPRO_SHM`` gate: enabled by default wherever shm is available."""
-    if os.environ.get(SHM_ENV, "1").strip().lower() in _FALSY:
-        return False
-    return shm_available()
 
 
 # -- flattening -----------------------------------------------------------------

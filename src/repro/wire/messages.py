@@ -440,7 +440,6 @@ class WirePlan(WireMessage):
     max_workers: int | None = None
     chunk_size: int | None = None
     fused: bool = False
-    artifact_transport: str = "pickle"
     shard_hint: str | None = None
     policy: str = "fixed"
     reason: str = ""
@@ -455,7 +454,6 @@ class WirePlan(WireMessage):
             max_workers=plan.max_workers,
             chunk_size=plan.chunk_size,
             fused=plan.fused,
-            artifact_transport=plan.artifact_transport,
             shard_hint=plan.shard_hint,
             policy=plan.policy,
             reason=plan.reason,
@@ -470,7 +468,6 @@ class WirePlan(WireMessage):
             max_workers=self.max_workers,
             chunk_size=self.chunk_size,
             fused=self.fused,
-            artifact_transport=self.artifact_transport,
             shard_hint=self.shard_hint,
             policy=self.policy,
             reason=self.reason,

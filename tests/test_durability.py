@@ -454,6 +454,41 @@ def test_recover_rewarms_caches_for_signature_parity(tmp_path, graphs):
         recovered.close()
 
 
+def test_checkpoint_with_fused_cost_entries_still_recovers(tmp_path, graphs):
+    """Checkpoints that carry "fused"-phase cost entries still recover.
+
+    The planner once kept a separate cost curve for fused batches, so older
+    checkpoints hold ``...|fused|...`` calibration keys.  Restoring keeps
+    them as inert state (no estimate reads them) and the coordinator serves.
+    """
+    kwargs = _coordinator_kwargs(policy="cost")
+    journal = CoordinatorJournal(tmp_path, metrics=MetricsRegistry())
+    coordinator = ClusterCoordinator(**kwargs, journal=journal)
+    for graph in graphs:
+        coordinator.submit(graph, permutation_workload(graph, shift=1))
+    coordinator.dispatch()
+    # The entry the fused-batch feedback used to record per fused query.
+    coordinator.planner.cost_model.observe(
+        "deterministic", "numpy", 48, "fused", 0.002, workload="permutation"
+    )
+    journal.checkpoint_now()
+    fused_key = "deterministic|numpy|6|fused|permutation"
+    fused_entry = coordinator.planner.cost_model.snapshot()[fused_key]
+    journal.abandon()
+    for worker in coordinator.workers.values():
+        worker.close()
+
+    recovered, report = recover(tmp_path, kwargs)
+    try:
+        assert report.checkpoint_found
+        assert recovered.planner.cost_model.snapshot()[fused_key] == fused_entry
+        for graph in graphs:
+            recovered.submit(graph, permutation_workload(graph, shift=2))
+        assert recovered.dispatch().all_delivered
+    finally:
+        recovered.close()
+
+
 def test_recovery_without_a_checkpoint_starts_fresh(tmp_path):
     (tmp_path / f"{WAL_PREFIX}00000000.log").write_bytes(b"")
     coordinator, report = recover(tmp_path, _coordinator_kwargs(), attach=False)

@@ -11,6 +11,12 @@ Covers the PR's parallelism contract:
   cluster coordinator.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cluster import ClusterCoordinator
@@ -149,3 +155,41 @@ def test_cluster_coordinator_parallelism_passthrough_and_close(graphs):
     coordinator.submit(g1, permutation_workload(g1, shift=3))
     with pytest.raises(RuntimeError):
         coordinator.dispatch()
+
+
+_PROCESS_BATCH_SCRIPT = """
+import json
+from repro.graphs.generators import random_regular_expander
+from repro.metrics import MetricsRegistry
+from repro.planner import ExecutionPlan
+from repro.service import RoutingService, leaked_segments
+from repro.workloads import permutation_workload
+
+graph = random_regular_expander(32, degree=6, seed=3)
+fused = ExecutionPlan(backend="deterministic", parallelism="processes", fused=True)
+delivered = []
+with RoutingService(max_workers=2, parallelism="processes", metrics=MetricsRegistry()) as service:
+    for plan in (None, fused):
+        for shift in (1, 2, 3, 4):
+            service.submit(graph, permutation_workload(graph, shift=shift), plan=plan)
+        delivered.append(service.route_batch().all_delivered)
+print(json.dumps({"delivered": delivered, "leaked": leaked_segments()}))
+"""
+
+
+def test_process_batches_leave_stderr_and_dev_shm_clean():
+    """A 2-worker process-mode run prints no traceback and leaks no segment."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    completed = subprocess.run(
+        [sys.executable, "-c", _PROCESS_BATCH_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stderr == ""
+    result = json.loads(completed.stdout.strip().splitlines()[-1])
+    assert result == {"delivered": [True, True], "leaked": []}

@@ -5,8 +5,9 @@ skeleton plus out-of-band numpy buffers, publishes the pair in a
 ``multiprocessing.shared_memory`` segment, and reattaches it zero-copy.  The
 tests here pin the three guarantees the serving tier builds on: an attached
 view routes identically to the original, segments are unlinked when released
-(no ``/dev/shm`` leaks), and everything degrades to the pickle/spill path
-when shm is disabled or unavailable.
+(no ``/dev/shm`` leaks), and the plane carries the cluster's warm handoff
+while process-pool workers load their artifacts from the pickle spill
+directory.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro.core.tokens import RoutingRequest
 from repro.kernels import batched
 from repro.metrics import MetricsRegistry
 from repro.planner import ExecutionPlan
-from repro.service import RoutingService, leaked_segments, shm_available, shm_enabled
+from repro.service import RoutingService, leaked_segments, shm_available
 from repro.service.shm import (
     ShmArtifactStore,
     attach,
@@ -142,22 +143,14 @@ def test_store_close_unlinks_everything(artifact):
     assert leaked_segments() == []
 
 
-def test_env_gate_disables_shm(monkeypatch):
-    monkeypatch.setenv("REPRO_SHM", "0")
-    assert shm_enabled() is False
-    monkeypatch.setenv("REPRO_SHM", "1")
-    assert shm_enabled() is True
-    monkeypatch.delenv("REPRO_SHM")
-    assert shm_enabled() is True  # default on
+def test_service_falls_back_when_shm_disabled():
+    """Process-mode batches reach their workers without the shm plane.
 
-
-def test_service_falls_back_when_shm_disabled(monkeypatch):
-    """A plan asking for shm transport still routes with REPRO_SHM=0."""
-    monkeypatch.setenv("REPRO_SHM", "0")
+    The pickle spill directory is the only artifact transport to pool
+    workers, so a process-mode batch routes and publishes no segment.
+    """
     graph = nx.random_regular_graph(4, 48, seed=2)
-    plan = ExecutionPlan(
-        backend="deterministic", parallelism="processes", artifact_transport="shm"
-    )
+    plan = ExecutionPlan(backend="deterministic", parallelism="processes")
     metrics = MetricsRegistry()
     with RoutingService(metrics=metrics) as service:
         for seed in range(2):
@@ -168,20 +161,27 @@ def test_service_falls_back_when_shm_disabled(monkeypatch):
     assert leaked_segments() == []
 
 
-def test_service_shm_transport_skips_spill():
-    graph = nx.random_regular_graph(4, 48, seed=4)
-    plan = ExecutionPlan(
-        backend="deterministic", parallelism="processes", artifact_transport="shm"
-    )
-    metrics = MetricsRegistry()
-    with RoutingService(metrics=metrics) as service:
-        for round_index in range(2):
-            for seed in range(2):
-                service.submit(graph, _workload(graph, seed), plan=plan)
+def test_process_batches_spill_each_fingerprint_once():
+    """Every artifact is written to the spill directory once, then reused."""
+    graphs = [nx.random_regular_graph(4, 48, seed=seed) for seed in (4, 5)]
+    plan = ExecutionPlan(backend="deterministic", parallelism="processes")
+    spills = []
+    with RoutingService(max_workers=2, metrics=MetricsRegistry()) as service:
+        for _ in range(2):
+            for graph in graphs:
+                for seed in range(2):
+                    service.submit(graph, _workload(graph, seed), plan=plan)
             assert service.route_batch().all_delivered
-        snapshot = metrics.as_dict()
-    assert snapshot["repro_shm_published_total"][""] == 1.0
-    assert snapshot["repro_service_pool_spill_skipped_total"]["reason=shm"] >= 1.0
+            # An atomic re-spill would replace the file: new inode, new mtime.
+            spills.append(
+                {
+                    path.name: (path.stat().st_ino, path.stat().st_mtime_ns)
+                    for path in service._spill_dir.iterdir()
+                }
+            )
+    assert len(spills[0]) == len(graphs)
+    assert all(name.endswith(".artifact.pkl") for name in spills[0])
+    assert spills[1] == spills[0]
     assert leaked_segments() == []
 
 

@@ -72,7 +72,6 @@ PLAN = WirePlan(
     max_workers=2,
     chunk_size=None,
     fused=True,
-    artifact_transport="shm",
     shard_hint="shard-1",
     policy="cost",
     reason="golden",
@@ -242,11 +241,10 @@ GOLDEN: dict[str, bytes] = {
         b':7,"preprocess_rounds":11,"load":1,"extra":{"paths":4,"label":"ok"}},"cache_hit":'
         b'true,"seconds":0.25,"workload":"permutation","plan":{"type":"plan","v":1,"backend'
         b'":"deterministic","backend_params":{"epsilon":0.5,"seed":7},"kernel":"numpy","par'
-        b'allelism":"threads","max_workers":2,"chunk_size":null,"fused":true,"artifact_tran'
-        b'sport":"shm","shard_hint":"shard-1","policy":"cost","reason":"golden"}}],"distinc'
-        b't_graphs":1,"cache_hits":1,"cache_misses":0,"preprocess_rounds_incurred":0,"prepr'
-        b'ocess_rounds_reused":11,"preprocess_seconds":0.0,"route_seconds":0.125,"wall_seco'
-        b'nds":0.5}'
+        b'allelism":"threads","max_workers":2,"chunk_size":null,"fused":true,"shard_hint":"'
+        b'shard-1","policy":"cost","reason":"golden"}}],"distinct_graphs":1,"cache_hits":1,'
+        b'"cache_misses":0,"preprocess_rounds_incurred":0,"preprocess_rounds_reused":11,"pr'
+        b'eprocess_seconds":0.0,"route_seconds":0.125,"wall_seconds":0.5}'
     ),
     "cluster-report": (
         b'\x00{"type":"cluster-report","v":1,"shard_reports":{"shard-0":{"type":"batch-repo'
@@ -256,12 +254,12 @@ GOLDEN: dict[str, bytes] = {
         b'11,"load":1,"extra":{"paths":4,"label":"ok"}},"cache_hit":true,"seconds":0.25,"wo'
         b'rkload":"permutation","plan":{"type":"plan","v":1,"backend":"deterministic","back'
         b'end_params":{"epsilon":0.5,"seed":7},"kernel":"numpy","parallelism":"threads","ma'
-        b'x_workers":2,"chunk_size":null,"fused":true,"artifact_transport":"shm","shard_hin'
-        b't":"shard-1","policy":"cost","reason":"golden"}}],"distinct_graphs":1,"cache_hits'
-        b'":1,"cache_misses":0,"preprocess_rounds_incurred":0,"preprocess_rounds_reused":11'
-        b',"preprocess_seconds":0.0,"route_seconds":0.125,"wall_seconds":0.5}},"dispatch_se'
-        b'conds":0.75,"admission":{"type":"admission-stats","v":1,"offered":5,"accepted":4,'
-        b'"rejected":1,"shed":2},"lost_batches":0,"requeued_batches":1}'
+        b'x_workers":2,"chunk_size":null,"fused":true,"shard_hint":"shard-1","policy":"cost'
+        b'","reason":"golden"}}],"distinct_graphs":1,"cache_hits":1,"cache_misses":0,"prepr'
+        b'ocess_rounds_incurred":0,"preprocess_rounds_reused":11,"preprocess_seconds":0.0,"'
+        b'route_seconds":0.125,"wall_seconds":0.5}},"dispatch_seconds":0.75,"admission":{"t'
+        b'ype":"admission-stats","v":1,"offered":5,"accepted":4,"rejected":1,"shed":2},"los'
+        b't_batches":0,"requeued_batches":1}'
     ),
     "dispatch": b'\x00{"type":"dispatch","v":1,"deadline":null}',
     "dispatch-done": (
@@ -277,10 +275,10 @@ GOLDEN: dict[str, bytes] = {
         b's":11,"load":1,"extra":{"paths":4,"label":"ok"}},"cache_hit":true,"seconds":0.25,'
         b'"workload":"permutation","plan":{"type":"plan","v":1,"backend":"deterministic","b'
         b'ackend_params":{"epsilon":0.5,"seed":7},"kernel":"numpy","parallelism":"threads",'
-        b'"max_workers":2,"chunk_size":null,"fused":true,"artifact_transport":"shm","shard_'
-        b'hint":"shard-1","policy":"cost","reason":"golden"}}],"distinct_graphs":1,"cache_h'
-        b'its":1,"cache_misses":0,"preprocess_rounds_incurred":0,"preprocess_rounds_reused"'
-        b':11,"preprocess_seconds":0.0,"route_seconds":0.125,"wall_seconds":0.5}}'
+        b'"max_workers":2,"chunk_size":null,"fused":true,"shard_hint":"shard-1","policy":"c'
+        b'ost","reason":"golden"}}],"distinct_graphs":1,"cache_hits":1,"cache_misses":0,"pr'
+        b'eprocess_rounds_incurred":0,"preprocess_rounds_reused":11,"preprocess_seconds":0.'
+        b'0,"route_seconds":0.125,"wall_seconds":0.5}}'
     ),
     "error": b'\x00{"type":"error","v":1,"code":"deadline","message":"submit deadline expired"}',
     "fault-inject": b'\x00{"type":"fault-inject","v":1,"kind":"slow","seconds":0.5}',
@@ -304,8 +302,8 @@ GOLDEN: dict[str, bytes] = {
         b'nistic","backend_params":{"epsilon":0.5},"workload":"permutation","plan":{"type":'
         b'"plan","v":1,"backend":"deterministic","backend_params":{"epsilon":0.5,"seed":7},'
         b'"kernel":"numpy","parallelism":"threads","max_workers":2,"chunk_size":null,"fused'
-        b'":true,"artifact_transport":"shm","shard_hint":"shard-1","policy":"cost","reason"'
-        b':"golden"},"idempotency_key":"key-1"}}'
+        b'":true,"shard_hint":"shard-1","policy":"cost","reason":"golden"},"idempotency_key'
+        b'":"key-1"}}'
     ),
     "journal-checkpoint": (
         b'\x00{"type":"journal-checkpoint","v":1,"shard_ids":["shard-0","shard-1"],"next_sh'
@@ -321,12 +319,12 @@ GOLDEN: dict[str, bytes] = {
         b'load":2,"backend":"deterministic","backend_params":{"epsilon":0.5},"workload":"pe'
         b'rmutation","plan":{"type":"plan","v":1,"backend":"deterministic","backend_params"'
         b':{"epsilon":0.5,"seed":7},"kernel":"numpy","parallelism":"threads","max_workers":'
-        b'2,"chunk_size":null,"fused":true,"artifact_transport":"shm","shard_hint":"shard-1'
-        b'","policy":"cost","reason":"golden"},"idempotency_key":"key-1"}],"auto_key_counte'
-        b'r":17,"admission":{"shard-0":{"offered":5,"accepted":4,"rejected":1,"shed":2}},"l'
-        b'ost_batches":0,"requeued_batches":1,"failovers":1,"duplicate_results":0,"hot_ewma'
-        b'":{"fp-1":0.5},"replicas":{"fp-1":["shard-0","shard-1"]},"planner_state":{"determ'
-        b'inistic":{"ms":1.5,"samples":3}},"planner_version":3}'
+        b'2,"chunk_size":null,"fused":true,"shard_hint":"shard-1","policy":"cost","reason":'
+        b'"golden"},"idempotency_key":"key-1"}],"auto_key_counter":17,"admission":{"shard-0'
+        b'":{"offered":5,"accepted":4,"rejected":1,"shed":2}},"lost_batches":0,"requeued_ba'
+        b'tches":1,"failovers":1,"duplicate_results":0,"hot_ewma":{"fp-1":0.5},"replicas":{'
+        b'"fp-1":["shard-0","shard-1"]},"planner_state":{"deterministic":{"ms":1.5,"samples'
+        b'":3}},"planner_version":3}'
     ),
     "journal-complete": (
         b'\x00{"type":"journal-complete","v":1,"key":"key-1","fingerprint":"fp-1","shard_id'
@@ -337,8 +335,7 @@ GOLDEN: dict[str, bytes] = {
     "plan": (
         b'\x00{"type":"plan","v":1,"backend":"deterministic","backend_params":{"epsilon":0.'
         b'5,"seed":7},"kernel":"numpy","parallelism":"threads","max_workers":2,"chunk_size"'
-        b':null,"fused":true,"artifact_transport":"shm","shard_hint":"shard-1","policy":"co'
-        b'st","reason":"golden"}'
+        b':null,"fused":true,"shard_hint":"shard-1","policy":"cost","reason":"golden"}'
     ),
     "pong": b'\x00{"type":"pong","v":1}',
     "query-result": (
@@ -348,8 +345,8 @@ GOLDEN: dict[str, bytes] = {
         b'a":{"paths":4,"label":"ok"}},"cache_hit":true,"seconds":0.25,"workload":"permutat'
         b'ion","plan":{"type":"plan","v":1,"backend":"deterministic","backend_params":{"eps'
         b'ilon":0.5,"seed":7},"kernel":"numpy","parallelism":"threads","max_workers":2,"chu'
-        b'nk_size":null,"fused":true,"artifact_transport":"shm","shard_hint":"shard-1","pol'
-        b'icy":"cost","reason":"golden"}}'
+        b'nk_size":null,"fused":true,"shard_hint":"shard-1","policy":"cost","reason":"golde'
+        b'n"}}'
     ),
     "request": (
         b'\x00{"type":"request","v":1,"source":1,"destination":3,"payload":{"tag":[1,"x",nu'
@@ -372,10 +369,10 @@ GOLDEN: dict[str, bytes] = {
         b':3,"payload":{"tag":[1,"x",null]}}],"load":2,"backend":"deterministic","backend_p'
         b'arams":{"epsilon":0.5},"workload":"permutation","plan":{"type":"plan","v":1,"back'
         b'end":"deterministic","backend_params":{"epsilon":0.5,"seed":7},"kernel":"numpy","'
-        b'parallelism":"threads","max_workers":2,"chunk_size":null,"fused":true,"artifact_t'
-        b'ransport":"shm","shard_hint":"shard-1","policy":"cost","reason":"golden"},"idempo'
-        b'tency_key":"key-1"}],"graphs":{"c5b1e0d8b8c2d8bb":{"type":"graph","v":1,"nodes":['
-        b'0,1,2,3],"edges":[[0,1,{}],[1,2,{"weight":2}],[2,3,{}],[3,0,{"weight":1.5}]]}}}'
+        b'parallelism":"threads","max_workers":2,"chunk_size":null,"fused":true,"shard_hint'
+        b'":"shard-1","policy":"cost","reason":"golden"},"idempotency_key":"key-1"}],"graph'
+        b's":{"c5b1e0d8b8c2d8bb":{"type":"graph","v":1,"nodes":[0,1,2,3],"edges":[[0,1,{}],'
+        b'[1,2,{"weight":2}],[2,3,{}],[3,0,{"weight":1.5}]]}}}'
     ),
     "shard-query": (
         b'\x00{"type":"shard-query","v":1,"fingerprint":"fp-1","graph":{"type":"graph","v":'
@@ -385,9 +382,8 @@ GOLDEN: dict[str, bytes] = {
         b':{"tag":[1,"x",null]}}],"load":2,"backend":"deterministic","backend_params":{"eps'
         b'ilon":0.5},"workload":"permutation","plan":{"type":"plan","v":1,"backend":"determ'
         b'inistic","backend_params":{"epsilon":0.5,"seed":7},"kernel":"numpy","parallelism"'
-        b':"threads","max_workers":2,"chunk_size":null,"fused":true,"artifact_transport":"s'
-        b'hm","shard_hint":"shard-1","policy":"cost","reason":"golden"},"idempotency_key":"'
-        b'key-1"}'
+        b':"threads","max_workers":2,"chunk_size":null,"fused":true,"shard_hint":"shard-1",'
+        b'"policy":"cost","reason":"golden"},"idempotency_key":"key-1"}'
     ),
     "shard-report": (
         b'\x00{"type":"shard-report","v":1,"report":{"type":"batch-report","v":1,"results":'
@@ -397,10 +393,10 @@ GOLDEN: dict[str, bytes] = {
         b'{"paths":4,"label":"ok"}},"cache_hit":true,"seconds":0.25,"workload":"permutation'
         b'","plan":{"type":"plan","v":1,"backend":"deterministic","backend_params":{"epsilo'
         b'n":0.5,"seed":7},"kernel":"numpy","parallelism":"threads","max_workers":2,"chunk_'
-        b'size":null,"fused":true,"artifact_transport":"shm","shard_hint":"shard-1","policy'
-        b'":"cost","reason":"golden"}}],"distinct_graphs":1,"cache_hits":1,"cache_misses":0'
-        b',"preprocess_rounds_incurred":0,"preprocess_rounds_reused":11,"preprocess_seconds'
-        b'":0.0,"route_seconds":0.125,"wall_seconds":0.5}}'
+        b'size":null,"fused":true,"shard_hint":"shard-1","policy":"cost","reason":"golden"}'
+        b'}],"distinct_graphs":1,"cache_hits":1,"cache_misses":0,"preprocess_rounds_incurre'
+        b'd":0,"preprocess_rounds_reused":11,"preprocess_seconds":0.0,"route_seconds":0.125'
+        b',"wall_seconds":0.5}}'
     ),
     "shard-stats": (
         b'\x00{"type":"shard-stats","v":1,"row":{"shard":"shard-0","batches":3,"hit_ratio":'
@@ -427,6 +423,15 @@ GOLDEN: dict[str, bytes] = {
         b'uplicate":false}'
     ),
 }
+#: The "plan" row as encoded before plans lost their artifact-transport
+#: field.  Journals on disk and older peers still carry it, so it must keep
+#: decoding, to the current PLAN (unknown fields are ignored).
+LEGACY_PLAN = (
+    b'\x00{"type":"plan","v":1,"backend":"deterministic","backend_params":{"epsilon":0.'
+    b'5,"seed":7},"kernel":"numpy","parallelism":"threads","max_workers":2,"chunk_size"'
+    b':null,"fused":true,"artifact_transport":"shm","shard_hint":"shard-1","policy":"co'
+    b'st","reason":"golden"}'
+)
 GRAPH_FINGERPRINT = "ef7b1a690e6e0e02bbd4ab553f97b80e95ac009db79e876ef8c57b63fcdcfeee"
 
 
@@ -440,6 +445,13 @@ def test_wire_bytes_are_pinned(tag):
     message = INSTANCES[tag]
     assert message.to_wire() == GOLDEN[tag]
     assert message_from_wire(GOLDEN[tag]) == message
+
+
+def test_legacy_plan_bytes_decode_to_the_current_plan():
+    decoded = message_from_wire(LEGACY_PLAN)
+    assert decoded == PLAN
+    assert decoded.to_plan() == PLAN.to_plan()
+    assert decoded.to_plan().plan_id == PLAN.to_plan().plan_id
 
 
 def test_graph_fingerprint_is_pinned():
