@@ -22,11 +22,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from typing import Any, Sequence
+
+import numpy as np
 
 from repro.core.cost import CostLedger, send_round_cost, sort_round_cost
 from repro.cutmatching.shuffler import Shuffler
 from repro.kernels import use_numpy
+from repro.kernels.batched import disperse_many_numpy
 
 __all__ = ["DispersionState", "DispersionStats", "disperse", "disperse_many"]
 
@@ -138,9 +143,7 @@ def disperse(
         }
         return stats
     if use_numpy():
-        from repro.kernels.batched import disperse_many_numpy
-
-        stats = disperse_many_numpy([state], shuffler, part_sizes, flatten_quality)[0]
+        stats = _disperse_states([state], shuffler, part_sizes, flatten_quality)[0]
         if ledger is not None:
             ledger.charge(phase, stats.rounds)
         return stats
@@ -247,10 +250,9 @@ def disperse_many(
 
     The fused twin of calling :func:`disperse` once per state (no ledger —
     callers charge ``stats.rounds`` themselves): every state's token
-    movements, statistics, and round counts are identical to its solo run,
-    but under the numpy kernel all states share one planning pass and one
-    token sort per matching (:func:`repro.kernels.batched.disperse_many_numpy`),
-    which is what makes warm same-graph query batches cheap.
+    movements, statistics, and round counts are identical to its solo run.
+    Under the numpy kernel all states become rows of one
+    :func:`~repro.kernels.batched.disperse_many_numpy` call.
     """
     if not states:
         return []
@@ -262,6 +264,77 @@ def disperse_many(
             disperse(state, shuffler, part_sizes, load, flatten_quality, ledger=None)
             for state, load in zip(states, loads)
         ]
-    from repro.kernels.batched import disperse_many_numpy
+    return _disperse_states(states, shuffler, part_sizes, flatten_quality)
 
-    return disperse_many_numpy(states, shuffler, part_sizes, flatten_quality)
+
+def _disperse_states(
+    states: Sequence[DispersionState],
+    shuffler: Shuffler,
+    part_sizes: Sequence[int],
+    flatten_quality: int,
+) -> list[DispersionStats]:
+    """States to kernel rows and back: queues are rewritten in place.
+
+    Each queued item becomes one row whose cell is ``(entry, part, mark
+    column)`` over the union of the states' marks in ``repr`` order.  A queue
+    key survives once its cell has held items, as ``pop_front``/``push_back``
+    keep it, and each state's statistics cover only its own marks.
+    """
+    batch, t = len(states), states[0].part_count
+    own_marks = [state.marks() for state in states]
+    union_marks = sorted(set().union(*own_marks), key=repr)
+    column_of = {mark: column for column, mark in enumerate(union_marks)}
+    m = max(len(union_marks), 1)
+    queued = sorted(
+        (
+            ((entry * t + part) * m + column_of[mark], queue)
+            for entry, state in enumerate(states)
+            for part, per_mark in state.queues.items()
+            for mark, queue in per_mark.items()
+        ),
+        key=itemgetter(0),
+    )
+    keyed = np.fromiter((cell for cell, _ in queued), dtype=np.int64, count=len(queued))
+    lengths = np.fromiter((len(queue) for _, queue in queued), dtype=np.int64, count=len(queued))
+    items = list(chain.from_iterable(queue for _, queue in queued))
+    dispersal = disperse_many_numpy(
+        np.repeat(keyed, lengths), (batch, t, m), shuffler, part_sizes, flatten_quality
+    )
+
+    counts = dispersal.counts
+    flat_counts = counts.ravel()
+    present = dispersal.held
+    present[keyed] = True
+    kept = np.flatnonzero(present)
+    cell_ends = np.cumsum(flat_counts)[kept]
+    flat_items = [items[row] for row in dispersal.order.tolist()]
+    for state in states:
+        for per_mark in state.queues.values():
+            per_mark.clear()
+    for entry, part, column, start, end in zip(
+        *(axis.tolist() for axis in np.unravel_index(kept, counts.shape)),
+        (cell_ends - flat_counts[kept]).tolist(),
+        cell_ends.tolist(),
+    ):
+        states[entry].queues[part][union_marks[column]] = flat_items[start:end]
+
+    inside_per_mark = dispersal.inside.tolist()
+    per_mark_counts = counts.transpose(0, 2, 1).tolist()
+    mark_totals = counts.sum(axis=1).tolist()
+    stats_list = []
+    for entry in range(batch):
+        stats = DispersionStats(
+            iterations=len(shuffler.matchings),
+            total_cells=t * len(own_marks[entry]),
+            max_part_load=dispersal.peaks[entry],
+            rounds=dispersal.rounds[entry],
+        )
+        for mark in own_marks[entry]:
+            column = column_of[mark]
+            stats.mark_totals[mark] = mark_totals[entry][column]
+            stats.final_counts.update(
+                zip([(part, mark) for part in range(t)], per_mark_counts[entry][column])
+            )
+            stats.within_window += inside_per_mark[entry][column]
+        stats_list.append(stats)
+    return stats_list

@@ -16,6 +16,11 @@ expander-sorting step of Section 6.3 and is charged accordingly; in the rare
 event that rounding noise leaves a cell with more real tokens than dummies at
 experiment scale, the leftovers are assigned round-robin over the marked
 part's vertices and the event is counted (tests check it is the exception).
+
+:func:`solve_task3` runs this over :class:`~repro.core.tokens.Token` objects
+and is the specification the reference kernel routes through;
+:func:`solve_task3_many` is its array twin, the Task 3 step of the router's
+array engine, which solves the instances of every query at a node at once.
 """
 
 from __future__ import annotations
@@ -24,14 +29,17 @@ import math
 from dataclasses import dataclass, field
 from typing import Hashable, Sequence
 
+import numpy as np
+
 from repro.core.cost import CostLedger, send_round_cost, sort_round_cost
-from repro.core.dispersion import DispersionState, DispersionStats, disperse, disperse_many
+from repro.core.dispersion import DispersionState, DispersionStats, disperse
+from repro.core.tables import NodeTable, dummy_cells
 from repro.core.tokens import Token
 from repro.cutmatching.shuffler import Shuffler
 from repro.hierarchy.node import HierarchyNode
-from repro.kernels import use_numpy
+from repro.kernels.batched import disperse_many_numpy
 
-__all__ = ["Task3Result", "solve_task3", "solve_task3_many"]
+__all__ = ["Task3Result", "Task3Batch", "solve_task3", "solve_task3_many"]
 
 
 @dataclass
@@ -56,68 +64,6 @@ class Task3Result:
     rounds: int = 0
 
 
-def _part_vertices(node: HierarchyNode, memoize: bool) -> list[list]:
-    if memoize:
-        cached = getattr(node, "_sorted_parts_cache", None)
-        if cached is None:
-            cached = node._sorted_parts_cache = [sorted(part.vertices) for part in node.parts]
-        return cached
-    return [sorted(part.vertices) for part in node.parts]
-
-
-def _part_of_vertex(node: HierarchyNode, memoize: bool) -> dict:
-    if memoize:
-        cached = getattr(node, "_part_of_cache", None)
-        if cached is None:
-            cached = node._part_of_cache = node.part_of_vertex()
-        return cached
-    return node.part_of_vertex()
-
-
-def _dispersed_dummies(
-    node: HierarchyNode,
-    shuffler: Shuffler,
-    parts: list[list],
-    part_sizes: list[int],
-    dummies_per_vertex: int,
-    flatten_quality: int,
-    memoize: bool,
-) -> tuple[DispersionState, DispersionStats]:
-    """The fully dispersed dummy configuration for ``dummies_per_vertex``.
-
-    Dummy dispersion is a pure function of the node's partition, its shuffler,
-    and ``dummies_per_vertex`` — the same replay happens on every query — so
-    the fast path computes it once per node and reuses the final state
-    (consumed read-only by the pairing step) and its statistics.  The caller
-    charges the recorded rounds to its own ledger, preserving the reference
-    accounting exactly.
-    """
-    cache = None
-    if memoize:
-        cache = getattr(node, "_dummy_dispersion_cache", None)
-        if cache is None:
-            cache = node._dummy_dispersion_cache = {}
-        entry = cache.get(dummies_per_vertex)
-        if entry is not None:
-            return entry
-    dummy_state = DispersionState(len(parts))
-    for part_index, vertices in enumerate(parts):
-        for vertex in vertices:
-            for _ in range(dummies_per_vertex):
-                dummy_state.add(part_index, part_index, vertex)
-    stats = disperse(
-        dummy_state,
-        shuffler,
-        part_sizes,
-        dummies_per_vertex,
-        flatten_quality,
-        ledger=None,
-    )
-    if cache is not None:
-        cache[dummies_per_vertex] = (dummy_state, stats)
-    return dummy_state, stats
-
-
 def solve_task3(
     node: HierarchyNode,
     tokens: Sequence[Token],
@@ -126,6 +72,9 @@ def solve_task3(
     dummies_per_vertex: int | None = None,
 ) -> Task3Result:
     """Deliver every token to a vertex of its marked part (Definition 4.3).
+
+    This is the object-level specification the reference kernel routes
+    through; :func:`solve_task3_many` is its array twin.
 
     Args:
         node: the internal good node whose shuffler is used.
@@ -142,11 +91,10 @@ def solve_task3(
     if node.shuffler is None:
         raise RuntimeError("node has no shuffler; run preprocessing before routing queries")
     shuffler: Shuffler = node.shuffler
-    memoize = use_numpy()
-    parts = _part_vertices(node, memoize)
+    parts = [sorted(part.vertices) for part in node.parts]
     part_sizes = [len(vertices) for vertices in parts]
     t = len(parts)
-    part_of = _part_of_vertex(node, memoize)
+    part_of = node.part_of_vertex()
     flatten_quality = node.flatten_quality()
     if dummies_per_vertex is None:
         dummies_per_vertex = 2 * max(1, load)
@@ -175,173 +123,215 @@ def solve_task3(
         result.real_stats = disperse(
             real_state, shuffler, part_sizes, load, flatten_quality, ledger, phase="real-disperse"
         )
-        _finish_task3(
-            node,
+
+        # -- 2. disperse the dummy tokens ----------------------------------
+        dummy_state = DispersionState(t)
+        for part_index, vertices in enumerate(parts):
+            for vertex in vertices:
+                for _ in range(dummies_per_vertex):
+                    dummy_state.add(part_index, part_index, vertex)
+        result.dummy_stats = disperse(
+            dummy_state,
             shuffler,
-            parts,
             part_sizes,
-            t,
-            load,
-            ledger,
             dummies_per_vertex,
             flatten_quality,
-            real_state,
-            result,
-            memoize,
-            shuffler.quality,
+            ledger,
+            phase="dummy-disperse",
         )
+
+        # -- 3. pair real and dummy tokens inside every part ---------------
+        per_vertex_load: dict[Hashable, int] = {}
+        merge_rounds = 0
+        for part_index in range(t):
+            marks_here = set(real_state.queues[part_index].keys())
+            part_load = real_state.part_load(part_index) + dummy_state.part_load(part_index)
+            merge_rounds = max(
+                merge_rounds,
+                sort_round_cost(
+                    part_sizes[part_index],
+                    max(1, math.ceil(part_load / max(1, part_sizes[part_index]))),
+                    flatten_quality,
+                ),
+            )
+            for mark in sorted(marks_here, key=repr):
+                reals = real_state.items(part_index, mark)
+                dummies = dummy_state.items(part_index, mark)
+                for position, token in enumerate(reals):
+                    if position < len(dummies):
+                        destination_vertex = dummies[position]
+                    else:
+                        # Rounding left this cell short of dummies; place the
+                        # token round-robin over the marked part directly.
+                        target_part = parts[mark]
+                        destination_vertex = target_part[
+                            result.fallback_assignments % len(target_part)
+                        ]
+                        result.fallback_assignments += 1
+                    result.assignments[token.token_id] = destination_vertex
+                    per_vertex_load[destination_vertex] = (
+                        per_vertex_load.get(destination_vertex, 0) + 1
+                    )
+        # Walking each paired token back along the dummy's dispersion route
+        # costs one more pass over the shuffler paths.
+        walk_back = send_round_cost(max(1, 2 * load), shuffler.quality * max(1, flatten_quality))
+        merge_rounds += walk_back
+        ledger.charge("merge", merge_rounds)
+    result.rounds = result.real_stats.rounds + result.dummy_stats.rounds + merge_rounds
+    result.max_vertex_load = max(per_vertex_load.values(), default=0)
     return result
 
 
-def _finish_task3(
-    node: HierarchyNode,
-    shuffler: Shuffler,
-    parts: list[list],
-    part_sizes: list[int],
-    t: int,
-    load: int,
-    ledger: CostLedger,
-    dummies_per_vertex: int,
-    flatten_quality: int,
-    real_state: DispersionState,
-    result: Task3Result,
-    memoize: bool,
-    shuffler_quality: int,
-) -> None:
-    """Steps 2-3 of Task 3 (dummy dispersion + pairing), after the reals moved.
+@dataclass
+class Task3Batch:
+    """Outcome of one :func:`solve_task3_many` call over ``B`` queries' rows.
 
-    Shared between :func:`solve_task3` and :func:`solve_task3_many`; the
-    caller holds the ``"task3"`` ledger phase open and has already set (and
-    charged) ``result.real_stats``.  ``memoize`` (the numpy kernel is
-    active) and ``shuffler_quality`` are read once per node by the caller.
+    Attributes:
+        vertex: ``(R,)`` vertex number of every row after Task 3.
+        assigned: whether Task 3 placed the rows (false on a node without
+            parts, where nothing moves).
+        charges: ``(phase, (B,) rounds)`` to charge each query's ledger.
+        fallback_assignments: ``(B,)`` rows placed by the round-robin fallback.
+        max_part_load: ``(B,)`` largest part load of either dispersion.
+        within_window: ``(B,)`` Definition 6.1 cells inside the window, reals
+            and dummies together.
+        total_cells: ``(B,)`` cells checked, reals and dummies together.
     """
-    # -- 2. disperse the dummy tokens -----------------------------------
-    dummy_state, result.dummy_stats = _dispersed_dummies(
-        node, shuffler, parts, part_sizes, dummies_per_vertex, flatten_quality, memoize
-    )
-    if len(shuffler) > 0:
-        # disperse() would have charged this phase itself had it been
-        # handed the ledger; charging here keeps the replay cacheable.
-        ledger.charge("dummy-disperse", result.dummy_stats.rounds)
 
-    # -- 3. pair real and dummy tokens inside every part ----------------
-    per_vertex_load: dict[Hashable, int] = {}
-    merge_rounds = 0
-    for part_index in range(t):
-        marks_here = set(real_state.queues[part_index].keys())
-        part_load = real_state.part_load(part_index) + dummy_state.part_load(part_index)
-        merge_rounds = max(
-            merge_rounds,
-            sort_round_cost(
-                part_sizes[part_index],
-                max(1, math.ceil(part_load / max(1, part_sizes[part_index]))),
-                flatten_quality,
-            ),
-        )
-        for mark in sorted(marks_here, key=repr):
-            reals = real_state.items(part_index, mark)
-            dummies = dummy_state.items(part_index, mark)
-            for position, token in enumerate(reals):
-                if position < len(dummies):
-                    destination_vertex = dummies[position]
-                else:
-                    # Rounding left this cell short of dummies; place the
-                    # token round-robin over the marked part directly.
-                    target_part = parts[mark]
-                    destination_vertex = target_part[
-                        result.fallback_assignments % len(target_part)
-                    ]
-                    result.fallback_assignments += 1
-                result.assignments[token.token_id] = destination_vertex
-                per_vertex_load[destination_vertex] = (
-                    per_vertex_load.get(destination_vertex, 0) + 1
-                )
-    # Walking each paired token back along the dummy's dispersion route
-    # costs one more pass over the shuffler paths.
-    walk_back = send_round_cost(max(1, 2 * load), shuffler_quality * max(1, flatten_quality))
-    merge_rounds += walk_back
-    ledger.charge("merge", merge_rounds)
-    result.rounds = result.real_stats.rounds + result.dummy_stats.rounds + merge_rounds
-    result.max_vertex_load = max(per_vertex_load.values(), default=0)
+    vertex: np.ndarray
+    assigned: bool
+    charges: list[tuple[str, np.ndarray]]
+    fallback_assignments: np.ndarray
+    max_part_load: np.ndarray
+    within_window: np.ndarray
+    total_cells: np.ndarray
+
+    @property
+    def rounds(self) -> np.ndarray:
+        """``(B,)`` CONGEST rounds of each query's Task 3 instance."""
+        return sum((amounts for _, amounts in self.charges), np.zeros_like(self.total_cells))
 
 
 def solve_task3_many(
     node: HierarchyNode,
-    token_groups: Sequence[Sequence[Token]],
-    loads: Sequence[int],
-    ledgers: Sequence[CostLedger],
+    table: NodeTable,
+    query: np.ndarray,
+    vertex: np.ndarray,
+    mark: np.ndarray,
+    loads: np.ndarray,
+    token_ids: np.ndarray,
     dummies_per_vertex: int | None = None,
-) -> list[Task3Result]:
-    """Solve one Task 3 instance per token group through a single dispersion.
+) -> Task3Batch:
+    """Solve one Task 3 instance per query, every query's rows at once.
 
-    The fused twin of calling :func:`solve_task3` once per group: the real
-    tokens of all groups disperse through one batched shuffler replay
-    (:func:`~repro.core.dispersion.disperse_many`), the cached dummy
-    configuration is shared as before, and the pairing, charges, and results
-    per group are identical to the solo runs — each group's rounds land on
-    its own ledger.
+    The array twin of :func:`solve_task3`.  Rows are tokens, ordered by query
+    and, within a query, by token id; the arrays give each row's query
+    (``0 .. B - 1``), vertex number, part mark and id, and ``loads`` each
+    query's load ``L``.  All reals disperse as row cells ``(query, part,
+    mark)`` through one :func:`~repro.kernels.batched.disperse_many_numpy`
+    call.  Each real then takes the vertex of the dummy with its rank in the
+    same (part, mark) cell of the node's cached dummy configuration; reals
+    past the dummies fall back, per query, round-robin over the marked part
+    in the reference order (parts ascending, marks in ``repr`` order, queue
+    position).  Placements, charges, and statistics per query equal
+    :func:`solve_task3` on that query's tokens alone.
     """
     if node.shuffler is None:
         raise RuntimeError("node has no shuffler; run preprocessing before routing queries")
     shuffler: Shuffler = node.shuffler
-    memoize = use_numpy()
-    parts = _part_vertices(node, memoize)
-    part_sizes = [len(vertices) for vertices in parts]
-    t = len(parts)
-    part_of = _part_of_vertex(node, memoize)
-    flatten_quality = node.flatten_quality()
-
-    results = [Task3Result() for _ in token_groups]
-    if t == 0:
-        return results
-    if t == 1:
-        # Single part: every token already sits in its marked part.
-        for result, tokens in zip(results, token_groups):
-            for token in tokens:
-                result.assignments[token.token_id] = token.current_vertex
-        return results
-
-    real_states: list[DispersionState] = []
-    for tokens in token_groups:
-        real_state = DispersionState(t)
-        for token in tokens:
-            origin_part = part_of.get(token.current_vertex)
-            if origin_part is None:
-                raise ValueError(
-                    f"token {token.token_id} is not located on a vertex of this node"
-                )
-            if token.part_mark is None:
-                raise ValueError(f"token {token.token_id} has no part mark")
-            real_state.add(origin_part, token.part_mark, token)
-        real_states.append(real_state)
-    real_stats_list = disperse_many(
-        real_states, shuffler, part_sizes, list(loads), flatten_quality
-    )
-    shuffler_quality = shuffler.quality
-
-    for index, result in enumerate(results):
-        ledger = ledgers[index]
-        load = loads[index]
-        per_query_dummies = (
-            dummies_per_vertex if dummies_per_vertex is not None else 2 * max(1, load)
+    batch = len(loads)
+    zeros = np.zeros(batch, dtype=np.int64)
+    t = table.t
+    if t <= 1:
+        # No parts: nothing moves.  One part: every token already sits in
+        # its marked part.
+        return Task3Batch(vertex, t == 1, [], zeros, zeros, zeros, zeros)
+    origin = table.part_of[vertex]
+    outside = origin < 0
+    if outside.any():
+        raise ValueError(
+            f"token {int(token_ids[np.argmax(outside)])} is not located on a vertex of this node"
         )
-        with ledger.phase("task3"):
-            result.real_stats = real_stats_list[index]
-            if len(shuffler) > 0:
-                ledger.charge("real-disperse", result.real_stats.rounds)
-            _finish_task3(
-                node,
-                shuffler,
-                parts,
-                part_sizes,
-                t,
-                load,
-                ledger,
-                per_query_dummies,
-                flatten_quality,
-                real_states[index],
-                result,
-                memoize,
-                shuffler_quality,
-            )
-    return results
+
+    # -- 1. disperse the real tokens: cells (query, part, mark), token order -
+    cell = (query * t + origin) * t + mark
+    order = np.argsort(cell, kind="stable")
+    row_cell = cell[order]
+    charges: list[tuple[str, np.ndarray]] = []
+    real_peak = real_within = real_cells = zeros
+    if len(shuffler) > 0:
+        dispersal = disperse_many_numpy(
+            row_cell, (batch, t, t), shuffler, table.part_size.tolist(), table.flatten_quality
+        )
+        order = order[dispersal.order]
+        row_cell = dispersal.row_cell
+        counts = dispersal.counts
+        own = counts.sum(axis=1) > 0
+        real_peak = np.array(dispersal.peaks, dtype=np.int64)
+        real_within = (dispersal.inside * own).sum(axis=1)
+        real_cells = t * own.sum(axis=1)
+        charges.append(("task3/real-disperse", np.array(dispersal.rounds, dtype=np.int64)))
+    else:
+        counts = np.bincount(row_cell, minlength=batch * t * t).reshape(batch, t, t)
+
+    # -- 2. the dispersed dummies: the node's cached configurations ---------
+    if dummies_per_vertex is None:
+        per_vertex_dummies = 2 * np.maximum(1, loads)
+    else:
+        per_vertex_dummies = np.full(batch, dummies_per_vertex, dtype=np.int64)
+    used, config = np.unique(per_vertex_dummies, return_inverse=True)
+    configs = [dummy_cells(node, table, dummies) for dummies in used.tolist()]
+    offsets = np.cumsum([0] + [len(cells.vertex) for cells in configs[:-1]])
+    dummy_vertex = np.concatenate([cells.vertex for cells in configs])
+    dummy_start = np.stack([cells.start + offset for cells, offset in zip(configs, offsets)])
+    dummy_count = np.stack([cells.count for cells in configs])
+    dummy_stats = np.array(
+        [(c.rounds, c.peak, c.within_window, c.total_cells) for c in configs], dtype=np.int64
+    )[config]
+    if len(shuffler) > 0:
+        charges.append(("task3/dummy-disperse", dummy_stats[:, 0]))
+
+    # -- 3. pair every real with the same-rank dummy of its (part, mark) cell
+    flat_counts = counts.ravel()
+    rank = np.arange(len(row_cell)) - (np.cumsum(flat_counts) - flat_counts)[row_cell]
+    row_query = row_cell // (t * t)
+    dummy_cell = row_cell % (t * t)
+    row_config = config[row_query]
+    paired = rank < dummy_count[row_config, dummy_cell]
+    placed = np.empty(len(row_cell), dtype=np.int64)
+    placed[paired] = dummy_vertex[(dummy_start[row_config, dummy_cell] + rank)[paired]]
+    # Rounding left some cells short of dummies: place those reals round-robin
+    # over their marked part, in the reference order per query (parts
+    # ascending, marks in repr order, queue position).
+    fallbacks = zeros
+    if not paired.all():
+        short = np.flatnonzero(~paired)
+        parts, marks = dummy_cell[short] // t, dummy_cell[short] % t
+        short = short[
+            np.lexsort((rank[short], table.mark_repr_rank[marks], parts, row_query[short]))
+        ]
+        queries, marks = row_query[short], dummy_cell[short] % t
+        fallbacks = np.bincount(queries, minlength=batch)
+        turn = np.arange(len(short)) - (np.cumsum(fallbacks) - fallbacks)[queries]
+        placed[short] = table.part_flat[table.part_start[marks] + turn % table.part_size[marks]]
+
+    # Merge cost: one expander sort per part at its combined load (parts run
+    # in parallel), then the walk back along the dummies' dispersion routes.
+    quality = max(1, table.flatten_quality)
+    part_load = counts.sum(axis=2) + np.stack([cells.part_load for cells in configs])[config]
+    per_vertex = np.maximum(1, -(-part_load // np.maximum(1, table.part_size)))
+    sorts = np.maximum(1, 2 * per_vertex * table.part_depth) * quality * quality
+    walk_back = np.maximum(1, 2 * loads) * max(1, table.walk_quality) ** 2
+    charges.append(("task3/merge", sorts.max(axis=1) + walk_back))
+
+    assigned = np.empty_like(placed)
+    assigned[order] = placed
+    return Task3Batch(
+        vertex=assigned,
+        assigned=True,
+        charges=charges,
+        fallback_assignments=fallbacks,
+        max_part_load=np.maximum(real_peak, dummy_stats[:, 1]),
+        within_window=real_within + dummy_stats[:, 2],
+        total_cells=real_cells + dummy_stats[:, 3],
+    )

@@ -17,19 +17,34 @@ destination markers into part marks, solves Task 3 through the node's shuffler
 (dispersion + meet-in-the-middle merge), walks tokens off the bad vertices via
 the precomputed part matchings, and recurses into the children; leaf
 components are finished with the precomputed sorting network (Lemma 6.5).
+
+Queries run on one of two paths with identical outcomes, chosen once per
+:meth:`ExpanderRouter.route`/:meth:`~ExpanderRouter.route_many` call:
+
+* the numpy kernel's *array engine* carries every query's tokens as rows of
+  flat int arrays (query, token id, vertex number, destination marker, part
+  mark) through the whole recursion, looks them up against per-node route
+  tables (:mod:`repro.core.tables`), solves Task 3 for all queries at a node
+  in one :func:`~repro.core.merge.solve_task3_many` call, and builds the
+  :class:`~repro.core.tokens.Token` objects once at the end;
+* the reference kernel walks :class:`~repro.core.tokens.Token` objects
+  through :meth:`ExpanderRouter._solve_task2`, the executable specification
+  the tests compare the engine against.
 """
 
 from __future__ import annotations
 
-from contextlib import ExitStack
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import ClassVar, Hashable, Sequence
 
 import networkx as nx
+import numpy as np
 
 from repro.core.cost import CostLedger, send_round_cost, sort_round_cost
 from repro.core.leaf import route_in_leaf
-from repro.core.merge import solve_task3, solve_task3_many
+from repro.core.merge import Task3Batch, solve_task3, solve_task3_many
+from repro.core.tables import VertexIndex, node_table, vertex_index
 from repro.core.tasks import Task1Instance
 from repro.core.tokens import RoutingRequest, Token, tokens_from_requests
 from repro.cutmatching.game import CutMatchingGame
@@ -38,6 +53,7 @@ from repro.graphs.validation import max_degree, require_connected
 from repro.hierarchy.best import BestVertexIndex, build_best_index, locate_best_rank
 from repro.hierarchy.builder import HierarchyParameters, build_hierarchy
 from repro.hierarchy.node import HierarchicalDecomposition, HierarchyNode
+from repro.kernels import use_numpy
 
 __all__ = ["PreprocessArtifact", "PreprocessSummary", "RoutingOutcome", "ExpanderRouter"]
 
@@ -360,6 +376,275 @@ class ExpanderRouter:
         """
         if not self.preprocessed:
             self.preprocess()
+        if not use_numpy():
+            return self._route_tokens(requests, load)
+        return self._route_arrays([requests], [load])[0]
+
+    def route_many(
+        self,
+        request_groups: Sequence[Sequence[RoutingRequest]],
+        loads: Sequence[int | None] | None = None,
+    ) -> list[RoutingOutcome]:
+        """Answer several routing queries through one fused recursion.
+
+        The fused twin of calling :meth:`route` once per group: all queries
+        walk the hierarchy together as rows of the same arrays, so at every
+        node one :func:`~repro.core.merge.solve_task3_many` call serves them
+        all.  Every outcome — deliveries, tokens with their traces, per-phase
+        round breakdowns, diagnostics — is identical to the sequential
+        result; only the wall-clock cost is amortized.  Under the reference
+        kernel this loops over the object recursion.
+        """
+        if loads is None:
+            loads = [None] * len(request_groups)
+        if len(loads) != len(request_groups):
+            raise ValueError("loads must match request_groups in length")
+        if not self.preprocessed:
+            self.preprocess()
+        if not use_numpy():
+            return [
+                self._route_tokens(requests, load)
+                for requests, load in zip(request_groups, loads)
+            ]
+        return self._route_arrays(request_groups, loads)
+
+    # -- the array engine -----------------------------------------------------
+
+    def _route_arrays(
+        self,
+        request_groups: Sequence[Sequence[RoutingRequest]],
+        loads: Sequence[int | None],
+    ) -> list[RoutingOutcome]:
+        """Route every group as rows of flat arrays; build tokens once at the end.
+
+        A row is one token: its query, token id, current vertex number,
+        destination marker and part mark live in int arrays that the Task 2
+        recursion (:meth:`_task2_arrays`) rewrites level by level, and each
+        phase a row passes through is logged once per node as a ``(phase,
+        rows)`` event.  Per query, ids, moves, traces, charges and
+        diagnostics are those of the object recursion (:meth:`_solve_task2`).
+        """
+        assert self.decomposition is not None and self.best_index is not None
+        index = vertex_index(self.decomposition, self.best_index)
+        batch = _Batch(index, request_groups)
+
+        # Task 1 preconditions and load inference, query by query.
+        resolved: list[int] = []
+        for query, load in enumerate(loads):
+            load, problems = batch.validate(query, load)
+            if problems:
+                # A sequential loop reaches earlier queries first; route them
+                # so that their errors, if any, win.
+                if query:
+                    self._route_arrays(request_groups[:query], loads[:query])
+                raise ValueError("invalid Task 1 instance: " + "; ".join(problems))
+            resolved.append(load)
+
+        rows = _Rows(index, batch)
+        root = self.decomposition.root
+        breakdowns: list[dict[str, int]] = []
+        for load in resolved:
+            # Task 1 -> Task 1': destination IDs to ranks (one expander sort
+            # over the root, Lemma D.1); the rows already carry the markers of
+            # their delegated best vertices (Task 1' -> Task 2).
+            cost = sort_round_cost(root.size, load, root.flatten_quality())
+            breakdowns.append({"query/id-translation": cost})
+        charges: list[_Charge] = []
+        if batch.requests:
+            charges = self._task2_arrays(
+                root, np.arange(len(batch.requests)), np.array(resolved, dtype=np.int64), rows
+            )
+        # Final leg (Appendix D): walk the tokens off the delegated best
+        # vertices along the reversed all-to-best routes.
+        reversal = np.flatnonzero(rows.vertex != batch.dst)
+        if reversal.size:
+            query = rows.query[reversal]
+            queries = np.unique(query)
+            most = _most_per_group(query, rows.vertex[reversal], len(loads))[queries]
+            costs = [send_round_cost(count, index.reversal_quality) for count in most.tolist()]
+            charges.append(("delegation-reversal", queries, np.array(costs, dtype=np.int64)))
+            rows.vertex[reversal] = batch.dst[reversal]
+            rows.events.append(("delegation-reversal", reversal))
+        for phase, queries, amounts in charges:
+            label = "query/" + phase
+            for query, amount in zip(queries.tolist(), amounts.tolist()):
+                breakdown = breakdowns[query]
+                breakdown[label] = breakdown.get(label, 0) + amount
+        return self._outcomes(batch, rows, reversal, resolved, breakdowns)
+
+    def _outcomes(
+        self,
+        batch: "_Batch",
+        rows: "_Rows",
+        reversal: np.ndarray,
+        loads: list[int],
+        breakdowns: list[dict[str, int]],
+    ) -> list[RoutingOutcome]:
+        """Materialize every query's :class:`Token` objects and outcome."""
+        requests = batch.requests
+        traces: list[list[str]] = [[] for _ in requests]
+        for phase, moved in rows.events:
+            for row in moved.tolist():
+                traces[row].append(phase)
+        vertices = rows.index.vertices
+        finals = [vertices[vertex] for vertex in rows.vertex.tolist()]
+        for row in reversal.tolist():
+            finals[row] = requests[row].destination
+        markers = rows.marker.tolist()
+        marks = [None if mark < 0 else mark for mark in rows.mark.tolist()]
+        delivered = np.bincount(
+            batch.group[rows.vertex == batch.dst], minlength=len(loads)
+        ).tolist()
+        preprocessing_rounds = self.preprocess_ledger.total("preprocess")
+        outcomes = []
+        for query, (start, stop) in enumerate(batch.spans):
+            tokens = [
+                Token(
+                    row - start,
+                    request.source,
+                    request.destination,
+                    request.payload,
+                    finals[row],
+                    markers[row],
+                    marks[row],
+                    False,
+                    traces[row],
+                )
+                for row, request in enumerate(requests[start:stop], start=start)
+            ]
+            cells = int(rows.window_cells[query])
+            breakdown = breakdowns[query]
+            outcomes.append(
+                RoutingOutcome(
+                    delivered=delivered[query],
+                    total_tokens=len(tokens),
+                    query_rounds=sum(breakdown.values()),
+                    preprocessing_rounds=preprocessing_rounds,
+                    load=loads[query],
+                    max_intermediate_part_load=int(rows.max_part_load[query]),
+                    dispersion_window_fraction=(
+                        int(rows.window_hits[query]) / cells if cells else 1.0
+                    ),
+                    fallback_assignments=int(rows.fallbacks[query]),
+                    breakdown=dict(sorted(breakdown.items())),
+                    tokens=tokens,
+                )
+            )
+        return outcomes
+
+    def _task2_arrays(
+        self,
+        node: HierarchyNode,
+        active: np.ndarray,
+        loads: np.ndarray,
+        rows: "_Rows",
+    ) -> list["_Charge"]:
+        """Task 2 (Definition 4.2) on ``node`` for the ``active`` rows.
+
+        ``active`` is ascending (query, then token order); ``loads`` holds
+        every query's load at this level.  Returns the charges of the node's
+        subtree, one ``(phase, queries, rounds)`` entry per phase.
+        """
+        table = node_table(node, rows.index)
+        query = rows.query[active]
+        queries = np.unique(query)
+        markers = rows.marker[active]
+        if node.is_leaf:
+            # Lemma 6.5: the marker-th best vertex of the leaf.
+            best = table.leaf_best
+            stray = (markers < 0) | (markers >= len(best))
+            if stray.any():
+                row = active[np.argmax(stray)]
+                raise ValueError(
+                    f"token {int(rows.token_id[row])} carries marker {int(rows.marker[row])!r},"
+                    f" outside the leaf's best range [0, {len(best)})"
+                )
+            rows.vertex[active] = best[markers]
+            rows.events.append(("leaf", active))
+            level_loads = loads[queries].tolist()
+            costs = {
+                load: 3 * sort_round_cost(len(best), 2 * max(1, load), table.leaf_quality)
+                for load in set(level_loads)
+            }
+            return [("leaf", queries, np.array([costs[load] for load in level_loads]))]
+
+        # Rewrite destination markers into (part mark, next-level marker).
+        part = np.searchsorted(table.best_ends, markers, side="right")
+        stray = part >= len(table.best_ends)
+        if stray.any():
+            total = int(table.best_ends[-1]) if len(table.best_ends) else 0
+            raise IndexError(
+                f"marker {int(markers[np.argmax(stray)])} out of range for node"
+                f" with {total} best vertices"
+            )
+        remainder = markers - table.best_starts[part]
+        rows.mark[active] = part
+
+        # Task 3: deliver every token to a vertex of its marked part.
+        task3 = solve_task3_many(
+            node,
+            table,
+            np.searchsorted(queries, query),
+            rows.vertex[active],
+            part,
+            loads[queries],
+            rows.token_id[active],
+        )
+        charges: list[_Charge] = [(phase, queries, amounts) for phase, amounts in task3.charges]
+        if task3.assigned:
+            rows.vertex[active] = task3.vertex
+            rows.events.append((f"task3-L{node.level}", active))
+        rows.absorb_task3(queries, task3)
+
+        # Property 3.1(3): walk tokens off the bad vertices into the good child.
+        if table.has_bad:
+            moved = table.bad_part[rows.vertex[active]] == part
+            if moved.any():
+                movers = active[moved]
+                rows.vertex[movers] = table.mate[rows.vertex[movers]]
+                rows.events.append((f"bad-to-good-L{node.level}", movers))
+                moved_queries = np.unique(rows.query[movers])
+                charges.append(
+                    (
+                        f"bad-to-good-L{node.level}",
+                        moved_queries,
+                        np.maximum(1, 2 * loads[moved_queries]) * table.matching_quality**2,
+                    )
+                )
+
+        # Recurse into every part's good child with the rewritten markers.
+        # Children run on disjoint subgraphs, so per query the level costs its
+        # slowest child (Theorem 6.8's single T2(6|X|/k, 4L) term).
+        by_part = np.argsort(part, kind="stable")
+        bounds = np.searchsorted(part[by_part], np.arange(len(node.parts) + 1))
+        slowest = np.zeros(len(loads), dtype=np.int64)
+        recursed = np.zeros(len(loads), dtype=bool)
+        for position, node_part in enumerate(node.parts):
+            chosen = by_part[bounds[position] : bounds[position + 1]]
+            if node_part.child is None or not chosen.size:
+                continue
+            child_rows = active[chosen]
+            rows.marker[child_rows] = remainder[chosen]
+            total = np.zeros(len(loads), dtype=np.int64)
+            for _, child_queries, amounts in self._task2_arrays(
+                node_part.child, child_rows, 4 * loads, rows
+            ):
+                total[child_queries] += amounts
+                recursed[child_queries] = True
+            np.maximum(slowest, total, out=slowest)
+        if recursed.any():
+            called = np.flatnonzero(recursed)
+            charges.append((f"children-L{node.level + 1}", called, slowest[called]))
+        return charges
+
+    # -- the object recursion (reference kernel) ----------------------------------
+
+    def _route_tokens(
+        self,
+        requests: Sequence[RoutingRequest],
+        load: int | None = None,
+    ) -> RoutingOutcome:
+        """:meth:`route` over :class:`Token` objects, the reference kernel's path."""
         assert self.decomposition is not None and self.best_index is not None
 
         tokens = tokens_from_requests(requests)
@@ -429,249 +714,6 @@ class ExpanderRouter:
             breakdown=ledger.breakdown(),
             tokens=tokens,
         )
-
-    def route_many(
-        self,
-        request_groups: Sequence[Sequence[RoutingRequest]],
-        loads: Sequence[int | None] | None = None,
-    ) -> list[RoutingOutcome]:
-        """Answer several routing queries through one fused recursion.
-
-        The fused twin of calling :meth:`route` once per group: all queries
-        walk the hierarchy together, and at every internal node their Task 3
-        dispersions run as one batched kernel call
-        (:func:`~repro.core.merge.solve_task3_many`) instead of a per-query
-        Python loop.  Every outcome — deliveries, traces, per-phase round
-        breakdowns, diagnostics — is identical to the sequential result;
-        only the wall-clock cost is amortized.  Under the reference kernel
-        (or for a single group) this simply loops over :meth:`route`.
-        """
-        from repro.kernels import use_numpy
-
-        if loads is None:
-            loads = [None] * len(request_groups)
-        if len(loads) != len(request_groups):
-            raise ValueError("loads must match request_groups in length")
-        if not use_numpy() or len(request_groups) <= 1:
-            return [
-                self.route(requests, load)
-                for requests, load in zip(request_groups, loads)
-            ]
-        if not self.preprocessed:
-            self.preprocess()
-        assert self.decomposition is not None and self.best_index is not None
-
-        # Per-query setup, exactly as in route().
-        vertices = sorted(self.graph.nodes())
-        token_groups: list[list[Token]] = []
-        resolved_loads: list[int] = []
-        for requests, load in zip(request_groups, loads):
-            tokens = tokens_from_requests(requests)
-            if load is None:
-                source_counts: dict[Hashable, int] = {}
-                destination_counts: dict[Hashable, int] = {}
-                for token in tokens:
-                    source_counts[token.source] = source_counts.get(token.source, 0) + 1
-                    destination_counts[token.destination] = (
-                        destination_counts.get(token.destination, 0) + 1
-                    )
-                load = max(
-                    max(source_counts.values(), default=1),
-                    max(destination_counts.values(), default=1),
-                )
-            instance = Task1Instance(vertices=vertices, tokens=tokens, load=load)
-            problems = instance.validate()
-            if problems:
-                raise ValueError("invalid Task 1 instance: " + "; ".join(problems))
-            token_groups.append(tokens)
-            resolved_loads.append(load)
-
-        ledgers = [CostLedger() for _ in token_groups]
-        stats_list = [_QueryStats() for _ in token_groups]
-        root = self.decomposition.root
-        best_index = self.best_index
-        id_translation_by_load: dict[int, int] = {}
-        with ExitStack() as stack:
-            for ledger in ledgers:
-                stack.enter_context(ledger.phase("query"))
-            for index, tokens in enumerate(token_groups):
-                load = resolved_loads[index]
-                if load not in id_translation_by_load:
-                    id_translation_by_load[load] = sort_round_cost(
-                        root.size, load, root.flatten_quality()
-                    )
-                ledgers[index].charge("id-translation", id_translation_by_load[load])
-                for token in tokens:
-                    delegate = best_index.delegate_of[token.destination]
-                    token.destination_marker = best_index.rank_of[delegate]
-            self._solve_task2_many(
-                root,
-                [
-                    (index, tokens)
-                    for index, tokens in enumerate(token_groups)
-                    if tokens
-                ],
-                resolved_loads,
-                ledgers,
-                stats_list,
-            )
-            reversal_quality = max(
-                (leaf.flatten_quality() for leaf in self.decomposition.leaves()), default=1
-            )
-            for index, tokens in enumerate(token_groups):
-                needs_reversal = [
-                    token for token in tokens if token.current_vertex != token.destination
-                ]
-                if needs_reversal:
-                    per_best: dict[Hashable, int] = {}
-                    for token in needs_reversal:
-                        per_best[token.current_vertex] = (
-                            per_best.get(token.current_vertex, 0) + 1
-                        )
-                    max_per_best = max(per_best.values(), default=1)
-                    ledgers[index].charge(
-                        "delegation-reversal",
-                        send_round_cost(max_per_best, reversal_quality),
-                    )
-                    for token in needs_reversal:
-                        token.move_to(token.destination, phase="delegation-reversal")
-
-        preprocessing_rounds = self.preprocess_ledger.total("preprocess")
-        return [
-            RoutingOutcome(
-                delivered=sum(1 for token in tokens if token.delivered),
-                total_tokens=len(tokens),
-                query_rounds=ledgers[index].total("query"),
-                preprocessing_rounds=preprocessing_rounds,
-                load=resolved_loads[index],
-                max_intermediate_part_load=stats_list[index].max_part_load,
-                dispersion_window_fraction=stats_list[index].window_fraction(),
-                fallback_assignments=stats_list[index].fallbacks,
-                breakdown=ledgers[index].breakdown(),
-                tokens=tokens,
-            )
-            for index, tokens in enumerate(token_groups)
-        ]
-
-    # -- the Task 2 recursion ---------------------------------------------------
-
-    def _solve_task2_many(
-        self,
-        node: HierarchyNode,
-        groups: list[tuple[int, list[Token]]],
-        loads: Sequence[int],
-        ledgers: Sequence[CostLedger],
-        stats_list: Sequence["_QueryStats"],
-    ) -> None:
-        """Fused :meth:`_solve_task2`: every query's tokens walk ``node`` together.
-
-        ``groups`` carries ``(query_index, tokens)`` pairs with non-empty
-        token lists; ``loads``/``ledgers``/``stats_list`` are indexed by the
-        query index.  Per query, the moves and charges are exactly those of
-        the solo recursion — queries never interact (tokens, ledgers, and
-        diagnostics are all per-query; the shared node-level caches are
-        deterministic pure functions of the node), the batching only stacks
-        the Task 3 dispersions into single kernel calls.
-        """
-        if not groups:
-            return
-        if node.is_leaf:
-            for index, tokens in groups:
-                result = route_in_leaf(node, tokens, loads[index], ledgers[index])
-                for token in tokens:
-                    token.move_to(result.placements[token.token_id], phase="leaf")
-            return
-
-        # Rewrite destination markers into (part mark, next-level marker).
-        next_marker: dict[int, dict[int, int]] = {}
-        for index, tokens in groups:
-            markers = next_marker[index] = {}
-            for token in tokens:
-                marker = token.destination_marker
-                if marker is None:
-                    raise ValueError(f"token {token.token_id} has no destination marker")
-                part_index, remainder = locate_best_rank(node, marker)
-                token.part_mark = part_index
-                markers[token.token_id] = remainder
-
-        # Task 3, batched: one dispersion kernel call for every query at once.
-        task3_results = solve_task3_many(
-            node,
-            [tokens for _, tokens in groups],
-            [loads[index] for index, _ in groups],
-            [ledgers[index] for index, _ in groups],
-        )
-        for (index, tokens), task3 in zip(groups, task3_results):
-            stats_list[index].absorb_task3(task3)
-            for token in tokens:
-                if token.token_id in task3.assignments:
-                    token.move_to(
-                        task3.assignments[token.token_id], phase=f"task3-L{node.level}"
-                    )
-
-        # Property 3.1(3): walk tokens off the bad vertices into the good child.
-        matching_quality = max(1, node.part_matching_embedding.quality) * max(
-            1, node.flatten_quality()
-        )
-        for index, tokens in groups:
-            moved_off_bad = 0
-            for part in node.parts:
-                if not part.bad_vertices:
-                    continue
-                for token in tokens:
-                    if (
-                        token.part_mark == part.index
-                        and token.current_vertex in part.bad_vertices
-                    ):
-                        mate = part.matching.get(token.current_vertex)
-                        if mate is None:
-                            mate = min(part.good_vertices)
-                        token.move_to(mate, phase=f"bad-to-good-L{node.level}")
-                        moved_off_bad += 1
-            if moved_off_bad:
-                ledgers[index].charge(
-                    f"bad-to-good-L{node.level}",
-                    send_round_cost(2 * loads[index], matching_quality),
-                )
-
-        # Recurse into every part's good child, all queries together.  The
-        # children run on disjoint subgraphs (per query, the level costs its
-        # slowest child), so per query we charge the max child-ledger total —
-        # identical to the solo recursion's accounting.
-        tokens_by_part: dict[int, dict[int, list[Token]]] = {}
-        for index, tokens in groups:
-            by_part = tokens_by_part[index] = {}
-            for token in tokens:
-                by_part.setdefault(token.part_mark, []).append(token)
-        child_costs: dict[int, list[int]] = {index: [] for index, _ in groups}
-        child_loads = list(loads)
-        for index, _ in groups:
-            child_loads[index] = 4 * loads[index]
-        for part in node.parts:
-            child = part.child
-            if child is None:
-                continue
-            child_groups: list[tuple[int, list[Token]]] = []
-            child_ledgers: dict[int, CostLedger] = {}
-            for index, _ in groups:
-                child_tokens = tokens_by_part[index].get(part.index, [])
-                if not child_tokens:
-                    continue
-                for token in child_tokens:
-                    token.destination_marker = next_marker[index][token.token_id]
-                child_groups.append((index, child_tokens))
-                child_ledgers[index] = CostLedger()
-            if not child_groups:
-                continue
-            ledger_vector = [
-                child_ledgers.get(index, ledgers[index]) for index in range(len(ledgers))
-            ]
-            self._solve_task2_many(child, child_groups, child_loads, ledger_vector, stats_list)
-            for index, _ in child_groups:
-                child_costs[index].append(child_ledgers[index].total())
-        for index, _ in groups:
-            if child_costs[index]:
-                ledgers[index].charge(f"children-L{node.level + 1}", max(child_costs[index]))
 
     def _solve_task2(
         self,
@@ -777,3 +819,112 @@ class _QueryStats:
         if self._window_cells == 0:
             return 1.0
         return self._window_hits / self._window_cells
+
+
+#: One charge of the array engine: ``(phase, queries, rounds per query)``.
+_Charge = tuple[str, np.ndarray, np.ndarray]
+
+
+class _Batch:
+    """A batch of request groups as rows in token order.
+
+    Rows are ordered by query, then as :func:`tokens_from_requests` orders a
+    query's requests: by ``(repr(source), repr(destination))``, ties in input
+    order.  Endpoints are vertex numbers, ``n`` for one outside the graph.
+    """
+
+    def __init__(
+        self, index: VertexIndex, request_groups: Sequence[Sequence[RoutingRequest]]
+    ) -> None:
+        n = len(index.vertices)
+        self.sizes = np.array([len(group) for group in request_groups], dtype=np.int64)
+        requests = [request for group in request_groups for request in group]
+        sources = [request.source for request in requests]
+        destinations = [request.destination for request in requests]
+        number = index.index_of.get
+        src = np.array([number(vertex, n) for vertex in sources], dtype=np.int64)
+        dst = np.array([number(vertex, n) for vertex in destinations], dtype=np.int64)
+        group = np.repeat(np.arange(len(request_groups)), self.sizes)
+        inside = not requests or max(src.max(), dst.max()) < n
+        types = {*map(type, sources), *map(type, destinations)}
+        if inside and types <= {index.plain_type}:
+            order = np.lexsort((index.repr_rank[dst], index.repr_rank[src], group))
+        else:
+            keys = [(repr(s), repr(d)) for s, d in zip(sources, destinations)]
+            groups = group.tolist()
+            order = np.array(
+                sorted(range(len(requests)), key=lambda row: (groups[row], keys[row])),
+                dtype=np.int64,
+            )
+        self.requests = [requests[row] for row in order.tolist()]
+        self.group = group
+        self.src, self.dst = src[order], dst[order]
+        starts = np.cumsum(self.sizes) - self.sizes
+        self.token_id = np.arange(len(requests)) - starts[group]
+        #: ``(start, stop)`` rows of each query.
+        self.spans = list(zip(starts.tolist(), (starts + self.sizes).tolist()))
+        self.vertex_count = n
+        if inside:
+            self.most_sourced = _most_per_group(group, self.src, len(self.sizes))
+            self.most_destined = _most_per_group(group, self.dst, len(self.sizes))
+        else:
+            # Distinct outside endpoints share the number n; count objects.
+            self.most_sourced, self.most_destined = [], []
+            for start, stop in self.spans:
+                chunk = self.requests[start:stop]
+                counts = Counter(request.source for request in chunk).values()
+                self.most_sourced.append(max(counts, default=0))
+                counts = Counter(request.destination for request in chunk).values()
+                self.most_destined.append(max(counts, default=0))
+
+    def validate(self, query: int, load: int | None) -> tuple[int, list[str]]:
+        """The query's load (inferred when ``None``) and violated Task 1 preconditions."""
+        most_sourced = int(self.most_sourced[query])
+        most_destined = int(self.most_destined[query])
+        if load is None:
+            load = max(most_sourced, most_destined, 1)
+        problems: list[str] = []
+        if self.sizes[query] and most_sourced > load:
+            problems.append(f"a vertex holds {most_sourced} tokens > load {load}")
+        if self.sizes[query] and most_destined > load:
+            problems.append(f"a vertex is the destination of {most_destined} tokens > load {load}")
+        start, stop = self.spans[query]
+        stray = np.flatnonzero(self.dst[start:stop] == self.vertex_count)
+        if stray.size:
+            problems.append(f"token {int(stray[0])} destined outside the graph")
+        return load, problems
+
+
+class _Rows:
+    """The array engine's per-row state plus per-query diagnostics."""
+
+    def __init__(self, index: VertexIndex, batch: _Batch) -> None:
+        queries = len(batch.sizes)
+        self.index = index
+        self.query = batch.group
+        self.token_id = batch.token_id
+        self.vertex = batch.src.copy()
+        self.marker = index.marker[batch.dst]
+        self.mark = np.full(len(batch.requests), -1, dtype=np.int64)
+        #: ``(phase, rows)`` in the order the rows passed through the phase.
+        self.events: list[tuple[str, np.ndarray]] = []
+        self.max_part_load = np.zeros(queries, dtype=np.int64)
+        self.fallbacks = np.zeros(queries, dtype=np.int64)
+        self.window_hits = np.zeros(queries, dtype=np.int64)
+        self.window_cells = np.zeros(queries, dtype=np.int64)
+
+    def absorb_task3(self, queries: np.ndarray, task3: Task3Batch) -> None:
+        self.max_part_load[queries] = np.maximum(self.max_part_load[queries], task3.max_part_load)
+        self.fallbacks[queries] += task3.fallback_assignments
+        self.window_hits[queries] += task3.within_window
+        self.window_cells[queries] += task3.total_cells
+
+
+def _most_per_group(group: np.ndarray, values: np.ndarray, groups: int) -> np.ndarray:
+    """``(groups,)`` largest multiplicity of one value within each group (0 if none)."""
+    most = np.zeros(groups, dtype=np.int64)
+    if len(values):
+        width = int(values.max()) + 1
+        codes, counts = np.unique(group * width + values, return_counts=True)
+        np.maximum.at(most, codes // width, counts)
+    return most

@@ -1,0 +1,223 @@
+"""Array route tables: the lookups the array-native query engine reads.
+
+A query batch travels through the hierarchy as flat int arrays indexed by
+vertex number (see :mod:`repro.core.router`).  Everything those arrays are
+looked up against is a pure function of the preprocessed artifact, so it is
+built once and attached to the artifact's objects (pickled and published
+with it, like the dispersion pair tables):
+
+* :class:`VertexIndex`, per decomposition: the vertex numbering (sorted
+  vertex order), each vertex's rank in ``repr`` order (the token order of
+  :func:`~repro.core.tokens.tokens_from_requests`) and its delegated best
+  rank (Appendix D);
+* :class:`NodeTable`, per hierarchy node: vertex -> part, the cumulative
+  best counts that rewrite markers (Section 4), the bad-vertex mates of
+  Property 3.1(3), the sorted part vertices, a leaf's best vertices, and the
+  node's dispersed dummy cells per dummies-per-vertex count (Section 6.3).
+
+Arrays indexed by vertex number have one extra trailing slot, ``n``, that
+stands for "not a vertex of the graph".
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+import numpy as np
+
+from repro.core.cost import sorting_network_depth
+from repro.hierarchy.best import best_counts_per_part
+from repro.kernels.batched import disperse_many_numpy
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.hierarchy.best import BestVertexIndex
+    from repro.hierarchy.node import HierarchicalDecomposition, HierarchyNode
+
+__all__ = [
+    "VertexIndex",
+    "NodeTable",
+    "DummyCells",
+    "vertex_index",
+    "node_table",
+    "dummy_cells",
+    "build_route_tables",
+]
+
+
+class VertexIndex:
+    """Vertex numbering of one decomposition plus per-vertex query lookups."""
+
+    def __init__(
+        self, decomposition: "HierarchicalDecomposition", best_index: "BestVertexIndex"
+    ) -> None:
+        vertices = sorted(decomposition.graph.nodes())
+        #: vertex number -> vertex (sorted order).
+        self.vertices = vertices
+        #: vertex -> vertex number.
+        self.index_of = {vertex: number for number, vertex in enumerate(vertices)}
+        reprs = [repr(vertex) for vertex in vertices]
+        rank_of_repr = {text: rank for rank, text in enumerate(sorted(set(reprs)))}
+        #: ``(n,)`` rank of each vertex's ``repr`` (equal reprs share a rank).
+        self.repr_rank = np.array([rank_of_repr[text] for text in reprs], dtype=np.int64)
+        #: ``(n,)`` destination vertex -> its delegate's best rank.
+        self.marker = np.array(
+            [best_index.rank_of[best_index.delegate_of[vertex]] for vertex in vertices],
+            dtype=np.int64,
+        )
+        types = {type(vertex) for vertex in vertices}
+        #: The one vertex type when it is ``int`` or ``str`` (equal values
+        #: then have equal reprs, so ranks order requests exactly), else None.
+        self.plain_type = types.pop() if len(types) == 1 and types <= {int, str} else None
+        #: quality of the reversed all-to-best routes (the worst leaf).
+        self.reversal_quality = max(
+            (leaf.flatten_quality() for leaf in decomposition.leaves()), default=1
+        )
+
+
+@dataclass
+class DummyCells:
+    """The dispersed dummy configuration of one node for one dummies count.
+
+    ``vertex[start[c] : start[c] + count[c]]`` are the origin vertices of the
+    dummies in cell ``c = part * t + mark``, in queue order.
+    """
+
+    vertex: np.ndarray
+    start: np.ndarray
+    count: np.ndarray
+    #: ``(t,)`` dummies per part.
+    part_load: np.ndarray
+    rounds: int
+    peak: int
+    within_window: int
+    total_cells: int
+
+
+class NodeTable:
+    """The arrays one hierarchy node's query step reads."""
+
+    def __init__(self, node: "HierarchyNode", index: VertexIndex) -> None:
+        n = len(index.vertices)
+        number = index.index_of
+        quality = max(1, node.flatten_quality())
+        self.flatten_quality = node.flatten_quality()
+        if node.is_leaf:
+            #: leaf: best rank -> vertex number.
+            self.leaf_best = np.array([number[v] for v in sorted(node.vertices)], dtype=np.int64)
+            self.leaf_quality = quality
+            return
+        parts = [sorted(part.vertices) for part in node.parts]
+        t = self.t = len(parts)
+        #: ``(n + 1,)`` vertex -> part index, -1 outside the node.
+        self.part_of = np.full(n + 1, -1, dtype=np.int64)
+        #: ``(n + 1,)`` vertex -> the part it is bad in, -1 if none.
+        self.bad_part = np.full(n + 1, -1, dtype=np.int64)
+        #: ``(n + 1,)`` bad vertex -> its good mate.
+        self.mate = np.arange(n + 1, dtype=np.int64)
+        for part, vertices in zip(node.parts, parts):
+            self.part_of[[number[v] for v in vertices]] = part.index
+            for vertex in part.bad_vertices:
+                mate = part.matching.get(vertex)
+                if mate is None:
+                    mate = min(part.good_vertices)
+                self.bad_part[number[vertex]] = part.index
+                self.mate[number[vertex]] = number[mate]
+        self.has_bad = bool((self.bad_part >= 0).any())
+        counts = np.array(best_counts_per_part(node), dtype=np.int64)
+        #: cumulative best counts per part and their starts (Section 4).
+        self.best_ends = np.cumsum(counts)
+        self.best_starts = self.best_ends - counts
+        #: ``|X*_j|`` per part.
+        self.part_size = np.array([len(vertices) for vertices in parts], dtype=np.int64)
+        #: sorted part vertices, concatenated; part ``j`` starts at ``part_start[j]``.
+        self.part_flat = np.array([number[v] for part in parts for v in part], dtype=np.int64)
+        self.part_start = np.cumsum(self.part_size) - self.part_size
+        self.part_depth = np.array(
+            [sorting_network_depth(len(vertices)) for vertices in parts], dtype=np.int64
+        )
+        #: rank of each part mark in ``repr`` order (10 sorts before 2).
+        self.mark_repr_rank = np.argsort(
+            np.array(sorted(range(t), key=repr), dtype=np.int64), kind="stable"
+        )
+        shuffler = node.shuffler
+        #: quality of the walk back along the dummies' routes (Section 6.3).
+        self.walk_quality = (shuffler.quality if shuffler is not None else 0) * quality
+        #: quality of the bad-to-good matching paths (Property 3.1(3)).
+        self.matching_quality = max(1, node.part_matching_embedding.quality) * quality
+        self.dummies: dict[int, DummyCells] = {}
+
+
+def vertex_index(
+    decomposition: "HierarchicalDecomposition", best_index: "BestVertexIndex"
+) -> VertexIndex:
+    """The decomposition's :class:`VertexIndex`, built on first use."""
+    cached = getattr(decomposition, "_vertex_index", None)
+    if cached is None:
+        cached = decomposition._vertex_index = VertexIndex(decomposition, best_index)
+    return cached
+
+
+def node_table(node: "HierarchyNode", index: VertexIndex) -> NodeTable:
+    """The node's :class:`NodeTable`, built on first use."""
+    cached = getattr(node, "_route_table", None)
+    if cached is None:
+        cached = node._route_table = NodeTable(node, index)
+    return cached
+
+
+def dummy_cells(node: "HierarchyNode", table: NodeTable, dummies_per_vertex: int) -> DummyCells:
+    """The node's dispersed dummies, ``dummies_per_vertex`` per vertex (cached).
+
+    Every vertex of part ``j`` queues that many dummies marked ``j``, in
+    sorted vertex order, and the node's shuffler disperses them (Section
+    6.3) — a pure function of the node, so one replay serves every query.
+    """
+    cached = table.dummies.get(dummies_per_vertex)
+    if cached is not None:
+        return cached
+    t = table.t
+    repeats = table.part_size * dummies_per_vertex
+    vertex = np.repeat(table.part_flat, dummies_per_vertex)
+    row_cell = np.repeat(np.arange(t, dtype=np.int64) * (t + 1), repeats)
+    shuffler = node.shuffler
+    rounds = peak = within = cells = 0
+    if shuffler is not None and len(shuffler) > 0:
+        dispersal = disperse_many_numpy(
+            row_cell, (1, t, t), shuffler, table.part_size.tolist(), table.flatten_quality
+        )
+        vertex = vertex[dispersal.order]
+        row_cell = dispersal.row_cell
+        own = dispersal.counts.sum(axis=1)[0] > 0
+        rounds, peak = dispersal.rounds[0], dispersal.peaks[0]
+        within, cells = int(dispersal.inside[0][own].sum()), t * int(own.sum())
+    count = np.bincount(row_cell, minlength=t * t)
+    cached = table.dummies[dummies_per_vertex] = DummyCells(
+        vertex=vertex,
+        start=np.cumsum(count) - count,
+        count=count,
+        part_load=count.reshape(t, t).sum(axis=1),
+        rounds=rounds,
+        peak=peak,
+        within_window=within,
+        total_cells=cells,
+    )
+    return cached
+
+
+def build_route_tables(
+    decomposition: "HierarchicalDecomposition", best_index: "BestVertexIndex"
+) -> None:
+    """Build every table of the decomposition, with dummy cells for loads 1 and 2.
+
+    Loads 1 and 2 are the workload catalog's.  A query of load ``L`` reaches
+    level ``l`` with load ``4^l * L`` and disperses ``2 * max(1, 4^l * L)``
+    dummies per vertex there; other loads build their cells on first use.
+    """
+    index = vertex_index(decomposition, best_index)
+    for node in decomposition.all_nodes():
+        table = node_table(node, index)
+        if node.is_leaf or node.shuffler is None or table.t < 2:
+            continue
+        for load in (1, 2):
+            dummy_cells(node, table, 2 * max(1, 4**node.level * load))

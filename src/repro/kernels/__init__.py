@@ -3,23 +3,32 @@
 The reproduction has two implementations of every hot inner loop:
 
 * ``reference`` — the original dict-and-loop implementations, kept as the
-  faithful (and slow) executable specification.  Selecting it also disables
-  the deterministic memoizations (shuffler-quality caches, dispersion pair
-  tables, dummy-dispersion replay cache), so the reference mode reproduces the
-  pre-kernel serving behaviour end to end — it is the baseline the
-  perf-regression harness (``benchmarks/harness.py``) measures against.
+  faithful (and slow) executable specification.  Queries walk
+  :class:`~repro.core.tokens.Token` objects through the object recursion
+  (``_solve_task2``, :func:`~repro.core.merge.solve_task3`,
+  :func:`~repro.core.dispersion.disperse`,
+  :func:`~repro.core.leaf.route_in_leaf`), and the deterministic
+  memoizations (shuffler- and embedding-quality caches) are bypassed, so the
+  reference mode reproduces the pre-kernel serving behaviour end to end — it
+  is the baseline the perf-regression harness (``benchmarks/harness.py``)
+  measures against.
 * ``numpy`` — vectorized kernels over integer-indexed arrays plus the
   memoized fast paths.  This is the default.  The kernels are *equivalent by
-  construction and by test*: rounds, deliveries, congestion/dilation and
-  every backend :class:`~repro.backends.base.RouteResult` are identical to
-  the reference implementations (``tests/test_kernels.py`` and
-  ``tests/test_fused.py`` assert this property-based over random expanders
-  and workloads).
+  construction and by test*: rounds, deliveries, tokens with their traces,
+  congestion/dilation and every backend
+  :class:`~repro.backends.base.RouteResult` are identical to the reference
+  implementations (``tests/test_kernels.py``, ``tests/test_fused.py`` and
+  ``tests/test_engine.py`` assert this, property-based where they can, over
+  random expanders and workloads).
 
-Dispersion (Lemma 6.2) has one array kernel,
-:func:`repro.kernels.batched.disperse_many_numpy`, serving both the solo
-:func:`~repro.core.dispersion.disperse` (one state) and the fused
-:func:`~repro.core.dispersion.disperse_many` (a batch of states).  The
+Under ``numpy``, queries run on the router's array engine
+(:mod:`repro.core.router`, with its lookups in :mod:`repro.core.tables`):
+every query's tokens are rows of flat arrays, and at each hierarchy node one
+:func:`~repro.core.merge.solve_task3_many` call disperses all of them through
+:func:`repro.kernels.batched.disperse_many_numpy`, the one dispersion kernel.
+It takes row arrays; :func:`~repro.core.dispersion.disperse` (one state) and
+:func:`~repro.core.dispersion.disperse_many` (a batch of states) adapt
+:class:`~repro.core.dispersion.DispersionState` queues to it and back.  The
 scheduler, sorting, conductance, and matrix kernels live in the sibling
 modules.
 

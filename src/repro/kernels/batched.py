@@ -1,48 +1,48 @@
 """Array-native batch kernels — one stacked call for many queries.
 
 * :func:`disperse_many_numpy` is the numpy dispersion kernel (Lemma 6.2) for
-  one state or ``B`` states at once; :func:`~repro.core.dispersion.disperse`
-  calls it with a single state and
-  :func:`~repro.core.dispersion.disperse_many` with a whole batch.  Every
-  queued item is one row of flat arrays kept sorted by cell ``(entry, part,
-  mark column)`` and queue position.  Per shuffler matching,
-  :func:`plan_transfers_batched` yields the transfer chunks of every
-  ``(origin, partner)`` pair at once, each row's rank in its cell picks its
-  chunk (and so its target), and one stable sort appends the movers behind
-  the stayers of their new cell.  Queues are written back once at the end.
-  This is exact because a matching never pops more than the snapshot count
-  of a cell, so pops only ever take items that were present when the
-  iteration started.  Marks a state does not hold occupy all-zero columns of
-  the union mark axis, which never send anything, so every state's queues,
-  statistics, and charged rounds are identical to a solo run of the
-  reference loop.
+  ``B`` independent batch entries at once.  Its input is row arrays: one row
+  per queued token, the row's cell ``(entry, part, mark column)`` flattened to
+  one int, rows sorted by cell and, within a cell, by queue position.  Per
+  shuffler matching, :func:`plan_transfers_batched` yields the transfer chunks
+  of every ``(origin, partner)`` pair at once, each row's rank in its cell
+  picks its chunk (and so its target), and one stable sort appends the movers
+  behind the stayers of their new cell.  It returns the final row order,
+  cells and counts plus per-entry statistics and rounds.  This is exact
+  because a matching never pops more than the snapshot count of a cell, so
+  pops only ever take rows that were present when the iteration started, and
+  mark columns an entry does not use stay all-zero and never send: every
+  entry's queues, statistics, and charged rounds are identical to a solo run
+  of the reference loop.  The router's Task 3 step
+  (:func:`~repro.core.merge.solve_task3_many`) feeds it every query's reals
+  directly; :func:`~repro.core.dispersion.disperse` and
+  :func:`~repro.core.dispersion.disperse_many` adapt
+  :class:`~repro.core.dispersion.DispersionState` queues to rows and back.
 * :func:`schedule_token_batches_numpy` resolves edge conflicts for ``B``
   independent scheduler instances in a single pending loop — per-batch edge
   codes are offset into disjoint ranges, so the one ``np.unique`` winner
   scan per round settles every batch's contested edges simultaneously.
 
-``tests/test_fused.py`` and ``tests/test_kernels.py`` assert the
-equivalences with hypothesis over random expanders and the workload catalog.
+``tests/test_fused.py``, ``tests/test_engine.py`` and ``tests/test_kernels.py``
+assert the equivalences over random expanders and the workload catalog.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain
-from operator import itemgetter
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.congest.scheduler import ScheduledToken, ScheduleResult
-    from repro.core.dispersion import DispersionState, DispersionStats
     from repro.cutmatching.shuffler import Shuffler, ShufflerMatching
 
 __all__ = [
     "PairTable",
     "pair_table",
     "plan_transfers_batched",
+    "Dispersal",
     "disperse_many_numpy",
     "schedule_token_batches_numpy",
 ]
@@ -160,54 +160,58 @@ def _allocate(table: PairTable, size: int) -> np.ndarray:
     return allocation
 
 
+class Dispersal(NamedTuple):
+    """Result of :func:`disperse_many_numpy` for ``B`` batch entries."""
+
+    #: ``(R,)`` input row at each final position.
+    order: np.ndarray
+    #: ``(R,)`` final cell of each final position, ascending; within a cell
+    #: positions are in queue order.
+    row_cell: np.ndarray
+    #: ``(B, t, m)`` final token count per (part, mark column).
+    counts: np.ndarray
+    #: per entry, the largest part load after any matching.
+    peaks: list[int]
+    #: per entry, the CONGEST rounds of the replay (Lemma 6.7).
+    rounds: list[int]
+    #: ``(B, m)`` number of parts whose count of the mark column lies inside
+    #: the Definition 6.1 window.
+    inside: np.ndarray
+    #: ``(B * t * m,)`` cells that held a row at any point of the replay.
+    held: np.ndarray
+
+
 def disperse_many_numpy(
-    states: Sequence["DispersionState"],
+    row_cell: np.ndarray,
+    shape: tuple[int, int, int],
     shuffler: "Shuffler",
     part_sizes,
     flatten_quality: int,
-) -> list["DispersionStats"]:
-    """Replay the shuffler on every state (mutated in place) at once.
+) -> Dispersal:
+    """Replay the shuffler's matchings on ``B`` independent row sets at once.
 
-    Queues, statistics, and round counts per state are identical to the
-    reference :func:`~repro.core.dispersion.disperse` on that state alone.
+    Args:
+        row_cell: ``(R,)`` int array, one row per queued token, sorted by
+            cell ``(entry * t + part) * m + mark column`` and, within a cell,
+            by queue position.
+        shape: ``(B, t, m)``: batch entries, parts, mark columns.
+        shuffler: the owning node's shuffler (at least one matching).
+        part_sizes: ``|X*_i|`` per part.
+        flatten_quality: ``Q(f0_HX)`` of the owning node.
+
+    Per entry, the final queues, counts, peaks and rounds are those of the
+    reference loop of :func:`~repro.core.dispersion.disperse` on that entry
+    alone.  Mark columns an entry does not use stay all-zero and never send.
     """
     from repro.core.cost import send_round_cost, sort_round_cost
-    from repro.core.dispersion import DispersionStats
 
-    batch = len(states)
-    if batch == 0:
-        return []
-    t = states[0].part_count
-    own_marks = [state.marks() for state in states]
-    union_marks = sorted(set().union(*own_marks), key=repr)
-    column_of = {mark: column for column, mark in enumerate(union_marks)}
-    m = max(len(union_marks), 1)
+    batch, t, m = shape
     cells = batch * t * m
-
-    # One row per queued item, sorted by cell (entry, part, mark column) then
-    # queue position.  A cell keeps its queue key once it has held one, as
-    # pop_front/push_back do.
-    queued = sorted(
-        (
-            ((entry * t + part) * m + column_of[mark], queue)
-            for entry, state in enumerate(states)
-            for part, per_mark in state.queues.items()
-            for mark, queue in per_mark.items()
-        ),
-        key=itemgetter(0),
-    )
-    keyed = np.fromiter((cell for cell, _ in queued), dtype=np.int64, count=len(queued))
-    lengths = np.fromiter((len(queue) for _, queue in queued), dtype=np.int64, count=len(queued))
-    total = int(lengths.sum())
-    items = np.fromiter(chain.from_iterable(q for _, q in queued), dtype=object, count=total)
-    row_cell = np.repeat(keyed, lengths)
-    positions = np.arange(total)
+    row_cell = np.array(row_cell, dtype=np.int64)
+    positions = np.arange(len(row_cell))
     rows = positions
-    present = np.zeros(cells, dtype=bool)
-    present[keyed] = True
-    counts = np.zeros(cells, dtype=np.int64)
-    counts[keyed] = lengths
-    counts = counts.reshape(batch, t, m)
+    counts = np.bincount(row_cell, minlength=cells).reshape(batch, t, m)
+    held = counts.ravel() > 0
 
     max_loads: list[np.ndarray] = []
     portal_tokens: list[np.ndarray] = []
@@ -234,14 +238,14 @@ def disperse_many_numpy(
             row_cell = row_cell[order]
             rows = rows[order]
             counts = np.bincount(row_cell, minlength=cells).reshape(batch, t, m)
-            present |= counts.ravel() > 0
+            held |= counts.ravel() > 0
         max_loads.append(counts.sum(axis=2).max(axis=1))
         per_portal = -(-outgoing.reshape(batch, t * t) // table.portal_pairs.ravel())
         portal_tokens.append(per_portal.max(axis=1, initial=1))
 
     # -- round accounting (Lemma 6.7) -----------------------------------------
     iterations = len(shuffler.matchings)
-    max_part_size = max(part_sizes) if part_sizes else 1
+    max_part_size = max(part_sizes) if len(part_sizes) else 1
     loads = np.asarray(max_loads, dtype=np.int64).reshape(iterations, batch)
     part_loads = np.maximum(1, -(-loads // max(1, max_part_size))).tolist()
     portal_tokens_rows = np.asarray(portal_tokens, dtype=np.int64).reshape(iterations, batch)
@@ -257,49 +261,22 @@ def disperse_many_numpy(
                 sort_cost[load] = sort_round_cost(max_part_size, load, flatten_quality)
             rounds[entry] += sort_cost[load] + send_round_cost(per_portal[entry], path_quality)
 
-    # -- write the queues back ------------------------------------------------
-    flat_items = items[rows].tolist()
-    flat_counts = counts.ravel()
-    kept = np.flatnonzero(present)
-    cell_ends = np.cumsum(flat_counts)[kept]
-    for state in states:
-        for per_mark in state.queues.values():
-            per_mark.clear()
-    for entry, part, column, start, end in zip(
-        *(axis.tolist() for axis in np.unravel_index(kept, counts.shape)),
-        (cell_ends - flat_counts[kept]).tolist(),
-        cell_ends.tolist(),
-    ):
-        states[entry].queues[part][union_marks[column]] = flat_items[start:end]
-
-    # -- Definition 6.1 window check, per state over its own marks -------------
-    total_vertices = sum(part_sizes) if part_sizes else t
+    # -- Definition 6.1 window check per (entry, mark column) ------------------
+    total_vertices = sum(part_sizes) if len(part_sizes) else t
     totals = counts.sum(axis=1)
     lower = 0.9 * totals / t - 0.1 * total_vertices / (t * t)
     upper = 1.1 * totals / t + 0.1 * total_vertices / (t * t)
     slack = iterations * 1.0
     inside = ((lower - slack)[:, None, :] <= counts) & (counts <= (upper + slack)[:, None, :])
-    inside_per_mark = inside.sum(axis=1).tolist()
-    per_mark_counts = counts.transpose(0, 2, 1).tolist()
-    mark_totals = totals.tolist()
-    peaks = loads.max(axis=0, initial=0).tolist()
-    stats_list = []
-    for entry in range(batch):
-        stats = DispersionStats(
-            iterations=iterations,
-            total_cells=t * len(own_marks[entry]),
-            max_part_load=peaks[entry],
-            rounds=rounds[entry],
-        )
-        for mark in own_marks[entry]:
-            column = column_of[mark]
-            stats.mark_totals[mark] = mark_totals[entry][column]
-            stats.final_counts.update(
-                zip([(part, mark) for part in range(t)], per_mark_counts[entry][column])
-            )
-            stats.within_window += inside_per_mark[entry][column]
-        stats_list.append(stats)
-    return stats_list
+    return Dispersal(
+        order=rows,
+        row_cell=row_cell,
+        counts=counts,
+        peaks=loads.max(axis=0, initial=0).tolist(),
+        rounds=rounds,
+        inside=inside.sum(axis=1),
+        held=held,
+    )
 
 
 def _interned_paths(tokens: Sequence["ScheduledToken"]):

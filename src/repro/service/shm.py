@@ -6,7 +6,7 @@ moves from one shard server to another.  This module carries it in one
 
 * :meth:`ShmArtifactStore.publish` flattens the artifact once — a pickle-5
   *skeleton* whose numpy payloads (CSR adjacency of every graph, dispersion
-  pair tables, hierarchy caches) are carried as out-of-band raw
+  pair tables, route tables) are carried as out-of-band raw
   buffers — and lays skeleton + buffer table + aligned buffers out in a
   single named segment;
 * :func:`attach` maps the segment and rebuilds the artifact with
@@ -149,11 +149,13 @@ class _ArtifactPickler(pickle.Pickler):
 def _prewarm(artifact: Any) -> None:
     """Materialize the deterministic numpy-mode caches before flattening.
 
-    The per-matching pair tables of the dispersion kernel are pure functions
-    of the artifact; building them on the publisher side turns them into
-    shared out-of-band arrays every attaching worker reuses instead of
-    recomputing per process.
+    The per-matching pair tables of the dispersion kernel and the array
+    engine's route tables (:mod:`repro.core.tables`) are pure functions of
+    the artifact; building them on the publisher side turns them into shared
+    out-of-band arrays every attaching worker reuses instead of recomputing
+    per process.
     """
+    from repro.core.tables import build_route_tables
     from repro.kernels import use_numpy
     from repro.kernels.batched import pair_table
 
@@ -166,6 +168,7 @@ def _prewarm(artifact: Any) -> None:
             continue
         for matching in shuffler.matchings:
             pair_table(shuffler, matching)
+    build_route_tables(decomposition, artifact.best_index)
 
 
 def flatten_artifact(artifact: Any, prewarm: bool = True) -> tuple[bytes, list[memoryview]]:

@@ -1,0 +1,252 @@
+"""The array engine against the object recursion of the reference kernel.
+
+Under the numpy kernel, ``route`` and ``route_many`` carry every token as a
+row of flat arrays and build :class:`Token` objects once at the end; under
+``kernel("reference")`` they walk ``_solve_task2``/``solve_task3``/
+``disperse``/``route_in_leaf`` over objects.  These tests pin the paths the
+fused hypothesis suite does not reach: hierarchies with bad vertices, Task 3
+fallbacks on wide nodes, the token order on ties and under ``repr`` order,
+and error parity.
+"""
+
+from __future__ import annotations
+
+import random
+
+import networkx as nx
+import numpy as np
+import pytest
+
+from repro.core.cost import CostLedger
+from repro.core.merge import solve_task3, solve_task3_many
+from repro.core.router import ExpanderRouter
+from repro.core.tables import node_table, vertex_index
+from repro.core.tokens import RoutingRequest, Token, tokens_from_requests
+from repro.graphs.generators import random_regular_expander
+from repro.hierarchy.best import build_best_index
+from repro.kernels import kernel
+from repro.workloads import make_workload
+
+
+def _facts(outcome):
+    """Every field of a RoutingOutcome; tokens compare whole."""
+    return (
+        outcome.delivered,
+        outcome.total_tokens,
+        outcome.query_rounds,
+        outcome.preprocessing_rounds,
+        outcome.load,
+        outcome.max_intermediate_part_load,
+        outcome.dispersion_window_fraction,
+        outcome.fallback_assignments,
+        tuple(sorted(outcome.breakdown.items())),
+        sorted(outcome.tokens, key=lambda token: token.token_id),
+    )
+
+
+def _with_payloads(requests, tag):
+    return [
+        RoutingRequest(request.source, request.destination, payload=(tag, position))
+        for position, request in enumerate(requests)
+    ]
+
+
+def _demote_bad_vertices(router):
+    """Turn the top vertex of every leaf child into a bad vertex of its part.
+
+    The builder only makes bad vertices when a block's cut-matching game
+    cannot saturate, which the test graphs never trigger, so Property
+    3.1(3)'s bad-to-good walk is exercised on a rewired copy: the vertex
+    leaves the child (and the best vertices) but stays in its part, so the
+    part's shuffler is unchanged.  Odd parts get no matching entry, which
+    sends their bad vertices to the part's smallest good vertex.
+    """
+    demoted = 0
+    for node in router.decomposition.all_nodes():
+        for part in node.parts:
+            child = part.child
+            if child is None or not child.is_leaf or child.size < 3:
+                continue
+            vertex = max(child.vertices)
+            child.vertices = child.vertices - {vertex}
+            part.good_vertices = part.good_vertices - {vertex}
+            part.bad_vertices = part.bad_vertices | {vertex}
+            if part.index % 2 == 0:
+                part.matching[vertex] = min(part.good_vertices)
+            demoted += 1
+    router.best_index = router.artifact.best_index = build_best_index(router.decomposition)
+    return demoted
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(96, 7, 0.34), (160, 2, 0.5)],
+    ids=["n96-deep", "n160-wide"],
+)
+def bad_router(request):
+    n, seed, epsilon = request.param
+    router = ExpanderRouter(random_regular_expander(n, degree=8, seed=seed), epsilon=epsilon)
+    router.preprocess()
+    assert router.decomposition.levels() >= 3
+    assert _demote_bad_vertices(router) > 0
+    return router
+
+
+def _load_two_workloads(graph):
+    return [
+        _with_payloads(make_workload("multi-token", graph, load=2).requests, "multi"),
+        _with_payloads(make_workload("hotspot", graph, load=2, seed=5).requests, "hot"),
+        _with_payloads(make_workload("permutation", graph, shift=7).requests, "perm"),
+    ]
+
+
+def test_route_matches_reference_with_bad_vertices(bad_router):
+    groups = _load_two_workloads(bad_router.graph)
+    with kernel("numpy"):
+        solo = [bad_router.route(group, load=2) for group in groups]
+        fused = bad_router.route_many(groups, [2] * len(groups))
+    with kernel("reference"):
+        reference = [bad_router.route(group, load=2) for group in groups]
+    expected = [_facts(outcome) for outcome in reference]
+    assert [_facts(outcome) for outcome in solo] == expected
+    assert [_facts(outcome) for outcome in fused] == expected
+    assert all(outcome.all_delivered for outcome in solo)
+    traces = [phase for outcome in solo for token in outcome.tokens for phase in token.trace]
+    assert any(phase.startswith("bad-to-good-L") for phase in traces)
+    assert any(phase == "leaf" for phase in traces)
+
+
+@pytest.fixture(scope="module")
+def wide_router():
+    """n=128, 8-regular: an 11-part root, so mark 10 sorts before 2 under repr."""
+    router = ExpanderRouter(random_regular_expander(128, degree=8, seed=1), epsilon=0.5)
+    router.preprocess()
+    assert len(router.decomposition.root.parts) >= 11
+    return router
+
+
+def _marked_tokens(router, seed):
+    """Two tokens per vertex, marks drawn from every part (10 and 2 included)."""
+    root = router.decomposition.root
+    rng = random.Random(seed)
+    t = len(root.parts)
+    tokens = []
+    for vertex in sorted(router.graph.nodes()):
+        for _ in range(2):
+            mark = rng.choice([2, 10, rng.randrange(t)])
+            tokens.append(Token(len(tokens), vertex, vertex, current_vertex=vertex, part_mark=mark))
+    return tokens
+
+
+def test_task3_fallbacks_match_reference_on_an_eleven_part_node(wide_router):
+    """One dummy per vertex under load 2 forces fallbacks in repr mark order."""
+    root = wide_router.decomposition.root
+    index = vertex_index(wide_router.decomposition, wide_router.best_index)
+    table = node_table(root, index)
+    groups = [_marked_tokens(wide_router, seed) for seed in (1, 2)]
+    with kernel("reference"):
+        expected = [
+            solve_task3(root, tokens, 2, CostLedger(), dummies_per_vertex=1) for tokens in groups
+        ]
+    rows = [token for tokens in groups for token in tokens]
+    batch = solve_task3_many(
+        root,
+        table,
+        np.repeat(np.arange(len(groups)), [len(tokens) for tokens in groups]),
+        np.array([index.index_of[token.current_vertex] for token in rows]),
+        np.array([token.part_mark for token in rows]),
+        np.array([2, 2]),
+        np.array([token.token_id for token in rows]),
+        dummies_per_vertex=1,
+    )
+    placed = [index.vertices[vertex] for vertex in batch.vertex.tolist()]
+    start = 0
+    for query, (tokens, result) in enumerate(zip(groups, expected)):
+        got = {token.token_id: placed[start + k] for k, token in enumerate(tokens)}
+        start += len(tokens)
+        assert got == result.assignments
+        assert result.fallback_assignments > 0
+        assert int(batch.fallback_assignments[query]) == result.fallback_assignments
+        assert int(batch.rounds[query]) == result.rounds
+
+
+@pytest.fixture(scope="module")
+def small_router():
+    router = ExpanderRouter(nx.random_regular_graph(4, 48, seed=3), epsilon=0.5)
+    router.preprocess()
+    assert len(router.decomposition.root.parts) >= 2
+    return router
+
+
+def _tie_heavy_requests(graph, seed):
+    """multi-token requests plus repeated (source, destination) pairs, shuffled."""
+    requests = list(make_workload("multi-token", graph, load=2).requests)
+    requests += requests[:: len(requests) // 6]
+    requests = _with_payloads(requests, "tie")
+    random.Random(seed).shuffle(requests)
+    return requests
+
+
+@pytest.mark.parametrize("relabel", [None, str, lambda v: (v % 7, v)], ids=["int", "str", "tuple"])
+def test_token_order_matches_tokens_from_requests(small_router, relabel):
+    """Ties keep input order, and 10 sorts before 9 (repr order, not vertex order)."""
+    router = small_router
+    if relabel is not None:
+        graph = nx.relabel_nodes(small_router.graph, relabel)
+        router = ExpanderRouter(graph, epsilon=0.5)
+        router.preprocess()
+    requests = _tie_heavy_requests(router.graph, seed=4)
+    with kernel("numpy"):
+        outcome = router.route(requests)
+    expected = tokens_from_requests(requests)
+    got = sorted(outcome.tokens, key=lambda token: token.token_id)
+    assert [(t.token_id, t.source, t.destination, t.payload) for t in got] == [
+        (t.token_id, t.source, t.destination, t.payload) for t in expected
+    ]
+    with kernel("reference"):
+        assert _facts(router.route(requests)) == _facts(outcome)
+
+
+def _error(call):
+    with pytest.raises(Exception) as caught:
+        call()
+    return type(caught.value), str(caught.value)
+
+
+def _bad_groups(graph):
+    nodes = sorted(graph.nodes())
+    good = [RoutingRequest(s, d) for s, d in zip(nodes, nodes[1:] + nodes[:1])]
+    stray_source = [RoutingRequest("nowhere", nodes[0])] + good[1:]
+    stray_destination = good[:-1] + [RoutingRequest(nodes[-1], "nowhere")]
+    return good, {
+        "source-outside": (stray_source, None),
+        "destination-outside": (stray_destination, None),
+        "load-too-small": (list(make_workload("multi-token", graph, load=2).requests), 1),
+    }
+
+
+@pytest.mark.parametrize("case", ["source-outside", "destination-outside", "load-too-small"])
+def test_errors_match_reference(small_router, case):
+    good, cases = _bad_groups(small_router.graph)
+    bad, load = cases[case]
+    calls = {
+        "route": lambda: small_router.route(bad, load),
+        "bad-first": lambda: small_router.route_many([bad, good], [load, None]),
+        "bad-second": lambda: small_router.route_many([good, bad], [None, load]),
+    }
+    for name, call in calls.items():
+        with kernel("reference"):
+            expected = _error(call)
+        with kernel("numpy"):
+            assert _error(call) == expected, name
+
+
+def test_route_many_raises_the_first_failing_query(small_router):
+    """A routing error in query 0 wins over a validation error in query 1."""
+    good, cases = _bad_groups(small_router.graph)
+    groups = [cases["source-outside"][0], cases["destination-outside"][0], good]
+    with kernel("reference"):
+        expected = _error(lambda: small_router.route_many(groups))
+    with kernel("numpy"):
+        assert _error(lambda: small_router.route_many(groups)) == expected
+    assert "not located" in expected[1]

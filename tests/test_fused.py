@@ -49,7 +49,7 @@ def router():
 
 
 def _outcome_facts(outcome):
-    """Every deterministic field of a RoutingOutcome, traces included."""
+    """Every field of a RoutingOutcome; tokens compare whole (dataclass equality)."""
     return (
         outcome.delivered,
         outcome.total_tokens,
@@ -57,12 +57,10 @@ def _outcome_facts(outcome):
         outcome.preprocessing_rounds,
         outcome.load,
         outcome.max_intermediate_part_load,
+        outcome.dispersion_window_fraction,
         outcome.fallback_assignments,
         tuple(sorted(outcome.breakdown.items())),
-        tuple(
-            (t.source, t.destination, t.current_vertex, tuple(t.trace))
-            for t in sorted(outcome.tokens, key=lambda t: t.token_id)
-        ),
+        sorted(outcome.tokens, key=lambda t: t.token_id),
     )
 
 

@@ -17,6 +17,7 @@ import random
 import networkx as nx
 import pytest
 
+from repro.core import tables
 from repro.core.router import ExpanderRouter
 from repro.core.tokens import RoutingRequest
 from repro.kernels import batched
@@ -92,8 +93,24 @@ def test_flatten_prewarms_pair_tables_and_propagates_build_errors(monkeypatch):
     with pytest.raises(RuntimeError, match="pair table build failed"):
         flatten_artifact(fresh)
     monkeypatch.undo()
-    flatten_artifact(fresh)
+    skeleton, buffers = flatten_artifact(fresh)
     assert all(isinstance(m._pair_table, batched.PairTable) for m in matchings)
+    # The array engine's route tables ride along, so adopters never rebuild them.
+    adopted = unflatten_artifact(skeleton, buffers)
+    for artifact in (fresh, adopted):
+        decomposition = artifact.decomposition
+        assert isinstance(decomposition._vertex_index, tables.VertexIndex)
+        for node in decomposition.all_nodes():
+            table = node._route_table
+            assert isinstance(table, tables.NodeTable)
+            if node.is_leaf:
+                assert len(table.leaf_best) == node.size
+                continue
+            assert len(table.best_ends) == len(table.part_size) == len(node.parts)
+            assert len(table.part_of) == len(table.bad_part) == len(table.mate)
+            assert len(table.part_flat) == node.size
+            # Dummy cells for loads 1 and 2: 2 * max(1, 4^level * L) per vertex.
+            assert {2 * 4**node.level, 4 * 4**node.level} <= set(table.dummies)
 
 
 def test_publish_attach_round_trip(artifact):
