@@ -25,8 +25,9 @@ Queries run on one of two paths with identical outcomes, chosen once per
   flat int arrays (query, token id, vertex number, destination marker, part
   mark) through the whole recursion, looks them up against per-node route
   tables (:mod:`repro.core.tables`), solves Task 3 for all queries at a node
-  in one :func:`~repro.core.merge.solve_task3_many` call, and builds the
-  :class:`~repro.core.tokens.Token` objects once at the end;
+  in one :func:`~repro.core.merge.solve_task3_many` call, and keeps the
+  batch's final rows: each outcome builds its
+  :class:`~repro.core.tokens.Token` objects only when its ``tokens`` is read;
 * the reference kernel walks :class:`~repro.core.tokens.Token` objects
   through :meth:`ExpanderRouter._solve_task2`, the executable specification
   the tests compare the engine against.
@@ -81,6 +82,27 @@ class PreprocessSummary:
     breakdown: dict[str, int] = field(default_factory=dict)
 
 
+class _TokensField:
+    """:attr:`RoutingOutcome.tokens`: an eager list, or a row span built on first read.
+
+    A data descriptor, so the dataclass ``__init__``, ``__eq__`` and
+    ``__repr__`` go through it, while pickling and copying see the stored
+    value: a list, or a :class:`_TokenSpan` that pickles as its batch's
+    arrays.
+    """
+
+    def __get__(self, outcome: "RoutingOutcome | None", owner: type | None = None):
+        if outcome is None:
+            return None  # the dataclass default: no tokens
+        tokens = outcome.__dict__["tokens"]
+        if isinstance(tokens, _TokenSpan):
+            tokens = outcome.__dict__["tokens"] = tokens.build()
+        return tokens
+
+    def __set__(self, outcome: "RoutingOutcome", tokens: "list[Token] | _TokenSpan | None") -> None:
+        outcome.__dict__["tokens"] = [] if tokens is None else tokens
+
+
 @dataclass
 class RoutingOutcome:
     """Result of answering one routing query.
@@ -98,7 +120,11 @@ class RoutingOutcome:
         fallback_assignments: tokens placed by the merge fallback instead of a
             dummy pairing (0 in the common case).
         breakdown: per-phase round counts of the query ledger.
-        tokens: the routed tokens (with their traces), for inspection.
+        tokens: the routed tokens (with their traces), for inspection.  The
+            reference kernel builds them eagerly; the numpy array engine keeps
+            its batch's final rows and builds a query's tokens on the first
+            read of this attribute (then caches them), so outcomes nobody
+            inspects never pay for :class:`Token` objects.
     """
 
     delivered: int
@@ -110,7 +136,7 @@ class RoutingOutcome:
     dispersion_window_fraction: float = 1.0
     fallback_assignments: int = 0
     breakdown: dict[str, int] = field(default_factory=dict)
-    tokens: list[Token] = field(default_factory=list)
+    tokens: list[Token] = _TokensField()  # type: ignore[assignment]
 
     @property
     def all_delivered(self) -> bool:
@@ -415,7 +441,7 @@ class ExpanderRouter:
         request_groups: Sequence[Sequence[RoutingRequest]],
         loads: Sequence[int | None],
     ) -> list[RoutingOutcome]:
-        """Route every group as rows of flat arrays; build tokens once at the end.
+        """Route every group as rows of flat arrays; keep the final rows for the tokens.
 
         A row is one token: its query, token id, current vertex number,
         destination marker and part mark live in int arrays that the Task 2
@@ -480,44 +506,28 @@ class ExpanderRouter:
         loads: list[int],
         breakdowns: list[dict[str, int]],
     ) -> list[RoutingOutcome]:
-        """Materialize every query's :class:`Token` objects and outcome."""
-        requests = batch.requests
-        traces: list[list[str]] = [[] for _ in requests]
-        for phase, moved in rows.events:
-            for row in moved.tolist():
-                traces[row].append(phase)
-        vertices = rows.index.vertices
-        finals = [vertices[vertex] for vertex in rows.vertex.tolist()]
-        for row in reversal.tolist():
-            finals[row] = requests[row].destination
-        markers = rows.marker.tolist()
-        marks = [None if mark < 0 else mark for mark in rows.mark.tolist()]
+        """Every query's outcome; its tokens stay rows of the batch until read."""
+        final = _FinalRows(
+            batch.requests,
+            rows.vertex,
+            rows.marker,
+            rows.mark,
+            rows.events,
+            reversal,
+            rows.index.vertices,
+        )
         delivered = np.bincount(
             batch.group[rows.vertex == batch.dst], minlength=len(loads)
         ).tolist()
         preprocessing_rounds = self.preprocess_ledger.total("preprocess")
         outcomes = []
         for query, (start, stop) in enumerate(batch.spans):
-            tokens = [
-                Token(
-                    row - start,
-                    request.source,
-                    request.destination,
-                    request.payload,
-                    finals[row],
-                    markers[row],
-                    marks[row],
-                    False,
-                    traces[row],
-                )
-                for row, request in enumerate(requests[start:stop], start=start)
-            ]
             cells = int(rows.window_cells[query])
             breakdown = breakdowns[query]
             outcomes.append(
                 RoutingOutcome(
                     delivered=delivered[query],
-                    total_tokens=len(tokens),
+                    total_tokens=stop - start,
                     query_rounds=sum(breakdown.values()),
                     preprocessing_rounds=preprocessing_rounds,
                     load=loads[query],
@@ -527,7 +537,7 @@ class ExpanderRouter:
                     ),
                     fallback_assignments=int(rows.fallbacks[query]),
                     breakdown=dict(sorted(breakdown.items())),
-                    tokens=tokens,
+                    tokens=_TokenSpan(final, start, stop),
                 )
             )
         return outcomes
@@ -918,6 +928,66 @@ class _Rows:
         self.fallbacks[queries] += task3.fallback_assignments
         self.window_hits[queries] += task3.within_window
         self.window_cells[queries] += task3.total_cells
+
+
+@dataclass(frozen=True, eq=False)
+class _FinalRows:
+    """One routed batch's final rows, shared by the lazy tokens of its outcomes."""
+
+    requests: list[RoutingRequest]
+    vertex: np.ndarray
+    marker: np.ndarray
+    mark: np.ndarray
+    #: ``(phase, rows)`` in the order the rows passed through the phase.
+    events: list[tuple[str, np.ndarray]]
+    #: rows walked off their delegated best vertex, ascending.
+    reversal: np.ndarray
+    #: vertex number -> vertex.
+    vertices: list[Hashable]
+
+    def tokens(self, start: int, stop: int) -> list[Token]:
+        """Rows ``start:stop`` (one query) as :class:`Token` objects, traces in event order."""
+        traces: list[list[str]] = [[] for _ in range(start, stop)]
+        for phase, moved in self.events:
+            # Event rows are ascending: every event is (a subset of) an
+            # ascending ``active`` array of the engine.
+            low, high = np.searchsorted(moved, (start, stop)).tolist()
+            for row in moved[low:high].tolist():
+                traces[row - start].append(phase)
+        vertices = self.vertices
+        finals = [vertices[vertex] for vertex in self.vertex[start:stop].tolist()]
+        requests = self.requests[start:stop]
+        low, high = np.searchsorted(self.reversal, (start, stop)).tolist()
+        for row in self.reversal[low:high].tolist():
+            finals[row - start] = requests[row - start].destination
+        markers = self.marker[start:stop].tolist()
+        marks = [None if mark < 0 else mark for mark in self.mark[start:stop].tolist()]
+        return [
+            Token(
+                row,
+                request.source,
+                request.destination,
+                request.payload,
+                finals[row],
+                markers[row],
+                marks[row],
+                False,
+                traces[row],
+            )
+            for row, request in enumerate(requests)
+        ]
+
+
+@dataclass(frozen=True, eq=False)
+class _TokenSpan:
+    """One query's rows ``start:stop`` of a batch's :class:`_FinalRows`."""
+
+    rows: _FinalRows
+    start: int
+    stop: int
+
+    def build(self) -> list[Token]:
+        return self.rows.tokens(self.start, self.stop)
 
 
 def _most_per_group(group: np.ndarray, values: np.ndarray, groups: int) -> np.ndarray:

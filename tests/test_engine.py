@@ -1,7 +1,8 @@
 """The array engine against the object recursion of the reference kernel.
 
 Under the numpy kernel, ``route`` and ``route_many`` carry every token as a
-row of flat arrays and build :class:`Token` objects once at the end; under
+row of flat arrays and build a query's :class:`Token` objects only when its
+``outcome.tokens`` is first read; under
 ``kernel("reference")`` they walk ``_solve_task2``/``solve_task3``/
 ``disperse``/``route_in_leaf`` over objects.  These tests pin the paths the
 fused hypothesis suite does not reach: hierarchies with bad vertices, Task 3
@@ -11,18 +12,22 @@ and error parity.
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import networkx as nx
 import numpy as np
 import pytest
 
+from repro.backends.adapters import DeterministicBackend
+from repro.cluster import DEFAULT_WORKLOAD_MIX
 from repro.core.cost import CostLedger
+from repro.core.general import GeneralGraphRouter
 from repro.core.merge import solve_task3, solve_task3_many
 from repro.core.router import ExpanderRouter
 from repro.core.tables import node_table, vertex_index
 from repro.core.tokens import RoutingRequest, Token, tokens_from_requests
-from repro.graphs.generators import random_regular_expander
+from repro.graphs.generators import random_regular_expander, skewed_degree_expander
 from repro.hierarchy.best import build_best_index
 from repro.kernels import kernel
 from repro.workloads import make_workload
@@ -105,15 +110,100 @@ def test_route_matches_reference_with_bad_vertices(bad_router):
     with kernel("numpy"):
         solo = [bad_router.route(group, load=2) for group in groups]
         fused = bad_router.route_many(groups, [2] * len(groups))
+        # The process-pool reply path: a whole result list pickled unread.
+        revived = pickle.loads(pickle.dumps(fused))
     with kernel("reference"):
         reference = [bad_router.route(group, load=2) for group in groups]
     expected = [_facts(outcome) for outcome in reference]
     assert [_facts(outcome) for outcome in solo] == expected
     assert [_facts(outcome) for outcome in fused] == expected
+    assert [_facts(outcome) for outcome in revived] == expected
+    assert fused == reference and revived == reference
     assert all(outcome.all_delivered for outcome in solo)
     traces = [phase for outcome in solo for token in outcome.tokens for phase in token.trace]
     assert any(phase.startswith("bad-to-good-L") for phase in traces)
     assert any(phase == "leaf" for phase in traces)
+
+
+@pytest.fixture(scope="module")
+def warm_router():
+    """The warm-fused benchmark's shape: a preprocessed random 8-regular n=128 expander."""
+    router = ExpanderRouter(random_regular_expander(128, degree=8, seed=3), epsilon=0.5)
+    router.preprocess()
+    return router
+
+
+def _warm_fused_batch(graph, seed=1, per_shape=4):
+    """16 same-graph queries: ``per_shape`` varied instances of each default mix shape."""
+    rng = random.Random(seed)
+    groups, loads = [], []
+    for name, params in DEFAULT_WORKLOAD_MIX:
+        for _ in range(per_shape):
+            varied = dict(params)
+            if name == "permutation":
+                varied["shift"] = rng.randrange(1, len(graph))
+            elif name == "hotspot":
+                varied["seed"] = rng.randrange(1 << 30)
+            workload = make_workload(name, graph, **varied)
+            groups.append(_with_payloads(workload.requests, (name, len(groups))))
+            loads.append(workload.load)
+    return groups, loads
+
+
+def test_route_many_builds_tokens_only_when_read(warm_router, monkeypatch):
+    groups, loads = _warm_fused_batch(warm_router.graph)
+    built = []
+    init = Token.__init__
+
+    def spy(token, *args, **kwargs):
+        init(token, *args, **kwargs)
+        built.append(token)
+
+    monkeypatch.setattr(Token, "__init__", spy)
+    with kernel("numpy"):
+        outcomes = warm_router.route_many(groups, loads)
+    assert built == []
+    assert [outcome.total_tokens for outcome in outcomes] == [len(group) for group in groups]
+    assert all(outcome.all_delivered for outcome in outcomes)
+
+    tokens = outcomes[9].tokens
+    assert outcomes[9].tokens is tokens  # cached: the second read builds nothing
+    assert len(built) == len(tokens) == len(groups[9])
+    assert all(made is token for made, token in zip(built, tokens))
+
+    monkeypatch.undo()
+    with kernel("reference"):
+        expected = warm_router.route(groups[9], loads[9])
+    assert _facts(outcomes[9]) == _facts(expected)
+
+
+def test_lazy_tokens_match_reference_through_every_reader(warm_router):
+    """Pickled results, ``RouteResult.tokens`` and the general-graph router."""
+    groups, loads = _warm_fused_batch(warm_router.graph, seed=2, per_shape=1)
+    backend = DeterministicBackend(warm_router.graph, router=warm_router)
+    with kernel("numpy"):
+        results = backend.route_many(groups, loads)
+        revived = pickle.loads(pickle.dumps(results))
+    with kernel("reference"):
+        reference = [warm_router.route(group, load) for group, load in zip(groups, loads)]
+    for result, copied, expected in zip(results, revived, reference):
+        assert result.tokens == copied.tokens == expected.tokens
+        assert result.raw == copied.raw == expected
+
+    general = GeneralGraphRouter(skewed_degree_expander(48, hub_count=2, degree=6, seed=5))
+    general.preprocess()
+    n = general.graph.number_of_nodes()
+    requests = [
+        RoutingRequest(vertex, (vertex * 5 + copy + 1) % n, payload=copy)
+        for vertex in sorted(general.graph.nodes())
+        for copy in range(1 + general.graph.degree(vertex) // 12)
+    ]
+    with kernel("numpy"):
+        lazy = general.route(requests)
+    with kernel("reference"):
+        eager = general.route(requests)
+    assert _facts(lazy) == _facts(eager)
+    assert lazy.delivered == lazy.total_tokens == len(requests)
 
 
 @pytest.fixture(scope="module")
