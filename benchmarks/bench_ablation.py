@@ -1,4 +1,4 @@
-"""E11: ablations of the design choices DESIGN.md calls out.
+"""E11: ablations of design choices, two of them README "Deviations from the paper" items.
 
 Three ablations:
 

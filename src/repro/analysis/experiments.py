@@ -1,8 +1,9 @@
-"""Experiment drivers shared by the benchmark harness and EXPERIMENTS.md.
+"""Experiment runners shared by the benchmark suite and the examples.
 
-Each function runs one of the experiments of DESIGN.md's experiment index on a
-given parameter point and returns a plain dict of measurements, so the same
-code path feeds pytest-benchmark, the examples, and the results tables.
+Each function runs one of the paper's experiments (E1, E2, ... as numbered in
+the ``benchmarks/bench_*.py`` docstrings) on a given parameter point and
+returns a plain dict of measurements, so the same code path feeds
+pytest-benchmark, the examples, and the results tables.
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ all ``O(k^2)`` part pairs sequentially, giving
 ``poly(phi^-1) * 2^{O(log^{2/3} n log^{1/3} log n)}`` per routing instance.
 
 No open-source implementation of CS20 exists; for the comparisons in
-experiments E1/E2 we provide two comparators (DESIGN.md, substitution 4):
+experiments E1/E2 we provide two comparators (README, "Deviations from the
+paper", item 4):
 
 * :func:`cs20_predicted_rounds` — the analytic round bound with explicit,
   documented constants, used to draw the asymptotic comparison curve;

@@ -11,8 +11,8 @@ A CONGEST algorithm is specified as per-node local code.  Each node owns a
 The :class:`Runner` drives all nodes in lockstep until every node has halted
 or a round limit is reached, and reports the number of rounds used.  This is
 the genuinely-distributed layer of the library; the heavy recursive routing
-machinery charges rounds through :mod:`repro.core.cost` instead (see
-DESIGN.md, substitution 3).
+machinery charges rounds through :mod:`repro.core.cost` instead (README,
+"Deviations from the paper", item 3).
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 The paper's complexity statements are all CONGEST round counts.  Instead of
 simulating every message of the recursive routing machinery (which would make
-even modest experiments intractable in Python — see DESIGN.md substitution 3),
+even modest experiments intractable in Python — see the README's "Deviations
+from the paper", item 3),
 the routing engine performs real token movements over the real embedded paths
 and charges rounds through a :class:`CostLedger`, using the paper's own
 accounting rules:

@@ -2,7 +2,8 @@
 
 On a leaf component ``X`` the whole topology was gathered during
 preprocessing and an AKS-style sorting network ``I_AKS`` over the component's
-vertices was fixed (we use the Batcher network, see DESIGN.md).  A query is
+vertices was fixed (we use the Batcher network: README, "Deviations from the
+paper", item 1).  A query is
 answered with three passes over the network (serialization pass, counting
 pass, and the final meet-in-the-middle pass pairing query tokens with per
 destination dummy tokens), after which each token is walked to the vertex

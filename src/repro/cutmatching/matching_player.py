@@ -19,6 +19,7 @@ import networkx as nx
 from repro.embedding.embedding import Embedding
 from repro.embedding.matching_embed import embed_matching
 from repro.graphs.cluster import ClusterGraph, natural_fractional_matching
+from repro.graphs.index import GraphIndex
 
 __all__ = ["MatchingPlayerResult", "MatchingPlayer"]
 
@@ -52,6 +53,7 @@ class MatchingPlayer:
 
     def __init__(self, base_graph: nx.Graph, cluster: ClusterGraph, psi: float = 0.1) -> None:
         self.base_graph = base_graph
+        self.index = GraphIndex.of(base_graph)
         self.cluster = cluster
         self.psi = psi
 
@@ -75,7 +77,7 @@ class MatchingPlayer:
             # violates it we truncate deterministically so Lemma 2.3 applies.
             sources = sources[: len(sinks)]
 
-        result = embed_matching(self.base_graph, sources, sinks, psi=self.psi)
+        result = embed_matching(self.index, sources, sinks, psi=self.psi)
         fractional = natural_fractional_matching(
             self.cluster,
             ((a, b) for a, b in result.matching.items()),

@@ -31,14 +31,12 @@ explicit sparse cut certificate.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable
 
-import networkx as nx
-
 from repro.embedding.embedding import Embedding
 from repro.embedding.paths import Path
+from repro.graphs.index import GraphIndex
 
 __all__ = ["MatchingEmbedResult", "embed_matching"]
 
@@ -53,6 +51,8 @@ class MatchingEmbedResult:
       sink and ``embedding`` holds a base-graph path per matched pair.
     * ``saturated`` is False: ``cut`` is a non-empty vertex set containing the
       unmatched sources with small sparsity (reported in ``cut_sparsity``).
+
+    ``quality`` is the quality (congestion + dilation) of ``embedding``.
     """
 
     matching: dict[Hashable, Hashable] = field(default_factory=dict)
@@ -62,76 +62,78 @@ class MatchingEmbedResult:
     cut_sparsity: float = math.inf
     congestion_cap_used: int = 0
     dilation_cap_used: int = 0
-
-    @property
-    def quality(self) -> int:
-        """Quality of the matching's path embedding."""
-        return self.embedding.quality
+    quality: int = 0
 
 
 def _capped_bfs_to_sink(
-    graph: nx.Graph,
-    source: Hashable,
-    free_sinks: set,
-    edge_load: dict[tuple, int],
+    index: GraphIndex,
+    source: int,
+    free_sink: bytearray,
+    edge_load: list[int],
     congestion_cap: int,
     dilation_cap: int,
-) -> list | None:
-    """Shortest path from ``source`` to any free sink using only under-loaded edges."""
-    if source in free_sinks:
-        return [source]
-    parent: dict[Hashable, Hashable] = {source: source}
-    queue: deque = deque([(source, 0)])
-    while queue:
-        node, depth = queue.popleft()
-        if depth >= dilation_cap:
-            continue
-        for neighbour in sorted(graph.neighbors(node)):
-            if neighbour in parent:
-                continue
-            key = (node, neighbour) if repr(node) <= repr(neighbour) else (neighbour, node)
-            if edge_load.get(key, 0) >= congestion_cap:
-                continue
-            parent[neighbour] = node
-            if neighbour in free_sinks:
-                path = [neighbour]
-                current = neighbour
-                while current != source:
-                    current = parent[current]
-                    path.append(current)
-                path.reverse()
-                return path
-            queue.append((neighbour, depth + 1))
+) -> tuple[list[int], list[int]] | None:
+    """Shortest path from ``source`` to any free sink using only under-loaded edges.
+
+    Works on positions of ``index``; neighbours are scanned in sorted order.
+    Returns the path's positions and the ids of its edges.
+    """
+    neighbors, edge_ids = index.neighbors, index.edge_ids
+    parent = [-1] * len(index.vertices)
+    parent_edge = [-1] * len(index.vertices)
+    parent[source] = source
+    frontier = [source]
+    for _ in range(dilation_cap):
+        deeper: list[int] = []
+        for node in frontier:
+            for neighbour, edge in zip(neighbors[node], edge_ids[node]):
+                if parent[neighbour] >= 0 or edge_load[edge] >= congestion_cap:
+                    continue
+                parent[neighbour] = node
+                parent_edge[neighbour] = edge
+                if free_sink[neighbour]:
+                    path, edges = [neighbour], []
+                    current = neighbour
+                    while current != source:
+                        edges.append(parent_edge[current])
+                        current = parent[current]
+                        path.append(current)
+                    path.reverse()
+                    return path, edges
+                deeper.append(neighbour)
+        frontier = deeper
     return None
 
 
 def _reachable_region(
-    graph: nx.Graph,
-    seeds: Iterable[Hashable],
-    edge_load: dict[tuple, int],
+    index: GraphIndex,
+    seeds: list[int],
+    edge_load: list[int],
     congestion_cap: int,
     dilation_cap: int,
-) -> set:
-    """Vertices reachable from ``seeds`` through under-loaded edges within the depth cap."""
-    region: set = set(seeds)
-    queue: deque = deque((seed, 0) for seed in seeds)
-    while queue:
-        node, depth = queue.popleft()
-        if depth >= dilation_cap:
-            continue
-        for neighbour in sorted(graph.neighbors(node)):
-            if neighbour in region:
-                continue
-            key = (node, neighbour) if repr(node) <= repr(neighbour) else (neighbour, node)
-            if edge_load.get(key, 0) >= congestion_cap:
-                continue
-            region.add(neighbour)
-            queue.append((neighbour, depth + 1))
+) -> list[int]:
+    """Positions reachable from ``seeds`` through under-loaded edges within the depth cap."""
+    neighbors, edge_ids = index.neighbors, index.edge_ids
+    inside = bytearray(len(index.vertices))
+    for seed in seeds:
+        inside[seed] = 1
+    region = list(seeds)
+    frontier = list(seeds)
+    for _ in range(dilation_cap):
+        deeper: list[int] = []
+        for node in frontier:
+            for neighbour, edge in zip(neighbors[node], edge_ids[node]):
+                if inside[neighbour] or edge_load[edge] >= congestion_cap:
+                    continue
+                inside[neighbour] = 1
+                deeper.append(neighbour)
+        region.extend(deeper)
+        frontier = deeper
     return region
 
 
 def embed_matching(
-    graph: nx.Graph,
+    index: GraphIndex,
     sources: Iterable[Hashable],
     sinks: Iterable[Hashable],
     psi: float = 0.1,
@@ -140,7 +142,9 @@ def embed_matching(
     """Embed a matching from ``sources`` into ``sinks`` saturating the sources (Lemma 2.3).
 
     Args:
-        graph: the base graph (assumed connected, bounded degree).
+        index: the :class:`~repro.graphs.index.GraphIndex` of the base graph
+            (assumed connected, bounded degree).  Callers build it once per
+            graph and reuse it for every matching they embed there.
         sources: the set ``S``; every source must be matched for success.
         sinks: the set ``T`` (disjoint from ``S``); ``|S| <= |T|`` required.
         psi: target sparsity of the fallback cut.
@@ -160,7 +164,8 @@ def embed_matching(
     if not source_list:
         return MatchingEmbedResult(saturated=True)
 
-    n = graph.number_of_nodes()
+    vertices, position = index.vertices, index.position
+    n = len(vertices)
     # Initial caps follow the lemma's quality target; the ball-growing diameter
     # bound O(psi^-1 log n) caps the dilation.
     base_dilation = max(2, int(math.ceil(2.0 * math.log(max(n, 2)) / max(psi, 1e-6))))
@@ -174,23 +179,34 @@ def embed_matching(
     for _ in range(max_cap_doublings + 1):
         matching: dict[Hashable, Hashable] = {}
         embedding = Embedding(name="matching")
-        edge_load: dict[tuple, int] = {}
-        free_sinks = set(sink_set)
+        edge_load = [0] * index.edge_count
+        free_sink = bytearray(n)
+        for sink in sink_set:
+            if sink in position:
+                free_sink[position[sink]] = 1
         unmatched: list[Hashable] = []
+        dilation = 0
         for source in source_list:
-            path = _capped_bfs_to_sink(
-                graph, source, free_sinks, edge_load, congestion_cap, dilation_cap
+            found = _capped_bfs_to_sink(
+                index, position[source], free_sink, edge_load, congestion_cap, dilation_cap
             )
-            if path is None:
+            if found is None:
                 unmatched.append(source)
                 continue
-            sink = path[-1]
+            path, edges = found
+            free_sink[path[-1]] = 0
+            sink = vertices[path[-1]]
             matching[source] = sink
-            free_sinks.discard(sink)
-            embedding.add_edge(source, sink, Path(tuple(path)))
-            for u, v in zip(path, path[1:]):
-                key = (u, v) if repr(u) <= repr(v) else (v, u)
-                edge_load[key] = edge_load.get(key, 0) + 1
+            embedding.add_edge(source, sink, Path(tuple(vertices[p] for p in path)))
+            dilation = max(dilation, len(edges))
+            for edge in edges:
+                edge_load[edge] += 1
+        # The loads and lengths above are exactly the embedding's paths, so
+        # its quality (congestion + dilation) needs no PathCollection rebuild.
+        # Caching it leaves the embedding as a first read of ``.quality``
+        # would, which keeps pickled shuffler embeddings unchanged.
+        quality = max(edge_load, default=0) + dilation
+        embedding._quality_cache = quality
         if not unmatched:
             return MatchingEmbedResult(
                 matching=matching,
@@ -198,20 +214,28 @@ def embed_matching(
                 saturated=True,
                 congestion_cap_used=congestion_cap,
                 dilation_cap_used=dilation_cap,
+                quality=quality,
             )
         if congestion_cap >= base_congestion and dilation_cap >= base_dilation:
             # Report the sparse-cut certificate around the stuck sources.
-            region = _reachable_region(
-                graph, unmatched, edge_load, congestion_cap, dilation_cap
+            reached = _reachable_region(
+                index,
+                [position[v] for v in unmatched],
+                edge_load,
+                congestion_cap,
+                dilation_cap,
             )
-            region -= sink_set
+            region = {vertices[p] for p in reached} - sink_set
             if not region:
                 region = set(unmatched)
+            inside = bytearray(n)
+            for vertex in region:
+                inside[position[vertex]] = 1
             boundary = sum(
                 1
-                for u in region
-                for v in graph.neighbors(u)
-                if v not in region
+                for vertex in region
+                for neighbour in index.neighbors[position[vertex]]
+                if not inside[neighbour]
             )
             denominator = min(len(region), n - len(region)) or 1
             return MatchingEmbedResult(
@@ -222,6 +246,7 @@ def embed_matching(
                 cut_sparsity=boundary / denominator,
                 congestion_cap_used=congestion_cap,
                 dilation_cap_used=dilation_cap,
+                quality=quality,
             )
         congestion_cap = min(base_congestion, congestion_cap * 2)
         dilation_cap = min(base_dilation, dilation_cap * 2)

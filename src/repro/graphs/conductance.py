@@ -38,6 +38,7 @@ __all__ = [
     "cut_sparsity",
     "exact_conductance",
     "exact_sparsity",
+    "normalized_laplacian",
     "spectral_gap",
     "cheeger_bounds",
     "sweep_cut",
@@ -163,12 +164,33 @@ def exact_sparsity(graph: nx.Graph) -> float:
     return best
 
 
+def normalized_laplacian(adjacency: np.ndarray) -> np.ndarray:
+    """Dense normalized Laplacian ``D^-1/2 (D - A) D^-1/2`` of a symmetric adjacency matrix.
+
+    ``adjacency`` is boolean or holds edge weights.  The helper performs
+    networkx's floating-point operations in networkx's order, so for 0/1 and
+    integer weights the result equals
+    ``nx.normalized_laplacian_matrix(...).todense()`` bit for bit and
+    ``eigvalsh``/``eigh`` see identical input.  With ``dh = deg^-1/2`` (0 for
+    an isolated vertex) the diagonal is ``dh * ((deg - a_ii) * dh)`` — not
+    ``1.0`` — an edge entry is ``dh[i] * (-a_ij * dh[j])``, and every other
+    entry is ``+0.0``.
+    """
+    degrees = adjacency.sum(axis=1)
+    with np.errstate(divide="ignore"):
+        dh = 1.0 / np.sqrt(degrees)
+    dh[np.isinf(dh)] = 0.0
+    off_diagonal = dh[:, None] * (-adjacency.astype(np.float64) * dh[None, :])
+    laplacian = np.where(adjacency != 0, off_diagonal, 0.0)
+    np.fill_diagonal(laplacian, dh * ((degrees - np.diagonal(adjacency)) * dh))
+    return laplacian
+
+
 def _normalized_laplacian_eigs(graph: nx.Graph, k: int = 2) -> np.ndarray:
     """Return the ``k`` smallest eigenvalues of the normalized Laplacian."""
     if graph.number_of_nodes() == 0:
         return np.array([])
-    lap = nx.normalized_laplacian_matrix(graph).todense()
-    eigenvalues = np.linalg.eigvalsh(np.asarray(lap))
+    eigenvalues = np.linalg.eigvalsh(normalized_laplacian(nx.to_numpy_array(graph)))
     return eigenvalues[:k]
 
 
@@ -202,8 +224,8 @@ def sweep_cut(graph: nx.Graph) -> CutReport:
     n = len(nodes)
     if n < 2:
         return _cut_report(graph, nodes[:1])
-    lap = np.asarray(nx.normalized_laplacian_matrix(graph, nodelist=nodes).todense())
-    eigenvalues, eigenvectors = np.linalg.eigh(lap)
+    laplacian = normalized_laplacian(nx.to_numpy_array(graph, nodelist=nodes))
+    eigenvalues, eigenvectors = np.linalg.eigh(laplacian)
     fiedler = eigenvectors[:, 1]
     degrees = np.array([max(graph.degree(v), 1) for v in nodes], dtype=float)
     scores = fiedler / np.sqrt(degrees)

@@ -20,7 +20,8 @@ This module follows that construction:
   :class:`~repro.hierarchy.node.Part` structure with the bad-vertex matchings
   of Property 3.1(3), and records the round cost of the whole construction.
 
-Differences from the paper are purely parametric and documented in DESIGN.md:
+Differences from the paper are purely parametric (README, "Deviations from the
+paper", item 2):
 leaf components are declared at a configurable size threshold (the paper trims
 at ``k^4 = n^{4 epsilon}``, which at experiment scale would collapse the tree
 to a single leaf), and the expander certificate is the spectral gap rather
@@ -39,7 +40,8 @@ import numpy as np
 
 from repro.embedding.embedding import Embedding
 from repro.embedding.matching_embed import embed_matching
-from repro.graphs.conductance import spectral_gap
+from repro.graphs.conductance import normalized_laplacian
+from repro.graphs.index import GraphIndex, component_labels
 from repro.hierarchy.node import HierarchicalDecomposition, HierarchyNode, Part
 
 __all__ = [
@@ -104,50 +106,50 @@ class VirtualExpanderResult:
     rounds: int
 
 
-def _bisect_block(virtual_graph: nx.Graph, members: Sequence[Hashable]) -> tuple[list, list]:
+def _bisect_block(
+    members: Sequence[Hashable], labels: np.ndarray, laplacian: np.ndarray | None
+) -> tuple[list, list]:
     """Deterministic bisection of the block used by the per-block cut player.
+
+    ``members`` are the active vertices in sorted order, ``labels`` their
+    component labels in the current virtual graph, and ``laplacian`` its
+    normalized Laplacian when it is connected (``None`` otherwise).
 
     If the current virtual graph is connected we split along the Fiedler
     vector of its normalized Laplacian (the sparsest direction found so far,
     i.e. the direction in which the virtual graph is *least* expanding, which
     is exactly where the next matching should add edges).  Otherwise — in the
-    first iterations the virtual graph has no edges — we split by ID order.
+    first iterations the virtual graph has no edges — whole components are
+    kept together in order of their smallest vertex, so the next matching is
+    forced to connect different components (repeated ID-order splits would
+    keep reinforcing the same bipartition and never connect H).
     """
-    members = sorted(members)
     half = len(members) // 2
-    subgraph = virtual_graph.subgraph(members)
-    if subgraph.number_of_edges() == 0:
-        return members[:half], members[half:]
-    if not nx.is_connected(subgraph):
-        # Group whole components together so the next matching is forced to
-        # connect different components (otherwise repeated ID-order splits
-        # would keep reinforcing the same bipartition and never connect H).
-        components = sorted(nx.connected_components(subgraph), key=lambda c: min(c))
-        ordered: list = []
-        for component in components:
-            ordered.extend(sorted(component))
+    if laplacian is None:
+        ordered = [members[i] for i in np.argsort(labels, kind="stable")]
         return ordered[:half], ordered[half:]
-    nodes = sorted(subgraph.nodes())
-    lap = np.asarray(nx.normalized_laplacian_matrix(subgraph, nodelist=nodes).todense())
-    _, eigenvectors = np.linalg.eigh(lap)
+    _, eigenvectors = np.linalg.eigh(laplacian)
     fiedler = eigenvectors[:, 1]
-    order = sorted(range(len(nodes)), key=lambda i: (fiedler[i], nodes[i]))
-    left = [nodes[i] for i in order[:half]]
-    right = [nodes[i] for i in order[half:]]
+    order = sorted(range(len(members)), key=lambda i: (fiedler[i], members[i]))
+    left = [members[i] for i in order[:half]]
+    right = [members[i] for i in order[half:]]
     return left, right
 
 
 def embed_virtual_expander(
-    base_graph: nx.Graph,
+    base: GraphIndex,
     block: Iterable[Hashable],
     params: HierarchyParameters,
     max_iterations: int | None = None,
 ) -> VirtualExpanderResult:
-    """Embed a virtual expander onto (most of) ``block`` inside ``base_graph``.
+    """Embed a virtual expander onto (most of) ``block`` inside the graph indexed by ``base``.
 
     The returned virtual graph has maximum degree equal to the number of
     iterations (``O(log n)``), and every virtual edge carries a low-congestion
-    path of ``base_graph``.
+    path of the base graph.  The game itself tracks the virtual graph as a
+    boolean adjacency matrix over the block's sorted members; the
+    ``nx.Graph`` and :class:`Embedding` are built alongside, in edge insertion
+    order, because the hierarchy stores them.
     """
     members = sorted(set(block))
     rounds = 0
@@ -168,31 +170,38 @@ def embed_virtual_expander(
 
     virtual_graph = nx.Graph()
     virtual_graph.add_nodes_from(members)
+    local = {vertex: i for i, vertex in enumerate(members)}
+    adjacency = np.zeros((len(members), len(members)), dtype=bool)
     embedding = Embedding(name="H-block")
     active = list(members)
+    positions = np.arange(len(members))
     dropped: set = set()
     iterations = 0
+
+    def add_matching(result) -> None:
+        for a, b in result.matching.items():
+            virtual_graph.add_edge(a, b)
+            adjacency[local[a], local[b]] = adjacency[local[b], local[a]] = True
+            embedding.add_edge(a, b, result.embedding.path_for(a, b))
 
     for _ in range(max_iterations):
         if len(active) <= 1:
             break
-        subgraph = virtual_graph.subgraph(active)
-        if (
-            subgraph.number_of_edges() > 0
-            and nx.is_connected(subgraph)
-            and spectral_gap(subgraph) >= params.gap_target
-        ):
-            break
+        current = adjacency[np.ix_(positions, positions)]
+        labels = component_labels(current)
+        laplacian = None
+        if labels.max() == 0:
+            laplacian = normalized_laplacian(current)
+            if np.linalg.eigvalsh(laplacian)[1] >= params.gap_target:
+                break
         iterations += 1
-        left, right = _bisect_block(virtual_graph, active)
+        left, right = _bisect_block(active, labels, laplacian)
         if not left or not right:
             break
         sources, sinks = (left, right) if len(left) <= len(right) else (right, left)
-        result = embed_matching(base_graph, sources, sinks, psi=params.psi)
+        result = embed_matching(base, sources, sinks, psi=params.psi)
         rounds += max(1, result.quality) ** 2 + len(active)
-        for a, b in result.matching.items():
-            virtual_graph.add_edge(a, b)
-            embedding.add_edge(a, b, result.embedding.path_for(a, b))
+        add_matching(result)
         if not result.saturated:
             unmatched = [v for v in sources if v not in result.matching]
             # Vertices the matching player cannot connect are excluded from the
@@ -200,6 +209,7 @@ def embed_virtual_expander(
             for vertex in unmatched:
                 dropped.add(vertex)
             active = [v for v in active if v not in dropped]
+            positions = np.array([local[v] for v in active], dtype=np.intp)
 
     # Connectivity repair: if the embedded virtual graph is still disconnected
     # (possible when the gap target was not reached before the iteration cap),
@@ -207,22 +217,22 @@ def embed_virtual_expander(
     # resulting degree increase is at most the number of components, which is
     # O(log n) in the worst case and usually 1-2.
     for _ in range(len(active)):
-        subgraph = virtual_graph.subgraph(active)
-        if len(active) <= 1 or subgraph.number_of_edges() == 0:
+        current = adjacency[np.ix_(positions, positions)]
+        if len(active) <= 1 or not current.any():
             break
-        if nx.is_connected(subgraph):
+        labels = component_labels(current)
+        if labels.max() == 0:
             break
-        components = sorted(nx.connected_components(subgraph), key=lambda c: (len(c), min(c)))
-        smallest = sorted(components[0])
-        rest = sorted(set(active) - set(smallest))
+        # The smallest component, ties to the one with the smallest vertex.
+        in_smallest = labels == np.argmin(np.bincount(labels))
+        smallest = [active[i] for i in np.flatnonzero(in_smallest)]
+        rest = [active[i] for i in np.flatnonzero(~in_smallest)]
         sources, sinks = (smallest, rest) if len(smallest) <= len(rest) else (rest, smallest)
-        repair = embed_matching(base_graph, sources, sinks, psi=params.psi)
+        repair = embed_matching(base, sources, sinks, psi=params.psi)
         rounds += max(1, repair.quality) ** 2
         if not repair.matching:
             break
-        for a, b in repair.matching.items():
-            virtual_graph.add_edge(a, b)
-            embedding.add_edge(a, b, repair.embedding.path_for(a, b))
+        add_matching(repair)
         iterations += 1
 
     covered = frozenset(active)
@@ -306,8 +316,9 @@ class _HierarchyBuilder:
 
         blocks = _partition_by_id(node.vertices, t)
         part_matching = Embedding(name=f"fM-level{node.level}")
+        graph_index = GraphIndex.of(node.virtual_graph)
         for index, block in enumerate(blocks):
-            result = embed_virtual_expander(node.virtual_graph, block, params)
+            result = embed_virtual_expander(graph_index, block, params)
             self.rounds += result.rounds
             good = result.covered
             bad = frozenset(result.dropped)
@@ -332,17 +343,15 @@ class _HierarchyBuilder:
                 bad = frozenset()
             matching: dict[Hashable, Hashable] = {}
             if bad:
-                matched = embed_matching(
-                    node.virtual_graph, sorted(bad), sorted(good), psi=params.psi
-                )
+                matched = embed_matching(graph_index, sorted(bad), sorted(good), psi=params.psi)
                 self.rounds += max(1, matched.quality) ** 2
                 matching = dict(matched.matching)
                 for (u, v), path in matched.embedding.mapping.items():
                     part_matching.mapping[(u, v)] = path
                 leftovers = [v for v in bad if v not in matching]
                 if leftovers:
-                    # As a last resort attach stragglers to their lowest-ID good
-                    # neighbour in the virtual graph (keeps the partition total).
+                    # As a last resort attach stragglers to the lowest-ID good
+                    # vertex of the part (keeps the partition total).
                     for vertex in leftovers:
                         anchor = min(good)
                         matching[vertex] = anchor

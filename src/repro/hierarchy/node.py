@@ -30,6 +30,7 @@ import networkx as nx
 
 from repro.cutmatching.shuffler import Shuffler
 from repro.embedding.embedding import Embedding, compose, identity_embedding
+from repro.graphs.index import diameter
 
 __all__ = ["Part", "HierarchyNode", "HierarchicalDecomposition"]
 
@@ -154,12 +155,15 @@ class HierarchyNode:
         return quality
 
     def virtual_diameter(self) -> int:
-        """Diameter of the node's virtual graph (used in round accounting)."""
-        if self.virtual_graph.number_of_nodes() <= 1:
+        """Diameter of the node's virtual graph (used in round accounting).
+
+        A disconnected virtual graph is charged its vertex count.
+        """
+        size = self.virtual_graph.number_of_nodes()
+        if size <= 1:
             return 0
-        if not nx.is_connected(self.virtual_graph):
-            return self.virtual_graph.number_of_nodes()
-        return nx.diameter(self.virtual_graph)
+        hops = diameter(nx.to_numpy_array(self.virtual_graph, dtype=bool, weight=None))
+        return size if hops is None else hops
 
 
 @dataclass

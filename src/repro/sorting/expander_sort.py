@@ -13,7 +13,7 @@ half to the lower-ID vertex (a *merge-split* step).  We implement exactly this
 simulation (:class:`ComparatorSortEngine`), plus an *oracle engine* that
 produces the same final placement directly and charges the same round cost —
 used for large instances where simulating every comparator in Python is
-wasteful (see DESIGN.md, substitution 3).
+wasteful (README, "Deviations from the paper", item 3).
 
 Round accounting (Theorem 5.6 / Lemma 6.5): simulating the network costs
 ``O(L * depth) * Q^2`` rounds where ``Q`` is the quality of the routes used to

@@ -11,9 +11,9 @@ two properties of the network matter for the algorithms:
 
 The AKS network achieves ``O(log n)`` depth but with galactic constants; we
 substitute **Batcher's odd-even mergesort** (depth ``O(log^2 n)``) and the
-**bitonic sorter** (same depth, different constant), as documented in
-DESIGN.md.  The extra ``log n`` factor is absorbed by the paper's
-``polylog`` terms.
+**bitonic sorter** (same depth, different constant), as listed in the
+README's "Deviations from the paper", item 1.  The extra ``log n`` factor is
+absorbed by the paper's ``polylog`` terms.
 
 Layers are generated for any ``n`` by building the power-of-two network and
 discarding comparators that touch positions ``>= n`` (the standard

@@ -7,6 +7,7 @@ from repro.embedding.embedding import Embedding, compose, identity_embedding, un
 from repro.embedding.matching_embed import embed_matching
 from repro.embedding.paths import Path, PathCollection
 from repro.graphs.generators import two_expander_graph
+from repro.graphs.index import GraphIndex
 
 
 # -- paths ---------------------------------------------------------------------
@@ -102,7 +103,7 @@ def test_embed_path_maps_virtual_paths():
 def test_embed_matching_saturates_sources_on_an_expander(small_expander):
     sources = list(range(12))
     sinks = list(range(30, 60))
-    result = embed_matching(small_expander, sources, sinks, psi=0.2)
+    result = embed_matching(GraphIndex.of(small_expander), sources, sinks, psi=0.2)
     assert result.saturated
     assert set(result.matching.keys()) == set(sources)
     assert len(set(result.matching.values())) == len(sources)  # distinct sinks
@@ -112,7 +113,7 @@ def test_embed_matching_saturates_sources_on_an_expander(small_expander):
 def test_embed_matching_paths_connect_the_matched_pairs(small_expander):
     sources = list(range(8))
     sinks = list(range(40, 60))
-    result = embed_matching(small_expander, sources, sinks, psi=0.2)
+    result = embed_matching(GraphIndex.of(small_expander), sources, sinks, psi=0.2)
     for source, sink in result.matching.items():
         path = result.embedding.path_for(source, sink)
         assert path.source == source and path.target == sink
@@ -122,12 +123,12 @@ def test_embed_matching_paths_connect_the_matched_pairs(small_expander):
 
 def test_embed_matching_rejects_overlapping_sets(small_expander):
     with pytest.raises(ValueError):
-        embed_matching(small_expander, [0, 1], [1, 2, 3])
+        embed_matching(GraphIndex.of(small_expander), [0, 1], [1, 2, 3])
 
 
 def test_embed_matching_rejects_more_sources_than_sinks(small_expander):
     with pytest.raises(ValueError):
-        embed_matching(small_expander, [0, 1, 2], [10, 11])
+        embed_matching(GraphIndex.of(small_expander), [0, 1, 2], [10, 11])
 
 
 def test_embed_matching_reports_cut_on_bottlenecked_graph():
@@ -136,7 +137,7 @@ def test_embed_matching_reports_cut_on_bottlenecked_graph():
     graph = two_expander_graph(40, bridge_edges=1, degree=6, seed=1)
     sources = list(range(15))            # left side
     sinks = list(range(20, 40))          # right side
-    result = embed_matching(graph, sources, sinks, psi=0.4, max_cap_doublings=1)
+    result = embed_matching(GraphIndex.of(graph), sources, sinks, psi=0.4, max_cap_doublings=1)
     if not result.saturated:
         assert result.cut
         assert result.cut_sparsity < 1.0

@@ -5,6 +5,7 @@ import pytest
 
 from repro.graphs.conductance import spectral_gap
 from repro.graphs.generators import random_regular_expander
+from repro.graphs.index import GraphIndex
 from repro.hierarchy.best import best_counts_per_part, build_best_index, locate_best_rank
 from repro.hierarchy.builder import (
     HierarchyParameters,
@@ -163,7 +164,7 @@ def test_locate_best_rank_matches_linear_scan_on_every_internal_node(n, seed, ep
 def test_embed_virtual_expander_produces_connected_low_degree_graph(regular_expander):
     params = HierarchyParameters(epsilon=0.5)
     block = sorted(regular_expander.nodes())[:24]
-    result = embed_virtual_expander(regular_expander, block, params)
+    result = embed_virtual_expander(GraphIndex.of(regular_expander), block, params)
     assert nx.is_connected(result.virtual_graph)
     max_degree = max(degree for _, degree in result.virtual_graph.degree())
     assert max_degree <= result.iterations + 2
