@@ -1,6 +1,6 @@
-"""Elastic cluster tour: autoscaling, hot-key replication, and chaos failover.
+"""Elastic cluster tour: autoscaling and chaos failover.
 
-The elastic control plane end to end, on one seeded run each:
+The elastic control plane end to end, on one seeded run:
 
 1. a queue-depth :class:`~repro.elastic.Autoscaler` grows a 2-shard cluster
    under a bursty arrival process and shrinks it back in the quiet tail,
@@ -8,9 +8,7 @@ The elastic control plane end to end, on one seeded run each:
 2. a seeded :class:`~repro.elastic.FaultPlan` crashes a shard mid-run and
    rejoins it later — the coordinator's health check observes the crash,
    re-owns the dead shard's admitted batches, and the SLO report proves
-   ``lost_batches == 0`` with the failover windows' latency split out;
-3. ``replication_factor=2`` publishes the hottest fingerprint to a second
-   owner and round-robins reads across both, all still cache hits.
+   ``lost_batches == 0`` with the failover windows' latency split out.
 
 Run with ``PYTHONPATH=src python examples/elastic_chaos_demo.py`` (or after
 ``pip install -e .``).
@@ -21,7 +19,6 @@ from repro.elastic import Autoscaler, AutoscalerConfig, FaultPlan
 from repro.graphs.generators import random_regular_expander
 from repro.metrics import MetricsRegistry
 from repro.planner import ExecutionPlan
-from repro.workloads import permutation_workload
 
 PLAN = ExecutionPlan(backend="deterministic", max_workers=2)
 
@@ -65,39 +62,8 @@ def chaos_run() -> None:
         )
 
 
-def replication_run() -> None:
-    print("\n== hot-key replication: R=2 spreads the hotspot, still all hits ==")
-    graph = random_regular_expander(64, degree=8, seed=0)
-    workload = permutation_workload(graph, shift=3)
-    metrics = MetricsRegistry()
-    with ClusterCoordinator(
-        shard_count=3,
-        cache_capacity=4,
-        default_plan=PLAN,
-        metrics=metrics,
-        replication_factor=2,
-        hot_key_threshold=1.0,
-    ) as coordinator:
-        reports = []
-        for _ in range(5):
-            for _ in range(6):
-                coordinator.submit(graph, workload)
-            reports.append(coordinator.dispatch())
-        replicated = coordinator.replicated_keys()
-        served = sorted({shard for report in reports[2:] for shard in report.shard_reports})
-        print(f"replicated keys: {len(replicated)} -> owners spread over {served}")
-        warm = reports[-1]
-        assert warm.cache_hits == warm.query_count, "replica reads must stay cache hits"
-        for family in (
-            "repro_cluster_replica_publishes_total",
-            "repro_cluster_replica_reads_total",
-        ):
-            print(f"{family}: {metrics.as_dict().get(family, {})}")
-
-
 def main() -> None:
     chaos_run()
-    replication_run()
 
 
 if __name__ == "__main__":

@@ -267,14 +267,6 @@ class ClusterCoordinator:
         queue_capacity: per-shard admission queue bound (``None`` =
             unbounded).
         admission_policy: ``"reject"`` or ``"shed-oldest"``.
-        replication_factor: ring owners per *hot* fingerprint (``1`` = no
-            replication).  Keys whose traffic crosses the hot-key threshold
-            are published to this many owners and reads round-robin across
-            them — the hotspot workload's scaling knob.
-        hot_key_threshold: smoothed submissions-per-dispatch above which a
-            fingerprint counts as hot.
-        hot_key_alpha: EWMA smoothing factor for the hot-key rate (``1`` =
-            only the latest cycle counts).
         default_plan: the cluster's execution defaults as **one**
             :class:`~repro.planner.ExecutionPlan` — pool mode and width for
             every shard service, and the template fixed submissions execute
@@ -313,9 +305,6 @@ class ClusterCoordinator:
         cache_capacity: int = 8,
         queue_capacity: int | None = None,
         admission_policy: str = "reject",
-        replication_factor: int = 1,
-        hot_key_threshold: float = 4.0,
-        hot_key_alpha: float = 0.5,
         default_plan: ExecutionPlan | None = None,
         policy: str | None = None,
         planner: QueryPlanner | None = None,
@@ -331,12 +320,6 @@ class ClusterCoordinator:
             raise ValueError("a cluster needs at least one shard")
         if transport not in TRANSPORTS:
             raise ValueError(f"unknown transport {transport!r}; use one of {TRANSPORTS}")
-        if replication_factor < 1:
-            raise ValueError("replication_factor must be at least 1")
-        if hot_key_threshold <= 0:
-            raise ValueError("hot_key_threshold must be positive")
-        if not 0.0 < hot_key_alpha <= 1.0:
-            raise ValueError("hot_key_alpha must be in (0, 1]")
         self.epsilon = epsilon
         self.psi = psi
         self.hierarchy_params = hierarchy_params
@@ -374,10 +357,7 @@ class ClusterCoordinator:
         # gateway watches it to invalidate fingerprint-negotiation caches
         # whose entries may be pinned to a stale placement.
         self.membership_version = 0
-        # -- elasticity state: hot-key replication and failover accounting.
-        self.replication_factor = replication_factor
-        self.hot_key_threshold = hot_key_threshold
-        self.hot_key_alpha = hot_key_alpha
+        # -- elasticity state: failover accounting.
         self.lost_batches = 0
         self.requeued_batches = 0
         self.failovers = 0
@@ -390,10 +370,6 @@ class ClusterCoordinator:
         self._pending_keys: dict[str, str] = {}  # key -> current owner shard
         self._completed_keys: set[str] = set()
         self._auto_key_counter = 0
-        self._hot_ewma: dict[str, float] = {}
-        self._window_counts: dict[str, int] = {}
-        self._replicas: dict[str, tuple[str, ...]] = {}
-        self._replica_rr: dict[str, int] = {}
         # The coordinator fingerprints with the same parameters the shard
         # services use, so placement keys and cache keys agree; its own cache
         # is never filled (placement never routes).
@@ -430,20 +406,6 @@ class ClusterCoordinator:
             "repro_cluster_heartbeat_failures_total",
             "Health checks that found a shard unreachable.",
             labels=("shard",),
-        )
-        self._m_replica_publishes = self.metrics.counter(
-            "repro_cluster_replica_publishes_total",
-            "Hot artifacts published to replica shards, by carrier plane.",
-            labels=("path",),
-        )
-        self._m_replica_reads = self.metrics.counter(
-            "repro_cluster_replica_reads_total",
-            "Reads load-balanced across a replicated key's owners, by shard.",
-            labels=("shard",),
-        )
-        self._m_hot_keys = self.metrics.gauge(
-            "repro_cluster_replica_hot_keys",
-            "Fingerprints currently above the hot-key EWMA threshold.",
         )
         self._m_dedup_hits = self.metrics.counter(
             "repro_journal_dedup_hits_total",
@@ -573,7 +535,6 @@ class ClusterCoordinator:
         before_count = len(self.ring)
         self.ring.add_shard(shard_id)
         self.workers[shard_id] = self._make_worker(shard_id)
-        self._replicas.clear()  # replica sets are recomputed against the new ring
         self._migrate_warm(before)
         moved = sum(1 for key in seen if self.ring.assign(key) != before.get(key))
         expected = 1.0 / len(self.ring) if before_count else 1.0
@@ -597,7 +558,6 @@ class ClusterCoordinator:
         stranded = self.admission.drain(shard_id)
         self.ring.remove_shard(shard_id)
         departing = self.workers.pop(shard_id)
-        self._replicas.clear()
         # The departing shard's warm artifacts migrate to their new owners
         # (shm plane when available) before its pools and segments go away.
         self._migrate_warm(before, departed={shard_id: departing})
@@ -693,7 +653,6 @@ class ClusterCoordinator:
         stranded = self.admission.drain(shard_id)
         self.ring.remove_shard(shard_id)
         self.workers.pop(shard_id)
-        self._replicas.clear()
         self.failovers += 1
         self._m_failovers.labels(shard=shard_id).inc()
         try:
@@ -741,87 +700,6 @@ class ClusterCoordinator:
         self.requeued_batches += len(items)
         self._m_requeued.labels(reason=reason).inc(len(items))
         return len(items)
-
-    # -- hot-key replication ---------------------------------------------------
-
-    def _place(self, fingerprint: str) -> str:
-        """The shard a submission routes to.
-
-        The ring's primary owner, unless the key has warmed replicas — then
-        reads round-robin deterministically over primary + replicas, which is
-        what spreads a hotspot's load without moving its placement.
-        """
-        primary = self.ring.assign(fingerprint)
-        replicas = self._replicas.get(fingerprint)
-        if not replicas:
-            return primary
-        candidates = [primary] + [s for s in replicas if s != primary and s in self.workers]
-        if len(candidates) == 1:
-            return primary
-        turn = self._replica_rr.get(fingerprint, 0)
-        self._replica_rr[fingerprint] = turn + 1
-        choice = candidates[turn % len(candidates)]
-        self._m_replica_reads.labels(shard=choice).inc()
-        return choice
-
-    def _update_hot_keys(self) -> None:
-        """Fold this cycle's per-key traffic into the hot-key EWMA; replicate.
-
-        A fingerprint whose smoothed submissions-per-cycle crosses
-        :attr:`hot_key_threshold` is hot; under ``replication_factor > 1``
-        its warm artifact is published to the extra ring owners so subsequent
-        reads load-balance across them (:meth:`_place`).
-        """
-        alpha = self.hot_key_alpha
-        for fingerprint in set(self._hot_ewma) | set(self._window_counts):
-            previous = self._hot_ewma.get(fingerprint, 0.0)
-            observed = float(self._window_counts.get(fingerprint, 0))
-            self._hot_ewma[fingerprint] = (1.0 - alpha) * previous + alpha * observed
-        self._window_counts.clear()
-        if self.replication_factor > 1 and len(self.ring) > 1:
-            self._replicate_hot_keys()
-        self._m_hot_keys.set(
-            sum(1 for rate in self._hot_ewma.values() if rate >= self.hot_key_threshold)
-        )
-
-    def _replicate_hot_keys(self) -> None:
-        """Publish every hot key's artifact to its replica owners (idempotent)."""
-        for fingerprint in sorted(self._hot_ewma):
-            if self._hot_ewma[fingerprint] < self.hot_key_threshold:
-                continue
-            owners = self.ring.owners(fingerprint, self.replication_factor)
-            current = set(self._replicas.get(fingerprint, ()))
-            missing = [sid for sid in owners[1:] if sid not in current]
-            if not missing:
-                continue
-            source = self.workers.get(owners[0])
-            if not hasattr(source, "export_artifact"):
-                continue
-            try:
-                handoff = source.export_artifact(fingerprint)
-            except (ConnectionError, OSError):
-                continue
-            if handoff is None:
-                continue  # the primary has not served it yet; retry next cycle
-            for target_id in missing:
-                target = self.workers.get(target_id)
-                if target is None or not hasattr(target, "adopt_artifact"):
-                    continue
-                try:
-                    adopted = target.adopt_artifact(handoff)
-                except (ConnectionError, OSError):
-                    adopted = False
-                if adopted:
-                    current.add(target_id)
-                    self._m_replica_publishes.labels(path=handoff.path).inc()
-            if current:
-                self._replicas[fingerprint] = tuple(
-                    sid for sid in owners[1:] if sid in current
-                )
-
-    def replicated_keys(self) -> dict[str, tuple[str, ...]]:
-        """``fingerprint -> replica shards`` for every key currently replicated."""
-        return dict(self._replicas)
 
     # -- submission -----------------------------------------------------------
 
@@ -965,8 +843,7 @@ class ClusterCoordinator:
             graph, backend=plan.backend, backend_params=plan.backend_params
         )
         self._seen_fingerprints.add(fingerprint)
-        self._window_counts[fingerprint] = self._window_counts.get(fingerprint, 0) + 1
-        shard_id = self._place(fingerprint)
+        shard_id = self.ring.assign(fingerprint)
         item = ShardQuery(
             fingerprint=fingerprint,
             graph=graph,
@@ -1103,7 +980,6 @@ class ClusterCoordinator:
                 break
             for shard_id, items in failed.items():
                 self.fail_shard(shard_id, in_flight=items)
-        self._update_hot_keys()
         shard_reports = {
             shard_id: self._merge_batch_reports(reports)
             for shard_id, reports in collected.items()

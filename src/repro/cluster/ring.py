@@ -133,29 +133,6 @@ class ConsistentHashRing:
             index = 0  # wrap around the circle
         return self._owners[index]
 
-    def owners(self, key: str, r: int = 1) -> list[str]:
-        """The first ``r`` distinct shards clockwise of ``key`` (primary first).
-
-        This is the replica set for replication factor ``r``: ``owners(key, 1)
-        == [assign(key)]``, and growing ``r`` only appends shards — the primary
-        never moves, so replicated reads stay consistent with unreplicated
-        placement.  ``r`` larger than the ring is clamped to every shard.
-        """
-        if not self._points:
-            raise ValueError("cannot assign on an empty ring")
-        if r < 1:
-            raise ValueError("replication factor must be at least 1")
-        wanted = min(r, len(self._shards))
-        start = bisect.bisect_right(self._points, _hash64(key))
-        result: list[str] = []
-        for step in range(len(self._points)):
-            owner = self._owners[(start + step) % len(self._points)]
-            if owner not in result:
-                result.append(owner)
-                if len(result) == wanted:
-                    break
-        return result
-
     def placement(self, keys: Iterable[str]) -> dict[str, str]:
         """``key -> shard`` for every key."""
         return {key: self.assign(key) for key in keys}

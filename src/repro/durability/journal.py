@@ -521,10 +521,6 @@ class CoordinatorJournal:
                 requeued_batches=coordinator.requeued_batches,
                 failovers=coordinator.failovers,
                 duplicate_results=coordinator.duplicate_results,
-                hot_ewma=dict(coordinator._hot_ewma),
-                replicas={
-                    key: tuple(owners) for key, owners in coordinator._replicas.items()
-                },
                 planner_state=planner.cost_model.snapshot() if planner is not None else None,
                 planner_version=planner.cost_model.version if planner is not None else 0,
             )

@@ -23,15 +23,6 @@ two-method protocol the chaos :class:`~repro.elastic.FaultInjector` expects
 (``crash_coordinator()``), so a fault plan can SIGKILL the coordinator
 mid-stream and the load generator keeps driving the journal-recovered
 replacement.
-
-Known recovery seams (documented, deliberate):
-
-* the submissions of the window interrupted by the crash have already bumped
-  the hot-key window counts, which die with the process — the EWMA restored
-  from the checkpoint lags one window (irrelevant at
-  ``replication_factor=1``);
-* replica read round-robin cursors restart at zero, so parity checks pin
-  ``replication_factor=1``.
 """
 
 from __future__ import annotations
@@ -238,11 +229,6 @@ def recover(
         coordinator.requeued_batches = checkpoint.requeued_batches
         coordinator.failovers = checkpoint.failovers
         coordinator.duplicate_results = checkpoint.duplicate_results
-        coordinator._hot_ewma.update(checkpoint.hot_ewma)
-        for fingerprint, owners in checkpoint.replicas.items():
-            live = tuple(sid for sid in owners if sid in coordinator.workers)
-            if live:
-                coordinator._replicas[fingerprint] = live
         coordinator.admission.restore_stats(state.admission)
         if coordinator.planner is not None and checkpoint.planner_state is not None:
             coordinator.planner.cost_model.restore(
@@ -257,31 +243,27 @@ def recover(
     if rewarm:
         for fingerprint, wire_query in state.warm.items():
             exemplar = wire_query.to_shard_query()
-            owners = [coordinator.ring.assign(fingerprint)]
-            for sid in coordinator._replicas.get(fingerprint, ()):
-                if sid not in owners:
-                    owners.append(sid)
-            for owner in owners:
-                worker = coordinator.workers.get(owner)
-                if worker is None:
-                    continue
-                warm_item = replace(
-                    exemplar,
-                    requests=exemplar.requests[:1] or exemplar.requests,
-                    plan=(
-                        exemplar.plan.with_shard(owner)
-                        if exemplar.plan is not None
-                        else None
-                    ),
-                    idempotency_key="",
-                )
-                try:
-                    # Straight to the worker: warm batches are not admissions
-                    # and must not journal, count, or complete anything.
-                    worker.process([warm_item])
-                    report.rewarmed += 1
-                except (ConnectionError, OSError):
-                    report.rewarm_failures += 1
+            owner = coordinator.ring.assign(fingerprint)
+            worker = coordinator.workers.get(owner)
+            if worker is None:
+                continue
+            warm_item = replace(
+                exemplar,
+                requests=exemplar.requests[:1] or exemplar.requests,
+                plan=(
+                    exemplar.plan.with_shard(owner)
+                    if exemplar.plan is not None
+                    else None
+                ),
+                idempotency_key="",
+            )
+            try:
+                # Straight to the worker: warm batches are not admissions
+                # and must not journal, count, or complete anything.
+                worker.process([warm_item])
+                report.rewarmed += 1
+            except (ConnectionError, OSError):
+                report.rewarm_failures += 1
 
     pending_items = [query.to_shard_query() for query in state.pending.values()]
     report.batches_recovered = coordinator._requeue_items(pending_items, reason="recovery")

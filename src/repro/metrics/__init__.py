@@ -37,9 +37,6 @@ name                                            kind       labels
 ``repro_cluster_lost_batches_total``            counter    —
 ``repro_cluster_failovers_total``               counter    ``shard``
 ``repro_cluster_heartbeat_failures_total``      counter    ``shard``
-``repro_cluster_replica_publishes_total``       counter    ``path`` (``shm``/``pickle``)
-``repro_cluster_replica_reads_total``           counter    ``shard``
-``repro_cluster_replica_hot_keys``              gauge      —
 ``repro_cluster_autoscaler_events_total``       counter    ``direction`` (``up``/``down``)
 ``repro_cluster_autoscaler_shards``             gauge      —
 ==========================================      =========  =======================================

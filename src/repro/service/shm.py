@@ -29,6 +29,7 @@ round-trip equality, unlink-on-close, and the handoff.
 from __future__ import annotations
 
 import io
+import mmap
 import os
 import pickle
 import struct
@@ -76,6 +77,7 @@ def shm_available() -> bool:
             probe = shared_memory.SharedMemory(create=True, size=16)
             try:
                 probe.buf[:4] = _MAGIC
+                _AttachedSegment(probe.name).close()
             finally:
                 probe.close()
                 probe.unlink()
@@ -260,12 +262,6 @@ class ShmSegmentInfo:
     buffer_count: int
 
 
-# Segment names created by *this* process's stores.  An attach of a locally
-# published segment must not unregister it from the resource tracker — the
-# tracker holds one entry per name, and that entry belongs to the publisher.
-_locally_published: set[str] = set()
-
-
 def _close_quietly(shm) -> None:
     """Unmap an attached segment, tolerating late-GC buffer exports.
 
@@ -277,31 +273,40 @@ def _close_quietly(shm) -> None:
     try:
         shm.close()
     except BufferError:
-        # The mapping object is kept alive by the surviving views and is
-        # unmapped when they go away; drop our handle so ``__del__`` does not
-        # retry the failing close, and release the descriptor now.
-        shm._mmap = None
-        try:
-            shm.close()
-        except Exception:
-            pass
+        pass  # the surviving views keep the mapping; it unmaps when they go
 
 
-def _untrack(shm) -> None:
-    """Detach an *attached* segment from this process's resource tracker.
+class _AttachedSegment:
+    """A mapping of a published segment that no resource tracker knows about.
 
-    Python < 3.13 registers every attach with the multiprocessing resource
-    tracker, which unlinks "leaked" segments at process exit — for a worker
-    that merely mapped a publisher-owned segment, that would tear the
-    artifact out from under every other process.  The publisher keeps its
-    own registration (that is the leak protection); attachers must not.
+    ``SharedMemory(name=...)`` registers each attach with the process's
+    resource tracker, which keeps one entry per segment name and unlinks
+    whatever is still registered when it exits.  An attach must not touch
+    that entry: spawned shard servers share their parent's tracker, so
+    registering and then unregistering would drop the *publisher's* entry
+    (its unlink then fails inside the tracker with a ``KeyError``), and an
+    attacher with a tracker of its own would get the segment unlinked when
+    it exits.  The publisher's registration is the only one, and the
+    publisher's unlink removes it.
     """
-    try:  # pragma: no cover - tracker layout is a CPython internal
-        from multiprocessing import resource_tracker
 
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:
-        pass
+    def __init__(self, name: str) -> None:
+        import _posixshmem
+
+        fd = _posixshmem.shm_open("/" + name, os.O_RDWR, mode=0o600)
+        try:
+            self._mmap = mmap.mmap(fd, os.fstat(fd).st_size)
+        finally:
+            os.close(fd)
+        self.buf = memoryview(self._mmap)
+
+    def close(self) -> None:
+        if self.buf is not None:
+            self.buf.release()
+            self.buf = None
+        if self._mmap is not None:
+            self._mmap.close()
+            self._mmap = None
 
 
 def attach(name: str, metrics: MetricsRegistry | None = None) -> Any:
@@ -311,11 +316,8 @@ def attach(name: str, metrics: MetricsRegistry | None = None) -> Any:
     segment (no copy); the mapping handle stays open for the artifact's
     lifetime and closes when the artifact is garbage collected.
     """
-    shared_memory = _shared_memory_module()
     started = time.perf_counter()
-    shm = shared_memory.SharedMemory(name=name)
-    if name not in _locally_published:
-        _untrack(shm)
+    shm = _AttachedSegment(name)
     try:
         skeleton, views = _parse_segment(shm.buf)
         artifact = unflatten_artifact(skeleton, views)
@@ -407,7 +409,6 @@ class ShmArtifactStore:
             shm.unlink()
             raise
         info = ShmSegmentInfo(name=shm.name, nbytes=total, buffer_count=len(buffers))
-        _locally_published.add(shm.name)
         self._segments[shm.name] = shm
         self._by_fingerprint[fingerprint] = info
         self._refcounts[fingerprint] = 1
@@ -431,7 +432,6 @@ class ShmArtifactStore:
         info = self._by_fingerprint.pop(fingerprint)
         self._refcounts.pop(fingerprint, None)
         shm = self._segments.pop(info.name, None)
-        _locally_published.discard(info.name)
         if shm is None:
             return
         started = time.perf_counter()
@@ -523,8 +523,9 @@ def leaked_segments(prefix: str = SEGMENT_PREFIX, *, reap: bool = False) -> list
             os.unlink(os.path.join(root, name))
         except OSError:
             continue
-        # This process may have attached (and registered) the segment before
-        # its owner died; make sure our tracker does not re-unlink at exit.
+        # The dead owner may have registered the segment with a resource
+        # tracker it shared with this process; drop that entry so the tracker
+        # does not re-unlink it at exit.
         try:
             resource_tracker.unregister("/" + name, "shared_memory")
         except (KeyError, ValueError, OSError):

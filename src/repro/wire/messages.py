@@ -1145,8 +1145,9 @@ class JournalCheckpoint(WireMessage):
     and folds the records after it.  Carries ring membership, the pending and
     completed idempotency-key state, warm-cache exemplars (in last-use order,
     so re-warmed LRU caches end up byte-identical), per-shard admission
-    stats, the elastic lifetime counters, the hot-key/replica maps, and the
-    planner's cost-model calibration.
+    stats, the elastic lifetime counters, and the planner's cost-model
+    calibration.  Checkpoints written before hot-key replication was removed
+    also carry its two maps; decoding ignores them.
     """
 
     type: ClassVar[str] = "journal-checkpoint"
@@ -1163,7 +1164,5 @@ class JournalCheckpoint(WireMessage):
     requeued_batches: int = 0
     failovers: int = 0
     duplicate_results: int = 0
-    hot_ewma: dict[str, float] = field(default_factory=dict)
-    replicas: dict[str, tuple[str, ...]] = field(default_factory=dict)
     planner_state: dict[str, dict] | None = None
     planner_version: int = 0

@@ -1,4 +1,4 @@
-"""Tests for the elastic tier: ring replication, autoscaler, faults, failover.
+"""Tests for the elastic tier: autoscaler, faults, failover.
 
 The correctness bar throughout is the ISSUE's zero-lost-batch guarantee: any
 seeded kill/rejoin cycle under open-loop load must end with every admitted
@@ -10,7 +10,6 @@ import pytest
 
 from repro.cluster import (
     ClusterCoordinator,
-    ConsistentHashRing,
     OpenLoopLoadGenerator,
     ShardCrashed,
 )
@@ -44,39 +43,6 @@ def _coordinator(**overrides):
     )
     defaults.update(overrides)
     return ClusterCoordinator(**defaults)
-
-
-# -- ring.owners -------------------------------------------------------------------
-
-
-def test_owners_first_entry_is_assign():
-    ring = ConsistentHashRing(["a", "b", "c", "d"], vnodes=32)
-    for index in range(100):
-        key = f"key-{index}"
-        owners = ring.owners(key, r=3)
-        assert owners[0] == ring.assign(key)
-        assert len(owners) == len(set(owners)) == 3
-
-
-def test_owners_primary_is_stable_as_r_grows():
-    ring = ConsistentHashRing(["a", "b", "c", "d"], vnodes=32)
-    for index in range(50):
-        key = f"key-{index}"
-        base = ring.owners(key, r=1)
-        for r in (2, 3, 4):
-            wider = ring.owners(key, r=r)
-            # Growing r only appends new replicas; it never reshuffles.
-            assert wider[: len(base)] == base
-            base = wider
-
-
-def test_owners_clamps_to_shard_count_and_validates():
-    ring = ConsistentHashRing(["a", "b"], vnodes=16)
-    assert sorted(ring.owners("k", r=5)) == ["a", "b"]
-    with pytest.raises(ValueError):
-        ring.owners("k", r=0)
-    with pytest.raises(ValueError):
-        ConsistentHashRing([], vnodes=16).owners("k")
 
 
 # -- autoscaler policies -----------------------------------------------------------
@@ -355,98 +321,6 @@ def test_heartbeat_reports_and_check_health_reaps(graphs):
             coordinator.rejoin_shard("shard-0")  # still serving
         coordinator.rejoin_shard("shard-1")
         assert coordinator.heartbeat() == {"shard-0": True, "shard-1": True}
-
-
-# -- hot-key replication -----------------------------------------------------------
-
-
-def _hammer(coordinator, graph, rounds=3, shifts=(1, 2)):
-    reports = []
-    for _ in range(rounds):
-        for shift in shifts:
-            coordinator.submit(graph, permutation_workload(graph, shift=shift))
-        reports.append(coordinator.dispatch())
-    return reports
-
-
-def test_replication_requires_sane_knobs():
-    with pytest.raises(ValueError):
-        ClusterCoordinator(shard_count=2, replication_factor=0)
-    with pytest.raises(ValueError):
-        ClusterCoordinator(shard_count=2, hot_key_threshold=0.0)
-    with pytest.raises(ValueError):
-        ClusterCoordinator(shard_count=2, hot_key_alpha=1.5)
-
-
-def test_hot_keys_replicate_and_reads_spread(graphs):
-    metrics = MetricsRegistry()
-    with _coordinator(
-        shard_count=3,
-        metrics=metrics,
-        replication_factor=2,
-        hot_key_threshold=1.0,
-    ) as coordinator:
-        _hammer(coordinator, graphs[0], rounds=4)
-        replicated = coordinator.replicated_keys()
-        assert len(replicated) == 1
-        [(fingerprint, replicas)] = replicated.items()
-        assert len(replicas) == 1
-        assert replicas[0] != coordinator.ring.assign(fingerprint)
-        publishes = metrics.as_dict().get("repro_cluster_replica_publishes_total", {})
-        assert sum(publishes.values()) >= 1
-        # Reads round-robin over primary + replica once the replica is warm.
-        reports = _hammer(coordinator, graphs[0], rounds=2)
-        served = set()
-        for report in reports:
-            served.update(report.shard_reports)
-        assert len(served) == 2
-        reads = metrics.as_dict().get("repro_cluster_replica_reads_total", {})
-        assert sum(reads.values()) >= 1
-        # Replica serves from its adopted artifact: warm reads stay cache hits.
-        assert all(r.cache_hits == r.query_count for r in reports)
-        assert all(r.preprocess_rounds_incurred == 0 for r in reports)
-
-
-def test_replicated_reads_keep_signature_parity(graphs):
-    """R=2 spreads reads but must not change what any query returns."""
-
-    def run(replication_factor):
-        with _coordinator(
-            shard_count=3,
-            replication_factor=replication_factor,
-            hot_key_threshold=1.0,
-        ) as coordinator:
-            return _hammer(coordinator, graphs[0], rounds=4)
-
-    base, replicated = run(1), run(2)
-    for lhs, rhs in zip(base, replicated):
-        assert lhs.all_delivered and rhs.all_delivered
-        assert lhs.query_count == rhs.query_count
-        # Per-query outcomes agree even when a replica served the read: the
-        # merged semantic plan ids and delivered totals are identical.
-        lhs_sig, rhs_sig = lhs.signature(), rhs.signature()
-
-        def merge(sig, key):
-            return sum(shard[key] for shard in sig.values())
-
-        for key in ("queries", "delivered", "total_query_rounds"):
-            assert merge(lhs_sig, key) == merge(rhs_sig, key)
-        assert {p for s in lhs_sig.values() for p in s["plans"]} == {
-            p for s in rhs_sig.values() for p in s["plans"]
-        }
-
-
-def test_membership_changes_invalidate_replicas(graphs):
-    with _coordinator(
-        shard_count=3, replication_factor=2, hot_key_threshold=1.0
-    ) as coordinator:
-        _hammer(coordinator, graphs[0], rounds=3)
-        assert coordinator.replicated_keys()
-        coordinator.add_shard()
-        assert not coordinator.replicated_keys()  # stale placements dropped
-        # The next dispatch cycle re-publishes against the new ring.
-        _hammer(coordinator, graphs[0], rounds=2)
-        assert coordinator.replicated_keys()
 
 
 # -- elasticity rides the warm plane ----------------------------------------------

@@ -12,7 +12,11 @@ directory.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -25,6 +29,7 @@ from repro.metrics import MetricsRegistry
 from repro.planner import ExecutionPlan
 from repro.service import RoutingService, leaked_segments, shm_available
 from repro.service.shm import (
+    SEGMENT_PREFIX,
     ShmArtifactStore,
     attach,
     flatten_artifact,
@@ -241,3 +246,61 @@ def test_publish_degrades_only_when_the_plane_is_unavailable(artifact, monkeypat
         with pytest.raises(RuntimeError, match="flatten bug"):
             service.publish_segment("d" * 16, artifact)
     assert leaked_segments() == []
+
+
+_TCP_HANDOFF_SCRIPT = """
+from repro.cluster import ClusterCoordinator
+from repro.graphs import random_regular_expander
+from repro.metrics import MetricsRegistry
+from repro.workloads import permutation_workload
+
+if __name__ == "__main__":
+    graphs = [random_regular_expander(32, degree=4, seed=seed) for seed in range(6)]
+    with ClusterCoordinator(
+        shard_count=2, transport="tcp", metrics=MetricsRegistry()
+    ) as coordinator:
+        for graph in graphs:
+            coordinator.submit(graph, permutation_workload(graph, shift=1))
+        coordinator.dispatch()
+        coordinator.add_shard()
+        for graph in graphs:
+            coordinator.submit(graph, permutation_workload(graph, shift=2))
+        report = coordinator.dispatch()
+        assert report.cache_hits == report.query_count
+        handoffs = coordinator.metrics.as_dict().get("repro_cluster_warm_handoffs_total", {})
+        assert handoffs.get("path=shm", 0.0) > 0, handoffs
+        pids = [worker.child.pid for worker in coordinator.workers.values()]
+    print(" ".join(map(str, pids)))
+"""
+
+
+def test_tcp_warm_handoff_leaves_no_tracebacks_or_segments(tmp_path):
+    """Shard servers attaching a sibling's segment keep the shared tracker intact.
+
+    Spawned shard servers share their parent's resource tracker, which keeps
+    one entry per segment name.  An attach that unregistered its (shared)
+    entry made the publisher's later unlink fail inside the tracker with a
+    ``KeyError`` traceback on stderr.
+    """
+    script = tmp_path / "tcp_handoff.py"
+    script.write_text(_TCP_HANDOFF_SCRIPT)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    completed = subprocess.run(
+        [sys.executable, str(script)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert "Traceback" not in completed.stderr, completed.stderr
+    pids = completed.stdout.split()
+    assert len(pids) == 3
+    survivors = [
+        name
+        for name in leaked_segments()
+        if any(name.startswith(f"{SEGMENT_PREFIX}-{pid}-") for pid in pids)
+    ]
+    assert survivors == []

@@ -160,10 +160,6 @@ def wire_journal_checkpoints(draw):
         requeued_batches=draw(st.integers(0, 100)),
         failovers=draw(st.integers(0, 100)),
         duplicate_results=draw(st.integers(0, 100)),
-        hot_ewma=draw(st.dictionaries(names, st.floats(0, 100, allow_nan=False), max_size=2)),
-        replicas=draw(
-            st.dictionaries(names, st.lists(names, max_size=2).map(tuple), max_size=2)
-        ),
         planner_state=draw(st.none() | st.dictionaries(names, params, max_size=2)),
         planner_version=draw(st.integers(0, 100)),
     )

@@ -10,8 +10,15 @@ message.  A second group pins the payload keys a decoder refuses to default
 coercions that reject garbage from a peer.
 """
 
+import json
+import struct
+import zlib
+
 import pytest
 
+from repro import RoutingRequest
+from repro.durability import recover
+from repro.metrics import MetricsRegistry
 from repro.wire import (
     WIRE_VERSION,
     ArtifactAdoptReply,
@@ -210,8 +217,6 @@ INSTANCES = {
         requeued_batches=1,
         failovers=1,
         duplicate_results=0,
-        hot_ewma={"fp-1": 0.5},
-        replicas={"fp-1": ("shard-0", "shard-1")},
         planner_state={"deterministic": {"ms": 1.5, "samples": 3}},
         planner_version=3,
     ),
@@ -306,25 +311,24 @@ GOLDEN: dict[str, bytes] = {
         b'":"key-1"}}'
     ),
     "journal-checkpoint": (
-        b'\x00{"type":"journal-checkpoint","v":1,"shard_ids":["shard-0","shard-1"],"next_sh'
-        b'ard_index":2,"seen_fingerprints":["fp-1"],"pending":[{"type":"shard-query","v":1,'
-        b'"fingerprint":"fp-1","graph":null,"graph_ref":"c5b1e0d8b8c2d8bb","requests":[{"ty'
-        b'pe":"request","v":1,"source":0,"destination":2,"payload":null}],"load":null,"back'
-        b'end":"deterministic","backend_params":{},"workload":"permutation","plan":null,"id'
-        b'empotency_key":"key-2"}],"completed_keys":["key-0"],"warm":[{"type":"shard-query"'
-        b',"v":1,"fingerprint":"fp-1","graph":{"type":"graph","v":1,"nodes":[0,1,2,3],"edge'
-        b's":[[0,1,{}],[1,2,{"weight":2}],[2,3,{}],[3,0,{"weight":1.5}]]},"graph_ref":"","r'
-        b'equests":[{"type":"request","v":1,"source":0,"destination":2,"payload":null},{"ty'
-        b'pe":"request","v":1,"source":1,"destination":3,"payload":{"tag":[1,"x",null]}}],"'
-        b'load":2,"backend":"deterministic","backend_params":{"epsilon":0.5},"workload":"pe'
-        b'rmutation","plan":{"type":"plan","v":1,"backend":"deterministic","backend_params"'
-        b':{"epsilon":0.5,"seed":7},"kernel":"numpy","parallelism":"threads","max_workers":'
-        b'2,"chunk_size":null,"fused":true,"shard_hint":"shard-1","policy":"cost","reason":'
-        b'"golden"},"idempotency_key":"key-1"}],"auto_key_counter":17,"admission":{"shard-0'
-        b'":{"offered":5,"accepted":4,"rejected":1,"shed":2}},"lost_batches":0,"requeued_ba'
-        b'tches":1,"failovers":1,"duplicate_results":0,"hot_ewma":{"fp-1":0.5},"replicas":{'
-        b'"fp-1":["shard-0","shard-1"]},"planner_state":{"deterministic":{"ms":1.5,"samples'
-        b'":3}},"planner_version":3}'
+        b'\x00{"type":"journal-checkpoint","v":1,"shard_ids":["shard-0","shard-1"],"next_shar'
+        b'd_index":2,"seen_fingerprints":["fp-1"],"pending":[{"type":"shard-query","v":1,"'
+        b'fingerprint":"fp-1","graph":null,"graph_ref":"c5b1e0d8b8c2d8bb","requests":[{"ty'
+        b'pe":"request","v":1,"source":0,"destination":2,"payload":null}],"load":null,"bac'
+        b'kend":"deterministic","backend_params":{},"workload":"permutation","plan":null,"'
+        b'idempotency_key":"key-2"}],"completed_keys":["key-0"],"warm":[{"type":"shard-que'
+        b'ry","v":1,"fingerprint":"fp-1","graph":{"type":"graph","v":1,"nodes":[0,1,2,3],"'
+        b'edges":[[0,1,{}],[1,2,{"weight":2}],[2,3,{}],[3,0,{"weight":1.5}]]},"graph_ref":'
+        b'"","requests":[{"type":"request","v":1,"source":0,"destination":2,"payload":null'
+        b'},{"type":"request","v":1,"source":1,"destination":3,"payload":{"tag":[1,"x",nul'
+        b'l]}}],"load":2,"backend":"deterministic","backend_params":{"epsilon":0.5},"workl'
+        b'oad":"permutation","plan":{"type":"plan","v":1,"backend":"deterministic","backen'
+        b'd_params":{"epsilon":0.5,"seed":7},"kernel":"numpy","parallelism":"threads","max'
+        b'_workers":2,"chunk_size":null,"fused":true,"shard_hint":"shard-1","policy":"cost'
+        b'","reason":"golden"},"idempotency_key":"key-1"}],"auto_key_counter":17,"admissio'
+        b'n":{"shard-0":{"offered":5,"accepted":4,"rejected":1,"shed":2}},"lost_batches":0'
+        b',"requeued_batches":1,"failovers":1,"duplicate_results":0,"planner_state":{"dete'
+        b'rministic":{"ms":1.5,"samples":3}},"planner_version":3}'
     ),
     "journal-complete": (
         b'\x00{"type":"journal-complete","v":1,"key":"key-1","fingerprint":"fp-1","shard_id'
@@ -432,6 +436,31 @@ LEGACY_PLAN = (
     b':null,"fused":true,"artifact_transport":"shm","shard_hint":"shard-1","policy":"co'
     b'st","reason":"golden"}'
 )
+#: A checkpoint as written before hot-key replication was removed: a 2-shard
+#: cluster whose one key had been replicated, so it still carries the
+#: ``hot_ewma`` and ``replicas`` maps.  Journals on disk hold records like it;
+#: they must keep decoding (unknown fields are ignored) and recovering.
+LEGACY_CHECKPOINT = (
+    b'\x00{"type":"journal-checkpoint","v":1,"shard_ids":["shard-0","shard-1"],"next_shar'
+    b'd_index":2,"seen_fingerprints":["67c308c885530867f9a1164272e7044693d2885643be169'
+    b'ceef584c4057909bc"],"pending":[],"completed_keys":["auto-0","auto-1","auto-2","a'
+    b'uto-3","auto-4","auto-5"],"warm":[{"type":"shard-query","v":1,"fingerprint":"67c'
+    b'308c885530867f9a1164272e7044693d2885643be169ceef584c4057909bc","graph":{"type":"'
+    b'graph","v":1,"nodes":[0,1,2,3,4,5,6,7,8,9,10,11],"edges":[[0,7,{}],[0,2,{}],[0,8'
+    b',{}],[1,5,{}],[1,6,{}],[1,9,{}],[2,3,{}],[2,6,{}],[3,4,{}],[3,7,{}],[4,7,{}],[4,'
+    b'8,{}],[5,11,{}],[5,10,{}],[6,11,{}],[8,9,{}],[9,10,{}],[10,11,{}]]},"graph_ref":'
+    b'"","requests":[{"type":"request","v":1,"source":1,"destination":6,"payload":null'
+    b'}],"load":null,"backend":"deterministic","backend_params":{},"workload":"","plan'
+    b'":{"type":"plan","v":1,"backend":"deterministic","backend_params":{},"kernel":"n'
+    b'umpy","parallelism":"threads","max_workers":null,"chunk_size":null,"fused":false'
+    b',"shard_hint":"shard-0","policy":"fixed","reason":"cluster default plan"},"idemp'
+    b'otency_key":"auto-5"}],"auto_key_counter":6,"admission":{"shard-1":{"offered":4,'
+    b'"accepted":4,"rejected":0,"shed":0},"shard-0":{"offered":2,"accepted":2,"rejecte'
+    b'd":0,"shed":0}},"lost_batches":0,"requeued_batches":0,"failovers":0,"duplicate_r'
+    b'esults":0,"hot_ewma":{"67c308c885530867f9a1164272e7044693d2885643be169ceef584c40'
+    b'57909bc":1.75},"replicas":{"67c308c885530867f9a1164272e7044693d2885643be169ceef5'
+    b'84c4057909bc":["shard-0"]},"planner_state":null,"planner_version":0}'
+)
 GRAPH_FINGERPRINT = "ef7b1a690e6e0e02bbd4ab553f97b80e95ac009db79e876ef8c57b63fcdcfeee"
 
 
@@ -452,6 +481,33 @@ def test_legacy_plan_bytes_decode_to_the_current_plan():
     assert decoded == PLAN
     assert decoded.to_plan() == PLAN.to_plan()
     assert decoded.to_plan().plan_id == PLAN.to_plan().plan_id
+
+
+def test_legacy_checkpoint_decodes_without_the_replication_maps():
+    decoded = message_from_wire(LEGACY_CHECKPOINT)
+    legacy_fields = json.loads(LEGACY_CHECKPOINT[1:])
+    assert legacy_fields.pop("hot_ewma") and legacy_fields.pop("replicas")
+    assert json.loads(decoded.to_wire()[1:]) == legacy_fields
+
+
+def test_legacy_checkpoint_journal_recovers_a_serving_coordinator(tmp_path):
+    """A journal whose last checkpoint predates the removal still recovers."""
+    payload = LEGACY_CHECKPOINT
+    frame = struct.pack(">II", len(payload), zlib.crc32(payload)) + payload
+    (tmp_path / "wal-00000000.log").write_bytes(frame)
+    coordinator, report = recover(tmp_path, {"metrics": MetricsRegistry()})
+    with coordinator:
+        assert report.checkpoint_found and report.rewarmed == 1
+        assert coordinator.shard_ids == ["shard-0", "shard-1"]
+        assert coordinator.completed_key_count() == 6
+        [warm] = message_from_wire(LEGACY_CHECKPOINT).warm
+        graph = warm.graph.to_graph()
+        assert coordinator.fingerprint(graph) == warm.fingerprint
+        decision = coordinator.submit(graph, [RoutingRequest(source=2, destination=9)])
+        assert decision.accepted and decision.shard_id == "shard-1"
+        result = coordinator.dispatch()
+        assert result.all_delivered
+        assert result.cache_hits == result.query_count == 1  # the re-warmed artifact
 
 
 def test_graph_fingerprint_is_pinned():
