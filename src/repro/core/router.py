@@ -31,10 +31,18 @@ Queries run on one of two paths with identical outcomes, chosen once per
 * the reference kernel walks :class:`~repro.core.tokens.Token` objects
   through :meth:`ExpanderRouter._solve_task2`, the executable specification
   the tests compare the engine against.
+
+A process runs one array-engine call at a time: ``route`` and ``route_many``
+take one module-level lock around it, across all routers.  The engine is a
+chain of short numpy calls that hold the GIL, so threads routing at once
+gain no parallelism and pay for switching.  Preprocessing and the reference
+kernel take no lock.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import ClassVar, Hashable, Sequence
@@ -57,6 +65,20 @@ from repro.hierarchy.node import HierarchicalDecomposition, HierarchyNode
 from repro.kernels import use_numpy
 
 __all__ = ["PreprocessArtifact", "PreprocessSummary", "RoutingOutcome", "ExpanderRouter"]
+
+#: Serializes array-engine calls in this process (see the module docstring).
+_ENGINE_LOCK = threading.Lock()
+
+
+def _reset_engine_lock() -> None:
+    # A fork while another thread holds the lock would leave the child's copy
+    # held for good.
+    global _ENGINE_LOCK
+    _ENGINE_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_engine_lock)
 
 
 @dataclass
@@ -404,7 +426,8 @@ class ExpanderRouter:
             self.preprocess()
         if not use_numpy():
             return self._route_tokens(requests, load)
-        return self._route_arrays([requests], [load])[0]
+        with _ENGINE_LOCK:
+            return self._route_arrays([requests], [load])[0]
 
     def route_many(
         self,
@@ -432,7 +455,8 @@ class ExpanderRouter:
                 self._route_tokens(requests, load)
                 for requests, load in zip(request_groups, loads)
             ]
-        return self._route_arrays(request_groups, loads)
+        with _ENGINE_LOCK:
+            return self._route_arrays(request_groups, loads)
 
     # -- the array engine -----------------------------------------------------
 

@@ -5,9 +5,12 @@
   per queued token, the row's cell ``(entry, part, mark column)`` flattened to
   one int, rows sorted by cell and, within a cell, by queue position.  Per
   shuffler matching, :func:`plan_transfers_batched` yields the transfer chunks
-  of every ``(origin, partner)`` pair at once, each row's rank in its cell
-  picks its chunk (and so its target), and one stable sort appends the movers
-  behind the stayers of their new cell.  It returns the final row order,
+  of every ``(origin, partner)`` pair at once.  Only the movers — the first
+  ``sent`` rows of each sending cell, typically a small share of all rows — are
+  touched: their chunks give their targets, a stable sort over the movers
+  alone orders them behind the stayers of their new cell, and the stayers
+  fill the remaining positions in their old order.  Peaks and portal loads
+  are taken once, after the last matching.  It returns the final row order,
   cells and counts plus per-entry statistics and rounds.  This is exact
   because a matching never pops more than the snapshot count of a cell, so
   pops only ever take rows that were present when the iteration started, and
@@ -202,64 +205,108 @@ def disperse_many_numpy(
     Per entry, the final queues, counts, peaks and rounds are those of the
     reference loop of :func:`~repro.core.dispersion.disperse` on that entry
     alone.  Mark columns an entry does not use stay all-zero and never send.
+
+    A matching's work is proportional to its movers, not to all ``R`` rows:
+    a cell sends the first ``sent`` rows of its queue (``sent`` is the last
+    chunk end of its ``(origin, count)`` plan), each mover's target comes
+    from its chunk, and the movers land, in (origin, rank) order, behind the
+    stayers of their new cell.  Only the reordering of ``order`` itself
+    touches every row.
     """
     from repro.core.cost import send_round_cost, sort_round_cost
 
     batch, t, m = shape
     cells = batch * t * m
-    row_cell = np.array(row_cell, dtype=np.int64)
-    positions = np.arange(len(row_cell))
-    rows = positions
-    counts = np.bincount(row_cell, minlength=cells).reshape(batch, t, m)
-    held = counts.ravel() > 0
+    total = len(row_cell)
+    rows = np.arange(total)
+    counts = np.bincount(np.asarray(row_cell, dtype=np.int64), minlength=cells)
+    cell_ids = np.arange(cells)
+    cell_origin = cell_ids // m % t
 
-    max_loads: list[np.ndarray] = []
-    portal_tokens: list[np.ndarray] = []
-    for matching in shuffler.matchings:
-        table = pair_table(shuffler, matching)
-        chunk_ends = plan_transfers_batched(counts, table)
-        flat_counts = counts.ravel()
-        origin = row_cell // m % t
-        rank = positions - (np.cumsum(flat_counts) - flat_counts)[row_cell]
-        # A row's slot is how many chunk ends of its cell lie at or below its
-        # rank; slot == D means it stays.
-        slot = np.count_nonzero(chunk_ends[origin, flat_counts[row_cell]] <= rank[:, None], axis=1)
-        moved = slot < chunk_ends.shape[2]
-        outgoing = np.zeros(batch * t * t, dtype=np.int64)
-        if moved.any():
-            source = origin[moved]
-            target = table.targets[source, slot[moved]]
-            entry = row_cell[moved] // (t * m)
-            outgoing = np.bincount((entry * t + source) * t + target, minlength=batch * t * t)
-            row_cell[moved] += (target - source) * m
-            # Stable sort: stayers keep their queue order and movers follow in
-            # (origin, rank) order — the reference's push_back order.
-            order = np.argsort(2 * row_cell + moved, kind="stable")
-            row_cell = row_cell[order]
-            rows = rows[order]
-            counts = np.bincount(row_cell, minlength=cells).reshape(batch, t, m)
-            held |= counts.ravel() > 0
-        max_loads.append(counts.sum(axis=2).max(axis=1))
-        per_portal = -(-outgoing.reshape(batch, t * t) // table.portal_pairs.ravel())
-        portal_tokens.append(per_portal.max(axis=1, initial=1))
+    tables = [pair_table(shuffler, matching) for matching in shuffler.matchings]
+    # Per matching, (t, D): how far a row sent from its origin over a slot
+    # moves in cell numbers.
+    shift = [(table.targets - np.arange(t)[:, None]) * m for table in tables]
+    history = [counts]  # the counts at the start and after every matching
+    # Per matching that moves rows: its index, and each mover's cell before
+    # and after it.
+    moves: list[tuple[int, np.ndarray, np.ndarray]] = []
+    for index, table in enumerate(tables):
+        chunk_ends = plan_transfers_batched(counts.reshape(shape), table)
+        _, size, width = chunk_ends.shape
+        # A cell sends the first ``sent`` rows of its queue, its chunks in
+        # slot order; the rest stay.
+        row_base = (cell_origin * size + counts) * width
+        sent = chunk_ends.take(row_base + (width - 1)) if width else np.zeros_like(counts)
+        active = np.flatnonzero(sent)
+        if not active.size:
+            history.append(counts)
+            continue
+        origin = cell_origin[active]
+        ends = chunk_ends.take(row_base[active][:, None] + np.arange(width))
+        amounts = ends.copy()
+        amounts[:, 1:] -= ends[:, :-1]
+        amounts = amounts.ravel()
+        # The movers in (cell, rank) order, which is (cell, slot) order.
+        source = np.repeat(active, sent[active])
+        into = source + np.repeat(shift[index][origin], amounts)
+        moves.append((index, source, into))
+
+        staying = counts - sent
+        counts = staying + np.bincount(into, minlength=cells)
+        # Each new cell holds its stayers, in queue order, then its movers in
+        # (origin, rank) order — the reference's push_back order.  Stayers
+        # keep their relative order across cells, so they fill every
+        # position the movers neither leave nor land on, and the ``k``-th
+        # mover, in old or in new order, sits behind the stayers of every
+        # cell up to its own.
+        stayers_through = staying.cumsum()
+        ordinal = np.arange(len(into))
+        mover = (stayers_through - staying)[source] + ordinal
+        order = np.argsort(into, kind="stable")
+        landing = stayers_through[into[order]] + ordinal
+        leaving = np.zeros(total, dtype=bool)
+        leaving[mover] = True
+        landed = np.zeros(total, dtype=bool)
+        landed[landing] = True
+        reordered = np.empty_like(rows)
+        reordered[landing] = rows[mover[order]]
+        reordered[~landed] = rows[~leaving]
+        rows = reordered
+        history.append(counts)
+    row_cell = np.repeat(cell_ids, counts)
+
+    # -- peaks and portal loads of every matching, at once ---------------------
+    iterations = len(shuffler.matchings)
+    seen = np.stack(history)
+    held = seen.any(axis=0)
+    loads = seen[1:].reshape(iterations, batch, t, m).sum(axis=3).max(axis=2, initial=0)
+    # Per (matching, entry): the most rows one portal path carries between
+    # two parts, at least 1.
+    portal_tokens = np.ones(iterations * batch, dtype=np.int64)
+    if moves:
+        steps, sources, intos = zip(*moves)
+        iteration = np.repeat(steps, [len(source) for source in sources])
+        source, into = np.concatenate(sources), np.concatenate(intos)
+        outgoing = np.bincount(((iteration * batch * t + source // m) * t) + into // m % t)
+        code = np.flatnonzero(outgoing)
+        portal_pairs = np.stack([table.portal_pairs.ravel() for table in tables])
+        pair = code // (batch * t * t) * (t * t) + code % (t * t)
+        per_portal = -(-outgoing[code] // portal_pairs.take(pair))
+        np.maximum.at(portal_tokens, code // (t * t), per_portal)
+    portal_tokens_rows = portal_tokens.reshape(iterations, batch)
+    counts = counts.reshape(shape)
 
     # -- round accounting (Lemma 6.7) -----------------------------------------
-    iterations = len(shuffler.matchings)
     max_part_size = max(part_sizes) if len(part_sizes) else 1
-    loads = np.asarray(max_loads, dtype=np.int64).reshape(iterations, batch)
-    part_loads = np.maximum(1, -(-loads // max(1, max_part_size))).tolist()
-    portal_tokens_rows = np.asarray(portal_tokens, dtype=np.int64).reshape(iterations, batch)
-    sort_cost: dict[int, int] = {}
-    rounds = [0] * batch
-    for matching, per_part, per_portal in zip(
-        shuffler.matchings, part_loads, portal_tokens_rows.tolist()
-    ):
-        path_quality = pair_table(shuffler, matching).quality * max(1, flatten_quality)
-        for entry in range(batch):
-            load = per_part[entry]
-            if load not in sort_cost:
-                sort_cost[load] = sort_round_cost(max_part_size, load, flatten_quality)
-            rounds[entry] += sort_cost[load] + send_round_cost(per_portal[entry], path_quality)
+    part_loads = np.maximum(1, -(-loads // max(1, max_part_size))).ravel()
+    used, which = np.unique(part_loads, return_inverse=True)
+    sort_costs = [sort_round_cost(max_part_size, load, flatten_quality) for load in used.tolist()]
+    # A send costs its tokens per path (here at least 1) times the cost of one.
+    per_token = [send_round_cost(1, table.quality * max(1, flatten_quality)) for table in tables]
+    charged = np.array(sort_costs, dtype=np.int64)[which].reshape(iterations, batch)
+    charged += portal_tokens_rows * np.array(per_token, dtype=np.int64).reshape(iterations, 1)
+    rounds = charged.sum(axis=0).tolist()
 
     # -- Definition 6.1 window check per (entry, mark column) ------------------
     total_vertices = sum(part_sizes) if len(part_sizes) else t

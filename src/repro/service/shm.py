@@ -82,7 +82,9 @@ def shm_available() -> bool:
                 probe.close()
                 probe.unlink()
             _available = True
-        except Exception:
+        except (ImportError, OSError, ValueError):
+            # No POSIX shared memory here, no /dev/shm room or access, or an
+            # empty mapping.
             _available = False
     return _available
 
@@ -142,7 +144,8 @@ class _ArtifactPickler(pickle.Pickler):
                 node_payload = np.asarray(nodes)
                 if node_payload.dtype == object:
                     node_payload = nodes
-            except Exception:
+            except (ValueError, TypeError, OverflowError):
+                # Ragged or otherwise array-hostile vertices ship as the list.
                 node_payload = nodes
             return (_rebuild_plain_graph, (node_payload, indptr, indices))
         return NotImplemented
@@ -343,8 +346,8 @@ def _cleanup_segments(segments: dict[str, Any]) -> None:
         try:
             shm.close()
             shm.unlink()
-        except Exception:
-            pass
+        except (BufferError, OSError):
+            pass  # views still export it, or it is already unlinked
     segments.clear()
 
 

@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, settings
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
@@ -23,6 +24,13 @@ from repro.graphs.generators import (  # noqa: E402
     weighted_expander,
 )
 from repro.hierarchy.builder import HierarchyParameters, build_hierarchy  # noqa: E402
+
+#: The deep equivalence run in CI: ``pytest tests/test_fused.py
+#: tests/test_engine.py --hypothesis-profile=ci``.  Registered here, before the
+#: hypothesis plugin loads the profile named on the command line.
+settings.register_profile(
+    "ci", deadline=None, max_examples=300, suppress_health_check=[HealthCheck.too_slow]
+)
 
 
 @pytest.fixture(scope="session")

@@ -12,8 +12,12 @@ and error parity.
 
 from __future__ import annotations
 
+import os
 import pickle
 import random
+import sys
+import threading
+import time
 
 import networkx as nx
 import numpy as np
@@ -24,6 +28,7 @@ from repro.cluster import DEFAULT_WORKLOAD_MIX
 from repro.core.cost import CostLedger
 from repro.core.general import GeneralGraphRouter
 from repro.core.merge import solve_task3, solve_task3_many
+from repro.core import router as router_module
 from repro.core.router import ExpanderRouter
 from repro.core.tables import node_table, vertex_index
 from repro.core.tokens import RoutingRequest, Token, tokens_from_requests
@@ -340,3 +345,67 @@ def test_route_many_raises_the_first_failing_query(small_router):
     with kernel("numpy"):
         assert _error(lambda: small_router.route_many(groups)) == expected
     assert "not located" in expected[1]
+
+
+def test_engine_calls_never_overlap_across_threads(small_router, warm_router, monkeypatch):
+    """More threads than cores, routing on two routers, take turns in the array engine."""
+    both = [
+        (small_router, [list(make_workload("multi-token", small_router.graph, load=2).requests)]),
+        (warm_router, _warm_fused_batch(warm_router.graph, seed=2, per_shape=1)[0]),
+    ]
+    jobs = [both[slot % 2] for slot in range((os.cpu_count() or 1) + 1)]
+    with kernel("numpy"):
+        expected = [[_facts(o) for o in router.route_many(groups)] for router, groups in jobs]
+
+    inside, overlaps = [], []
+    engine = ExpanderRouter._route_arrays
+
+    def spy(router, *args, **kwargs):
+        inside.append(router)
+        overlaps.append(len(inside))
+        time.sleep(0.02)  # a wide window for another thread to enter
+        try:
+            return engine(router, *args, **kwargs)
+        finally:
+            inside.remove(router)
+
+    monkeypatch.setattr(ExpanderRouter, "_route_arrays", spy)
+    start = threading.Barrier(len(jobs))
+    results: list = [None] * len(jobs)
+
+    def work(slot, router, groups):
+        start.wait()
+        results[slot] = [
+            [_facts(o) for o in router.route_many(groups)],
+            [_facts(router.route(group)) for group in groups[:1]],
+        ]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with kernel("numpy"):
+            threads = [
+                threading.Thread(target=work, args=(slot, router, groups))
+                for slot, (router, groups) in enumerate(jobs)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(overlaps) == 2 * len(jobs) and max(overlaps) == 1
+    assert [fused for fused, _ in results] == expected
+    assert [solo for _, solo in results] == [facts[:1] for facts in expected]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_gets_a_free_engine_lock():
+    """A fork while the engine runs must not leave the child's lock held."""
+    with router_module._ENGINE_LOCK:
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - child process
+            os._exit(0 if router_module._ENGINE_LOCK.acquire(blocking=False) else 1)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0

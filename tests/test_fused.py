@@ -14,6 +14,7 @@ import copy
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,7 @@ from repro.core.router import ExpanderRouter
 from repro.core.tokens import RoutingRequest
 from repro.graphs.generators import random_regular_expander
 from repro.kernels import kernel, set_kernel
+from repro.kernels.batched import disperse_many_numpy
 from repro.metrics import MetricsRegistry
 from repro.planner import ExecutionPlan
 from repro.service import RoutingService
@@ -36,7 +38,9 @@ from repro.workloads import make_workload
 settings.register_profile(
     "repro-fused", deadline=None, max_examples=12, suppress_health_check=[HealthCheck.too_slow]
 )
-settings.load_profile("repro-fused")
+# The deep run (``--hypothesis-profile=ci``, see conftest.py) keeps its profile.
+if settings.default is not settings.get_profile("ci"):
+    settings.load_profile("repro-fused")
 
 
 @pytest.fixture(scope="module")
@@ -138,21 +142,29 @@ def _queues(state):
 
 @given(st.data())
 def test_disperse_many_matches_reference_on_eleven_part_root(wide_root, data):
-    """Queues item by item and every DispersionStats field match the reference loop."""
+    """Queues item by item, every DispersionStats field, and the kernel's row cells
+    and held cells match the reference loop.
+
+    Loads up to 8 grow the matchings' transfer-plan memo in mid-replay, and an
+    entry that piles all its tokens into one part makes that part's cells send
+    over several partner slots at once.
+    """
     parts = [sorted(part.vertices) for part in wide_root.parts]
     part_sizes = [len(vertices) for vertices in parts]
     states = []
-    for entry in range(data.draw(st.integers(min_value=1, max_value=16))):
-        load = data.draw(st.sampled_from([1, 2]))
+    for entry in range(data.draw(st.integers(min_value=1, max_value=32))):
+        load = data.draw(st.integers(min_value=1, max_value=8))
         marks = data.draw(
             st.lists(st.integers(0, len(parts) - 1), min_size=1, max_size=len(parts), unique=True)
         )
+        pile = data.draw(st.none() | st.integers(0, len(parts) - 1))
         rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**16)))
         state = DispersionState(len(parts))
         for part_index, vertices in enumerate(parts):
             for vertex in vertices:
                 for copy_index in range(rng.randint(0, load)):
-                    state.add(part_index, rng.choice(marks), (entry, vertex, copy_index))
+                    queue = part_index if pile is None else pile
+                    state.add(queue, rng.choice(marks), (entry, vertex, copy_index))
         states.append(state)
     flatten_quality = wide_root.flatten_quality()
     expected_states = copy.deepcopy(states)
@@ -161,6 +173,35 @@ def test_disperse_many_matches_reference_on_eleven_part_root(wide_root, data):
             disperse(state, wide_root.shuffler, part_sizes, 2, flatten_quality)
             for state in expected_states
         ]
+
+    # The kernel itself, on rows laid out as disperse_many lays them out.
+    t = len(parts)
+    union_marks = sorted(set().union(*(state.marks() for state in states)), key=repr)
+    m = max(len(union_marks), 1)
+
+    def cells(per_state):
+        return [
+            ((entry * t + part) * m + union_marks.index(mark), queue)
+            for entry, state in enumerate(per_state)
+            for part, per_mark in state.queues.items()
+            for mark, queue in per_mark.items()
+        ]
+
+    queued = sorted(cells(states), key=lambda item: item[0])
+    items = [item for _, queue in queued for item in queue]
+    dispersal = disperse_many_numpy(
+        np.array([cell for cell, queue in queued for _ in queue], dtype=np.int64),
+        (len(states), t, m),
+        wide_root.shuffler,
+        part_sizes,
+        flatten_quality,
+    )
+    final = sorted(cells(expected_states), key=lambda item: item[0])
+    assert [items[row] for row in dispersal.order] == [item for _, queue in final for item in queue]
+    assert dispersal.row_cell.tolist() == [cell for cell, queue in final for _ in queue]
+    # A queue key survives once its cell has held items.
+    assert np.flatnonzero(dispersal.held).tolist() == [cell for cell, _ in final]
+
     solo_state = copy.deepcopy(states[0])
     with kernel("numpy"):
         fused = disperse_many(

@@ -28,6 +28,7 @@ from repro.kernels import batched
 from repro.metrics import MetricsRegistry
 from repro.planner import ExecutionPlan
 from repro.service import RoutingService, leaked_segments, shm_available
+from repro.service import shm as shm_module
 from repro.service.shm import (
     SEGMENT_PREFIX,
     ShmArtifactStore,
@@ -77,6 +78,46 @@ def test_flatten_unflatten_round_trip(artifact):
     assert clone.fingerprint == artifact.fingerprint
     assert clone.epsilon == artifact.epsilon
     assert _route_facts(clone) == _route_facts(artifact)
+
+
+def test_flatten_ships_ragged_vertices_as_a_list():
+    """Vertices numpy cannot stack (tuples of two lengths) still round-trip."""
+    graph = nx.relabel_nodes(
+        nx.random_regular_graph(4, 48, seed=9), lambda v: (v,) if v % 2 else (v, v)
+    )
+    router = ExpanderRouter(graph, epsilon=0.5)
+    router.preprocess()
+    ragged = router.export_artifact(fingerprint="r" * 16)
+    clone = unflatten_artifact(*flatten_artifact(ragged))
+    assert sorted(clone.decomposition.graph.nodes()) == sorted(graph.nodes())
+    assert _route_facts(clone) == _route_facts(ragged)
+
+
+def test_probe_and_cleanup_absorb_only_their_own_errors(monkeypatch):
+    """The probe degrades on OS errors and cleanup skips a gone segment; bugs surface."""
+
+    def unavailable():
+        raise OSError(38, "Function not implemented")
+
+    def buggy():
+        raise RuntimeError("probe bug")
+
+    monkeypatch.setattr(shm_module, "_available", None)
+    monkeypatch.setattr(shm_module, "_shared_memory_module", unavailable)
+    assert shm_module.shm_available() is False
+    monkeypatch.setattr(shm_module, "_available", None)
+    monkeypatch.setattr(shm_module, "_shared_memory_module", buggy)
+    with pytest.raises(RuntimeError, match="probe bug"):
+        shm_module.shm_available()
+    monkeypatch.undo()
+
+    from multiprocessing import shared_memory
+
+    gone = shared_memory.SharedMemory(create=True, size=16)
+    gone.unlink()
+    segments = {gone.name: gone}
+    shm_module._cleanup_segments(segments)  # unlinking again raises FileNotFoundError
+    assert segments == {}
 
 
 def test_flatten_prewarms_pair_tables_and_propagates_build_errors(monkeypatch):
