@@ -469,7 +469,6 @@ def _gateway_coalesce_row(graphs, plan, *, coalesce: bool, quick: bool) -> tuple
             coordinator,
             socket_path=os.path.join(tmp, "bench.sock"),
             max_batch=16 if coalesce else 1,
-            max_delay_ms=2.0,
         ) as gateway:
             start = time.perf_counter()
 

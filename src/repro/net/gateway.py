@@ -11,15 +11,16 @@ internals) and speaks the frame protocol of :mod:`repro.net.frames`:
   global semaphore bounds in-flight requests, so a connection storm queues at
   the door instead of overwhelming the admission tier.
 * **Coalescing.** Submits from *all* connections feed one admission queue
-  drained by a single-writer loop.  The loop closes an adaptive micro-batch
-  window — on ``max_batch`` submits, on ``max_delay_ms`` elapsed, or
-  immediately when the queue runs dry with at most one connection active (a
-  lone sequential client never waits) — and admits the whole window in one
-  coordinator pass (:meth:`~repro.cluster.ClusterCoordinator.submit_many`,
-  which group-commits the window's journal records in one fsync).  Replies
-  are split back per connection afterwards.  Admission order is queue
-  arrival order, so placement stays a pure function of frame arrival order
-  exactly as it was under the old per-submit lock.
+  drained by a single-writer loop.  The loop never waits on a timer: a
+  window holds whatever is already queued (up to ``max_batch`` submits —
+  typically the submits that arrived while the previous window was being
+  admitted) and closes the moment the queue is empty.  It admits the whole
+  window in one coordinator pass
+  (:meth:`~repro.cluster.ClusterCoordinator.submit_many`, which
+  group-commits the window's journal records in one fsync).  Replies are
+  split back per connection afterwards.  Admission order is queue arrival
+  order, so placement stays a pure function of frame arrival order exactly
+  as it was under the old per-submit lock.
 * **Fingerprint dedup.** A client submits with only its graph's
   fingerprint; the gateway resolves it from an LRU-bounded cache and answers
   ``NeedGraphReply`` on a miss (first sight, eviction, or a membership
@@ -99,11 +100,9 @@ class ClusterGateway:
         socket_path: listening path for the unix family.
         host: listening host for the inet family.
         max_inflight: global bound on concurrently served requests.
-        max_batch: close a coalescing window once this many submits are in it.
-        max_delay_ms: longest a window stays open waiting for company when
-            more than one connection is active; a lone connection's window
-            closes the moment its queue runs dry (zero added latency for
-            sequential traffic).
+        max_batch: most submits one coalescing window admits; a window
+            otherwise closes as soon as the admission queue is empty, so no
+            submit waits for company.
         graph_cache_size: LRU capacity of the fingerprint-negotiation cache
             (distinct graphs resolvable without a payload); evicting an entry
             costs the next fingerprint-only submit one ``NeedGraphReply``
@@ -125,7 +124,6 @@ class ClusterGateway:
         host: str = "127.0.0.1",
         max_inflight: int = 64,
         max_batch: int = 16,
-        max_delay_ms: float = 2.0,
         graph_cache_size: int = 128,
         metrics=None,
     ) -> None:
@@ -145,7 +143,6 @@ class ClusterGateway:
         self._host = host
         self._max_inflight = max_inflight
         self._max_batch = max_batch
-        self._max_delay = max(0.0, max_delay_ms) / 1000.0
         self._graph_cache_size = graph_cache_size
         self._instruments = NetInstruments(
             metrics if metrics is not None else coordinator.metrics, role="gateway"
@@ -158,7 +155,6 @@ class ClusterGateway:
         # elide).  A coordinator membership change clears it wholesale.
         self._graph_cache: "OrderedDict[str, nx.Graph]" = OrderedDict()
         self._membership_seen = coordinator.membership_version
-        self._active_connections = 0
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop: asyncio.Event | None = None
         self._closed = False
@@ -212,7 +208,6 @@ class ClusterGateway:
 
     async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         self._instruments.connection_opened()
-        self._active_connections += 1
         try:
             while True:
                 message = await read_frame(reader, self._instruments)
@@ -233,7 +228,6 @@ class ClusterGateway:
                 if done:
                     break
         finally:
-            self._active_connections -= 1
             self._instruments.connection_closed()
             writer.close()
             # CancelledError included: loop shutdown cancels handler tasks
@@ -274,25 +268,13 @@ class ClusterGateway:
         """Single writer: coalesce queued submits and admit them in one pass."""
         while True:
             batch = [await self._admit_queue.get()]
-            window_closes = self._loop.time() + self._max_delay
+            # The window closes as soon as the queue is empty: no submit ever
+            # waits for company, yet submits that queued while the previous
+            # window was being admitted still share one pass and one fsync.
             while len(batch) < self._max_batch:
                 try:
                     batch.append(self._admit_queue.get_nowait())
-                    continue
                 except asyncio.QueueEmpty:
-                    pass
-                # Queue dry: wait for company only when another connection
-                # could plausibly provide it within the window — a lone
-                # sequential client sees zero added latency, so the local
-                # and tcp transports stay latency- and order-equivalent.
-                remaining = window_closes - self._loop.time()
-                if self._active_connections <= 1 or remaining <= 0:
-                    break
-                try:
-                    batch.append(
-                        await asyncio.wait_for(self._admit_queue.get(), timeout=remaining)
-                    )
-                except asyncio.TimeoutError:
                     break
             async with self._admit_mutex:
                 outcomes = await asyncio.to_thread(

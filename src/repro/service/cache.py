@@ -42,6 +42,26 @@ from repro.metrics import MetricsRegistry
 
 __all__ = ["CacheStats", "ArtifactCache"]
 
+#: What ``pickle.load`` raises on a disk entry that cannot be served: an
+#: unreadable file (``OSError``), truncated bytes (``EOFError``,
+#: ``UnpicklingError``), a class since renamed or moved (``AttributeError``,
+#: ``ImportError``), and flipped bytes, which corrupt opcodes, lengths and
+#: string payloads (the remaining types; each was observed when flipping 1-4
+#: random bytes of a pickled artifact).
+_UNSERVABLE_PICKLE_ERRORS = (
+    OSError,
+    EOFError,
+    pickle.UnpicklingError,
+    AttributeError,
+    ImportError,
+    ValueError,
+    TypeError,
+    KeyError,
+    IndexError,
+    OverflowError,
+    MemoryError,
+)
+
 
 @dataclass
 class CacheStats:
@@ -279,16 +299,19 @@ class ArtifactCache:
         try:
             with open(path, "rb") as handle:
                 artifact = pickle.load(handle)
-        except Exception:
-            self.stats.disk_rejects += 1
-            path.unlink(missing_ok=True)
+        except _UNSERVABLE_PICKLE_ERRORS:
+            self._reject_disk_entry(path)
             return None
         if (
             not isinstance(artifact, PreprocessArtifact)
             or artifact.format_version != PreprocessArtifact.FORMAT_VERSION
             or artifact.fingerprint != fingerprint
         ):
-            self.stats.disk_rejects += 1
-            path.unlink(missing_ok=True)
+            self._reject_disk_entry(path)
             return None
         return artifact
+
+    def _reject_disk_entry(self, path: Path) -> None:
+        with self._lock:
+            self.stats.disk_rejects += 1
+        path.unlink(missing_ok=True)

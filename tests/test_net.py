@@ -10,8 +10,11 @@ coordinator-shaped :class:`ClusterClient` surface, and the deprecation /
 close-idempotency satellites.
 """
 
+import asyncio
 import socket
 import threading
+import time
+import types
 import warnings
 
 import pytest
@@ -30,6 +33,7 @@ from repro.net import (
     recv_frame,
     send_frame,
 )
+from repro.net import gateway as gateway_module
 from repro.net.shard_server import ShardServerConfig, start_shard_server
 from repro.planner import ExecutionPlan
 from repro.wire import Ping, Pong, ShardStatsRequest, WireDecodeError
@@ -372,7 +376,12 @@ def test_membership_change_invalidates_negotiation_cache(tmp_path, graphs):
 
 def test_coalesced_submits_match_sequential_signature(tmp_path, graphs):
     """K concurrent submitters coalesce into micro-batches; the merged report
-    signature is byte-identical to the same submissions made sequentially."""
+    signature is byte-identical to the same submissions made sequentially.
+
+    No timer forces the coalescing: the coordinator's first ``submit_many``
+    is held until every other submitter's request is queued behind it, so
+    the next window deterministically holds more than one submit.
+    """
     workload = permutation_workload(graphs[0], shift=1)
     requests = workload.requests[:12]
 
@@ -381,9 +390,21 @@ def test_coalesced_submits_match_sequential_signature(tmp_path, graphs):
             shard_count=2, cache_capacity=4, default_plan=PLAN, metrics=MetricsRegistry()
         )
         with coordinator, ClusterGateway(
-            coordinator, socket_path=str(tmp_path / f"{tag}.sock"), max_delay_ms=25.0
+            coordinator, socket_path=str(tmp_path / f"{tag}.sock")
         ) as gate:
             if concurrency > 1:
+                release = threading.Event()
+                windows: list[int] = []
+                submit_many = coordinator.submit_many
+
+                def held_submit_many(batch):
+                    windows.append(len(batch))
+                    if len(windows) == 1:
+                        assert release.wait(timeout=30)
+                    return submit_many(batch)
+
+                coordinator.submit_many = held_submit_many
+
                 def submit_chunk(chunk):
                     with ClusterClient(gate.address, metrics=MetricsRegistry()) as client:
                         for request in chunk:
@@ -396,8 +417,25 @@ def test_coalesced_submits_match_sequential_signature(tmp_path, graphs):
                 ]
                 for thread in threads:
                     thread.start()
+
+                async def queued() -> int:
+                    return gate._admit_queue.qsize()
+
+                # Each connection has at most one submit in flight, so once
+                # the held window plus the queue account for all of them,
+                # every other submitter is waiting behind the first window.
+                for _ in range(3000):
+                    if windows and windows[0] + asyncio.run_coroutine_threadsafe(
+                        queued(), gate._loop
+                    ).result(timeout=10) == concurrency:
+                        break
+                    time.sleep(0.01)
+                else:
+                    pytest.fail("submitters never queued behind the held window")
+                release.set()
                 for thread in threads:
-                    thread.join()
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
             else:
                 with ClusterClient(gate.address, metrics=MetricsRegistry()) as client:
                     for request in requests:
@@ -413,8 +451,53 @@ def test_coalesced_submits_match_sequential_signature(tmp_path, graphs):
     sequential_report, _ = run(1, "sequential")
     assert concurrent_report.query_count == sequential_report.query_count == len(requests)
     assert concurrent_report.signature() == sequential_report.signature()
-    # With four connections racing, at least one window held >1 submit.
+    # The submits queued behind the held window were admitted together.
     assert coalesced >= 1
+
+
+def test_sequential_submits_never_wait_behind_an_idle_connection(
+    tmp_path, graphs, monkeypatch
+):
+    """A second, idle connection (a client's dispatch connection) must not make
+    the admission loop wait for company: every sequential submit is admitted
+    in its own window, and the loop never arms a timer."""
+    timed_waits: list[object] = []
+
+    class _RecordingAsyncio(types.ModuleType):
+        def __getattr__(self, name):
+            return getattr(asyncio, name)
+
+        @staticmethod
+        def wait_for(awaitable, timeout):
+            timed_waits.append(timeout)
+            return asyncio.wait_for(awaitable, timeout)
+
+    monkeypatch.setattr(gateway_module, "asyncio", _RecordingAsyncio("asyncio"))
+
+    workload = permutation_workload(graphs[0], shift=1)
+    requests = workload.requests[:6]
+    coordinator = ClusterCoordinator(
+        shard_count=2, cache_capacity=4, default_plan=PLAN, metrics=MetricsRegistry()
+    )
+    windows: list[int] = []
+    submit_many = coordinator.submit_many
+
+    def counting_submit_many(batch):
+        windows.append(len(batch))
+        return submit_many(batch)
+
+    coordinator.submit_many = counting_submit_many
+    with coordinator, ClusterGateway(coordinator, socket_path=str(tmp_path / "g.sock")) as gate:
+        with ClusterClient(gate.address, metrics=MetricsRegistry()) as submitter, ClusterClient(
+            gate.address, metrics=MetricsRegistry()
+        ) as dispatcher:
+            assert dispatcher.ping()  # the idle connection is open and served
+            for request in requests:
+                assert submitter.submit(graphs[0], [request], workload=workload.name).accepted
+            report = dispatcher.dispatch()
+    assert report.query_count == len(requests)
+    assert windows == [1] * len(requests)
+    assert timed_waits == []
 
 
 def test_remote_shard_ships_each_graph_once(tmp_path, graphs):

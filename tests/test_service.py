@@ -108,7 +108,17 @@ def test_cache_rejects_corrupt_and_mismatched_disk_entries(tmp_path, small_artif
     with open(tmp_path / "other.pkl", "wb") as handle:
         pickle.dump(small_artifact, handle)
     assert cache.get("other") is None
-    assert cache.stats.disk_rejects == 2
+
+    # A valid pickle cut short (a crash mid-write) is rejected the same way.
+    payload = pickle.dumps(small_artifact)
+    (tmp_path / "small.pkl").write_bytes(payload[: len(payload) // 2])
+    assert cache.get("small") is None
+    assert not (tmp_path / "small.pkl").exists()
+
+    # A flipped byte inside a pickled string fails to decode, not to unpickle.
+    (tmp_path / "flipped.pkl").write_bytes(b"\x80\x04\x8c\x01\xff.")
+    assert cache.get("flipped") is None
+    assert cache.stats.disk_rejects == 4
 
 
 # -- artifact export / restore ----------------------------------------------------
