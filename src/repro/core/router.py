@@ -58,6 +58,7 @@ from repro.core.tasks import Task1Instance
 from repro.core.tokens import RoutingRequest, Token, tokens_from_requests
 from repro.cutmatching.game import CutMatchingGame
 from repro.graphs.conductance import estimate_conductance
+from repro.graphs.index import GraphIndex
 from repro.graphs.validation import max_degree, require_connected
 from repro.hierarchy.best import BestVertexIndex, build_best_index, locate_best_rank
 from repro.hierarchy.builder import HierarchyParameters, build_hierarchy
@@ -270,7 +271,12 @@ class ExpanderRouter:
         """Build the hierarchy, the delegation index, and every shuffler (Theorem 1.1)."""
         ledger = self.preprocess_ledger
         with ledger.phase("preprocess"):
-            decomposition = build_hierarchy(self.graph, params=self.hierarchy_params)
+            # Each internal node's GraphIndex, reused by its shuffler's game
+            # below and dropped with this frame (never part of the artifact).
+            indexes: dict[int, GraphIndex] = {}
+            decomposition = build_hierarchy(
+                self.graph, params=self.hierarchy_params, indexes=indexes
+            )
             ledger.charge("hierarchy", decomposition.build_rounds)
             best_index = build_best_index(decomposition)
 
@@ -300,7 +306,10 @@ class ExpanderRouter:
                         continue
                     parts = [sorted(part.vertices) for part in node.parts]
                     game = CutMatchingGame(
-                        node.virtual_graph, parts, psi=self.hierarchy_params.psi
+                        node.virtual_graph,
+                        parts,
+                        psi=self.hierarchy_params.psi,
+                        index=indexes[id(node)],
                     )
                     outcome = game.play()
                     if outcome.shuffler is None:

@@ -3,8 +3,11 @@
 A query batch travels through the hierarchy as flat int arrays indexed by
 vertex number (see :mod:`repro.core.router`).  Everything those arrays are
 looked up against is a pure function of the preprocessed artifact, so it is
-built once and attached to the artifact's objects (pickled and published
-with it, like the dispersion pair tables):
+built on the first route that needs it, with numpy over the vertex numbers
+(no per-pair loops), and attached to the artifact's objects (pickled and
+published with it, like the dispersion pair tables).  The qualities the
+tables carry were recorded when preprocessing built the embeddings, so
+building a table recomputes none of them:
 
 * :class:`VertexIndex`, per decomposition: the vertex numbering (sorted
   vertex order), each vertex's rank in ``repr`` order (the token order of
@@ -107,34 +110,47 @@ class NodeTable:
             self.leaf_best = np.array([number[v] for v in sorted(node.vertices)], dtype=np.int64)
             self.leaf_quality = quality
             return
-        parts = [sorted(part.vertices) for part in node.parts]
+        parts = node.parts
         t = self.t = len(parts)
+        # Vertex numbers follow sorted vertex order, so sorted numbers are
+        # the numbers of the sorted part.
+        members = [
+            np.sort(np.array([number[v] for v in part.vertices], dtype=np.int64)) for part in parts
+        ]
+        part_size = np.array([len(vertices) for vertices in members], dtype=np.int64)
+        part_flat = np.concatenate(members)
         #: ``(n + 1,)`` vertex -> part index, -1 outside the node.
         self.part_of = np.full(n + 1, -1, dtype=np.int64)
-        #: ``(n + 1,)`` vertex -> the part it is bad in, -1 if none.
-        self.bad_part = np.full(n + 1, -1, dtype=np.int64)
-        #: ``(n + 1,)`` bad vertex -> its good mate.
-        self.mate = np.arange(n + 1, dtype=np.int64)
-        for part, vertices in zip(node.parts, parts):
-            self.part_of[[number[v] for v in vertices]] = part.index
+        self.part_of[part_flat] = np.repeat([part.index for part in parts], part_size)
+        # Bad vertices are few: one (vertex, part, mate) row each.  A bad
+        # vertex without a matching entry goes to its part's smallest good
+        # vertex.
+        rows = []
+        for part in parts:
             for vertex in part.bad_vertices:
                 mate = part.matching.get(vertex)
                 if mate is None:
                     mate = min(part.good_vertices)
-                self.bad_part[number[vertex]] = part.index
-                self.mate[number[vertex]] = number[mate]
+                rows.append((number[vertex], part.index, number[mate]))
+        bad = np.array(rows, dtype=np.int64).reshape(-1, 3)
+        #: ``(n + 1,)`` vertex -> the part it is bad in, -1 if none.
+        self.bad_part = np.full(n + 1, -1, dtype=np.int64)
+        self.bad_part[bad[:, 0]] = bad[:, 1]
+        #: ``(n + 1,)`` bad vertex -> its good mate.
+        self.mate = np.arange(n + 1, dtype=np.int64)
+        self.mate[bad[:, 0]] = bad[:, 2]
         self.has_bad = bool((self.bad_part >= 0).any())
         counts = np.array(best_counts_per_part(node), dtype=np.int64)
         #: cumulative best counts per part and their starts (Section 4).
         self.best_ends = np.cumsum(counts)
         self.best_starts = self.best_ends - counts
         #: ``|X*_j|`` per part.
-        self.part_size = np.array([len(vertices) for vertices in parts], dtype=np.int64)
+        self.part_size = part_size
         #: sorted part vertices, concatenated; part ``j`` starts at ``part_start[j]``.
-        self.part_flat = np.array([number[v] for part in parts for v in part], dtype=np.int64)
-        self.part_start = np.cumsum(self.part_size) - self.part_size
+        self.part_flat = part_flat
+        self.part_start = np.cumsum(part_size) - part_size
         self.part_depth = np.array(
-            [sorting_network_depth(len(vertices)) for vertices in parts], dtype=np.int64
+            [sorting_network_depth(size) for size in part_size.tolist()], dtype=np.int64
         )
         #: rank of each part mark in ``repr`` order (10 sorts before 2).
         self.mark_repr_rank = np.argsort(

@@ -35,6 +35,7 @@ from repro.cutmatching.matching_player import MatchingPlayer
 from repro.cutmatching.potential import WalkState
 from repro.cutmatching.shuffler import Shuffler, ShufflerMatching
 from repro.graphs.cluster import ClusterGraph, build_cluster_graph
+from repro.graphs.index import GraphIndex, path_quality
 
 __all__ = ["CutMatchingOutcome", "CutMatchingGame", "build_shuffler"]
 
@@ -71,7 +72,9 @@ class CutMatchingGame:
         parts: Sequence[Sequence],
         psi: float = 0.1,
         max_iterations: int | None = None,
+        index: GraphIndex | None = None,
     ) -> None:
+        """``index`` is ``base_graph``'s :class:`GraphIndex` when the caller already built one."""
         if len(parts) < 1:
             raise ValueError("the partition must contain at least one part")
         self.base_graph = base_graph
@@ -83,7 +86,7 @@ class CutMatchingGame:
         # constant factor per iteration, so this cap is rarely approached.
         self.max_iterations = max_iterations or max(16, int(16 * math.log2(max(n, 2))) + 16)
         self.cut_player = SpectralCutPlayer()
-        self.matching_player = MatchingPlayer(base_graph, self.cluster, psi=psi)
+        self.matching_player = MatchingPlayer(base_graph, self.cluster, psi=psi, index=index)
 
     def play(self) -> CutMatchingOutcome:
         """Run the game to completion and return the shuffler or a sparse cut."""
@@ -93,6 +96,8 @@ class CutMatchingGame:
         normalizer = float(max(part_sizes)) if part_sizes else 1.0
         state = WalkState(t)
         matchings: list[ShufflerMatching] = []
+        # Every kept matching's paths, for the union quality (Definition 5.4).
+        union_paths: list[list[int]] = []
         rounds = 0
         potential_history: list[float] = []
 
@@ -139,6 +144,7 @@ class CutMatchingGame:
                     fractional=response.fractional,
                 )
             )
+            union_paths.extend(response.path_edges)
 
         shuffler = Shuffler(
             part_count=t,
@@ -147,6 +153,7 @@ class CutMatchingGame:
             final_potential=state.potential(),
             build_rounds=rounds,
         )
+        shuffler._quality_cache = path_quality(union_paths)
         return CutMatchingOutcome(
             shuffler=shuffler,
             iterations=len(matchings),

@@ -34,6 +34,9 @@ class MatchingPlayerResult:
         fractional: the natural fractional matching on the cluster graph.
         saturated: whether every vertex of ``S_X`` was matched.
         cut: sparse-cut certificate when saturation failed (empty otherwise).
+        path_edges: each embedded path's edge ids over the player's
+            :class:`~repro.graphs.index.GraphIndex` (transient, for the
+            shuffler's union quality).
     """
 
     matching_edges: list[tuple[Hashable, Hashable]] = field(default_factory=list)
@@ -41,6 +44,7 @@ class MatchingPlayerResult:
     fractional: dict[tuple[int, int], float] = field(default_factory=dict)
     saturated: bool = False
     cut: frozenset = frozenset()
+    path_edges: list[list[int]] = field(default_factory=list)
 
     @property
     def quality(self) -> int:
@@ -51,9 +55,16 @@ class MatchingPlayerResult:
 class MatchingPlayer:
     """Embeds base-graph matchings realising the cut player's requests."""
 
-    def __init__(self, base_graph: nx.Graph, cluster: ClusterGraph, psi: float = 0.1) -> None:
+    def __init__(
+        self,
+        base_graph: nx.Graph,
+        cluster: ClusterGraph,
+        psi: float = 0.1,
+        index: GraphIndex | None = None,
+    ) -> None:
+        """``index`` is ``base_graph``'s :class:`GraphIndex` when the caller has one."""
         self.base_graph = base_graph
-        self.index = GraphIndex.of(base_graph)
+        self.index = GraphIndex.of(base_graph) if index is None else index
         self.cluster = cluster
         self.psi = psi
 
@@ -89,4 +100,5 @@ class MatchingPlayer:
             fractional=fractional,
             saturated=result.saturated,
             cut=result.cut,
+            path_edges=result.path_edges,
         )

@@ -88,9 +88,13 @@ class Shuffler:
     def quality(self) -> int:
         """``Q(M_X)``: quality of the union of all matching embeddings (Definition 5.4).
 
-        The union is a static property of the preprocessed shuffler but was
-        recomputed on every routing query; the fast path caches it (lazily
-        attached, so pre-change pickled artifacts still load).
+        :meth:`CutMatchingGame.play <repro.cutmatching.game.CutMatchingGame.play>`
+        records it when it builds the shuffler: the largest summed edge load
+        over all matchings' paths plus their largest dilation, so under the
+        numpy kernel a read builds no :class:`PathCollection`.  The reference
+        kernel always recomputes the union from the paths.  A shuffler with
+        no recorded value computes and records it on first read (the value is
+        lazily attached, so artifacts pickled without it load).
         """
         from repro.kernels import use_numpy
 

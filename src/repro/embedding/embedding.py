@@ -77,12 +77,17 @@ class Embedding:
 
     @property
     def quality(self) -> int:
-        """Quality ``Q(f)`` of the embedding (Section 2).
+        """Quality ``Q(f)`` of the embedding (Section 2): congestion + dilation of its paths.
 
-        Embeddings are frozen once preprocessing built them, but their quality
-        is read on every routing query; the fast path caches the value (as a
-        lazily attached attribute, so previously pickled artifacts still
-        load).  Mutating an embedding via :meth:`add_edge` invalidates it.
+        Preprocessing records it when it builds the embedding, from the edge
+        ids of the paths it has just found
+        (:func:`~repro.graphs.index.path_quality`), so under the numpy kernel
+        a read builds no :class:`PathCollection`.  The reference kernel always
+        recomputes it from the paths, which keeps its round counts an
+        independent check of the recorded values.  An embedding with no
+        recorded value (built by hand, or changed through :meth:`add_edge`,
+        which clears it) computes and records it on first read.  The value is
+        a lazily attached attribute, so artifacts pickled without it load.
         """
         from repro.kernels import use_numpy
 

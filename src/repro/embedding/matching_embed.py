@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable
 
-from repro.embedding.embedding import Embedding
+from repro.embedding.embedding import Embedding, _virtual_edge_key
 from repro.embedding.paths import Path
 from repro.graphs.index import GraphIndex
 
@@ -52,7 +52,12 @@ class MatchingEmbedResult:
     * ``saturated`` is False: ``cut`` is a non-empty vertex set containing the
       unmatched sources with small sparsity (reported in ``cut_sparsity``).
 
-    ``quality`` is the quality (congestion + dilation) of ``embedding``.
+    ``quality`` is the quality (congestion + dilation) of ``embedding``, and
+    ``path_edges`` lists each embedded path's edge ids over the
+    :class:`~repro.graphs.index.GraphIndex`, in ``matching`` order: callers
+    that combine several embeddings take the union's quality from them
+    (:func:`~repro.graphs.index.path_quality`).  The result is transient;
+    nothing stores it on the hierarchy.
     """
 
     matching: dict[Hashable, Hashable] = field(default_factory=dict)
@@ -63,6 +68,7 @@ class MatchingEmbedResult:
     congestion_cap_used: int = 0
     dilation_cap_used: int = 0
     quality: int = 0
+    path_edges: list[list[int]] = field(default_factory=list)
 
 
 def _capped_bfs_to_sink(
@@ -185,6 +191,7 @@ def embed_matching(
             if sink in position:
                 free_sink[position[sink]] = 1
         unmatched: list[Hashable] = []
+        path_edges: list[list[int]] = []
         dilation = 0
         for source in source_list:
             found = _capped_bfs_to_sink(
@@ -197,7 +204,11 @@ def embed_matching(
             free_sink[path[-1]] = 0
             sink = vertices[path[-1]]
             matching[source] = sink
-            embedding.add_edge(source, sink, Path(tuple(vertices[p] for p in path)))
+            # The BFS path runs from ``source`` to ``sink``, so it needs none
+            # of add_edge's endpoint checks.
+            path_vertices = tuple(vertices[p] for p in path)
+            embedding.mapping[_virtual_edge_key(source, sink)] = Path(path_vertices)
+            path_edges.append(edges)
             dilation = max(dilation, len(edges))
             for edge in edges:
                 edge_load[edge] += 1
@@ -215,6 +226,7 @@ def embed_matching(
                 congestion_cap_used=congestion_cap,
                 dilation_cap_used=dilation_cap,
                 quality=quality,
+                path_edges=path_edges,
             )
         if congestion_cap >= base_congestion and dilation_cap >= base_dilation:
             # Report the sparse-cut certificate around the stuck sources.
@@ -247,6 +259,7 @@ def embed_matching(
                 congestion_cap_used=congestion_cap,
                 dilation_cap_used=dilation_cap,
                 quality=quality,
+                path_edges=path_edges,
             )
         congestion_cap = min(base_congestion, congestion_cap * 2)
         dilation_cap = min(base_dilation, dilation_cap * 2)

@@ -7,10 +7,12 @@ Section 2 of the paper defines the *quality* of a set of paths ``P`` as
 * dilation ``d = max_P |P|`` (edges on the longest path).
 
 One round of communication along every path can be executed in ``Q(P)^2``
-deterministic rounds (Fact 2.2) or ``~O(Q(P))`` randomized rounds.  The
-routing engine stores every embedded structure (virtual expander edges,
-matchings, shuffler matchings) as a :class:`PathCollection` so quality — and
-therefore round cost — is always available.
+deterministic rounds (Fact 2.2) or ``~O(Q(P))`` randomized rounds.
+:class:`PathCollection` computes quality from the paths themselves, keyed by
+``repr``-ordered vertex pairs.  Preprocessing records every embedding's and
+shuffler's quality from integer edge loads instead
+(:func:`~repro.graphs.index.path_quality`); the reference kernel and the
+tests recompute them here.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ natural-fractional-matching translation used by the shuffler.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import networkx as nx
@@ -27,14 +28,28 @@ class ClusterGraph:
     Attributes:
         base: the base graph ``X``.
         parts: the ordered list of vertex sets (``X*_1 .. X*_t``).
-        graph: the contracted multigraph; node ``i`` corresponds to ``parts[i]``.
         part_of: maps each base vertex to its part index.
+
+    The contracted multigraph itself, :attr:`graph`, is built on first use:
+    the cut-matching game reads only the parts and ``part_of``.
     """
 
     base: nx.Graph
     parts: list[frozenset]
-    graph: nx.MultiGraph
     part_of: dict = field(default_factory=dict)
+
+    @cached_property
+    def graph(self) -> nx.MultiGraph:
+        """The contracted multigraph; node ``i`` corresponds to ``parts[i]``."""
+        contracted = nx.MultiGraph()
+        contracted.add_nodes_from(range(len(self.parts)))
+        part_of = self.part_of
+        for u, v in self.base.edges():
+            if u in part_of and v in part_of:
+                pu, pv = part_of[u], part_of[v]
+                if pu != pv:
+                    contracted.add_edge(pu, pv)
+        return contracted
 
     @property
     def size(self) -> int:
@@ -70,15 +85,7 @@ def build_cluster_graph(base: nx.Graph, parts: Sequence[Iterable]) -> ClusterGra
             if vertex in part_of:
                 raise ValueError(f"vertex {vertex!r} appears in two parts")
             part_of[vertex] = index
-
-    contracted = nx.MultiGraph()
-    contracted.add_nodes_from(range(len(frozen_parts)))
-    for u, v in base.edges():
-        if u in part_of and v in part_of:
-            pu, pv = part_of[u], part_of[v]
-            if pu != pv:
-                contracted.add_edge(pu, pv)
-    return ClusterGraph(base=base, parts=frozen_parts, graph=contracted, part_of=part_of)
+    return ClusterGraph(base=base, parts=frozen_parts, part_of=part_of)
 
 
 def natural_fractional_matching(

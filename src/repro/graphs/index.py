@@ -13,6 +13,9 @@ these paths run on integers instead:
 * :func:`component_labels` and :func:`diameter` — networkx's connected
   components and diameter on a dense boolean adjacency matrix, for the small
   virtual graphs of the hierarchy.
+* :func:`path_quality` — the quality (congestion + dilation, Section 2) of a
+  set of paths given as lists of :class:`GraphIndex` edge ids, which is how
+  the matching embedder finds them.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import networkx as nx
 import numpy as np
 
-__all__ = ["GraphIndex", "component_labels", "diameter"]
+__all__ = ["GraphIndex", "component_labels", "diameter", "path_quality"]
 
 
 @dataclass(frozen=True)
@@ -65,6 +68,15 @@ class GraphIndex:
         edge_ids = [flat[start:stop] for start, stop in zip(bounds, bounds[1:])]
         return cls(vertices, position, neighbors, edge_ids, len(distinct))
 
+    def adjacency(self) -> np.ndarray:
+        """The graph as a dense boolean matrix over positions."""
+        size = len(self.vertices)
+        rows = np.repeat(np.arange(size), [len(row) for row in self.neighbors])
+        columns = np.fromiter(itertools.chain.from_iterable(self.neighbors), np.intp, len(rows))
+        matrix = np.zeros((size, size), dtype=bool)
+        matrix[rows, columns] = True
+        return matrix
+
 
 def component_labels(adjacency: np.ndarray) -> np.ndarray:
     """Connected-component label of every row of a symmetric boolean ``adjacency``.
@@ -104,3 +116,16 @@ def diameter(adjacency: np.ndarray) -> int | None:
         reached |= frontier
         hops += 1
     return hops
+
+
+def path_quality(paths: list[list[int]]) -> int:
+    """Congestion + dilation of ``paths``, each the edge ids of one path over a :class:`GraphIndex`.
+
+    Equal to the quality of the same paths as a
+    :class:`~repro.embedding.paths.PathCollection` (Section 2): a multiset, so
+    a path listed twice loads its edges twice.
+    """
+    if not paths:
+        return 0
+    ids = np.fromiter(itertools.chain.from_iterable(paths), np.intp)
+    return int(np.bincount(ids).max(initial=0)) + max(map(len, paths))

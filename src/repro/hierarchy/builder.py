@@ -40,8 +40,9 @@ import numpy as np
 
 from repro.embedding.embedding import Embedding
 from repro.embedding.matching_embed import embed_matching
+from repro.embedding.paths import Path
 from repro.graphs.conductance import normalized_laplacian
-from repro.graphs.index import GraphIndex, component_labels
+from repro.graphs.index import GraphIndex, component_labels, diameter, path_quality
 from repro.hierarchy.node import HierarchicalDecomposition, HierarchyNode, Part
 
 __all__ = [
@@ -96,6 +97,8 @@ class VirtualExpanderResult:
         embedding: path embedding of ``H_i``'s edges into the parent virtual graph.
         iterations: number of cut-matching iterations used.
         rounds: CONGEST rounds charged.
+        diameter: the virtual graph's diameter as round accounting charges it
+            (:func:`_charged_diameter`).
     """
 
     covered: frozenset
@@ -104,6 +107,16 @@ class VirtualExpanderResult:
     embedding: Embedding
     iterations: int
     rounds: int
+    diameter: int
+
+
+def _charged_diameter(adjacency: np.ndarray) -> int:
+    """Diameter of a virtual graph's boolean matrix; a disconnected one is charged its size."""
+    size = len(adjacency)
+    if size <= 1:
+        return 0
+    hops = diameter(adjacency)
+    return size if hops is None else hops
 
 
 def _bisect_block(
@@ -149,20 +162,25 @@ def embed_virtual_expander(
     path of the base graph.  The game itself tracks the virtual graph as a
     boolean adjacency matrix over the block's sorted members; the
     ``nx.Graph`` and :class:`Embedding` are built alongside, in edge insertion
-    order, because the hierarchy stores them.
+    order, because the hierarchy stores them.  The embedding's quality and the
+    virtual graph's diameter come from the paths' edge ids and from that
+    matrix.
     """
     members = sorted(set(block))
     rounds = 0
     if len(members) <= 1:
         graph = nx.Graph()
         graph.add_nodes_from(members)
+        trivial = Embedding(name="H-trivial")
+        trivial._quality_cache = 0
         return VirtualExpanderResult(
             covered=frozenset(members),
             dropped=frozenset(),
             virtual_graph=graph,
-            embedding=Embedding(name="H-trivial"),
+            embedding=trivial,
             iterations=0,
             rounds=0,
+            diameter=0,
         )
 
     if max_iterations is None:
@@ -172,17 +190,28 @@ def embed_virtual_expander(
     virtual_graph.add_nodes_from(members)
     local = {vertex: i for i, vertex in enumerate(members)}
     adjacency = np.zeros((len(members), len(members)), dtype=bool)
-    embedding = Embedding(name="H-block")
+    # Virtual edge key -> its path and that path's edge ids.  An edge matched
+    # again keeps its slot and takes the newer path, as Embedding.add_edge does.
+    paths: dict[tuple, Path] = {}
+    path_edges: dict[tuple, list[int]] = {}
     active = list(members)
     positions = np.arange(len(members))
     dropped: set = set()
     iterations = 0
 
     def add_matching(result) -> None:
-        for a, b in result.matching.items():
+        # The matcher's mapping has one canonical entry per pair, in matching order.
+        entries = zip(
+            result.matching.items(),
+            result.embedding.mapping.items(),
+            result.path_edges,
+            strict=True,
+        )
+        for (a, b), (key, path), edges in entries:
             virtual_graph.add_edge(a, b)
             adjacency[local[a], local[b]] = adjacency[local[b], local[a]] = True
-            embedding.add_edge(a, b, result.embedding.path_for(a, b))
+            paths[key] = path
+            path_edges[key] = edges
 
     for _ in range(max_iterations):
         if len(active) <= 1:
@@ -242,9 +271,14 @@ def embed_virtual_expander(
         if u in covered and v in covered:
             final_graph.add_edge(u, v)
     final_embedding = Embedding(name="H-block")
-    for (u, v), path in embedding.mapping.items():
+    kept: list[list[int]] = []
+    for (u, v), path in paths.items():
         if u in covered and v in covered:
             final_embedding.mapping[(u, v)] = path
+            kept.append(path_edges[(u, v)])
+    # Recorded here, where the paths' edge ids are at hand; the reference
+    # kernel recomputes it from the paths (Embedding.quality).
+    final_embedding._quality_cache = path_quality(kept)
     return VirtualExpanderResult(
         covered=covered,
         dropped=frozenset(dropped),
@@ -252,14 +286,8 @@ def embed_virtual_expander(
         embedding=final_embedding,
         iterations=iterations,
         rounds=rounds,
+        diameter=_charged_diameter(adjacency[np.ix_(positions, positions)]),
     )
-
-
-def _single_edge_path(u: Hashable, v: Hashable):
-    """A length-1 path realising a virtual edge that is also a base edge."""
-    from repro.embedding.paths import Path
-
-    return Path((u, v))
 
 
 def _partition_by_id(vertices: Iterable[Hashable], parts: int) -> list[list]:
@@ -284,26 +312,38 @@ def _partition_by_id(vertices: Iterable[Hashable], parts: int) -> list[list]:
 
 
 class _HierarchyBuilder:
-    """Recursive construction driver holding the shared parameters and cost."""
+    """Recursive construction driver holding the shared parameters and cost.
 
-    def __init__(self, graph: nx.Graph, params: HierarchyParameters) -> None:
+    ``indexes`` receives the :class:`GraphIndex` of every internal node's
+    virtual graph, keyed by ``id(node)``.
+    """
+
+    def __init__(
+        self, graph: nx.Graph, params: HierarchyParameters, indexes: dict[int, GraphIndex]
+    ) -> None:
         self.graph = graph
         self.params = params
+        self.indexes = indexes
         self.total_vertices = graph.number_of_nodes()
         self.rounds = 0
 
     def build_root(self) -> HierarchyNode:
+        # The root's virtual graph is G itself (H_W = G[W] with W = V): the
+        # decomposition already holds G, so a copy would only be built and
+        # pickled twice.
         root = HierarchyNode(
             vertices=frozenset(self.graph.nodes()),
             level=0,
-            virtual_graph=self.graph.copy(),
+            virtual_graph=self.graph,
             embedding_to_parent=Embedding(name="root"),
             parent=None,
         )
-        self._expand(root)
+        index = GraphIndex.of(root.virtual_graph)
+        root._diameter = _charged_diameter(index.adjacency())
+        self._expand(root, index)
         return root
 
-    def _expand(self, node: HierarchyNode) -> None:
+    def _expand(self, node: HierarchyNode, graph_index: GraphIndex | None = None) -> None:
         params = self.params
         t = params.parts_for(self.total_vertices, node.size)
         if (
@@ -316,7 +356,10 @@ class _HierarchyBuilder:
 
         blocks = _partition_by_id(node.vertices, t)
         part_matching = Embedding(name=f"fM-level{node.level}")
-        graph_index = GraphIndex.of(node.virtual_graph)
+        part_matching_paths: list[list[int]] = []
+        if graph_index is None:
+            graph_index = GraphIndex.of(node.virtual_graph)
+        self.indexes[id(node)] = graph_index
         for index, block in enumerate(blocks):
             result = embed_virtual_expander(graph_index, block, params)
             self.rounds += result.rounds
@@ -330,7 +373,10 @@ class _HierarchyBuilder:
                 induced = node.virtual_graph.subgraph(block).copy()
                 fallback_embedding = Embedding(name="H-induced")
                 for u, v in induced.edges():
-                    fallback_embedding.add_edge(u, v, _single_edge_path(u, v))
+                    fallback_embedding.add_edge(u, v, Path((u, v)))
+                # One length-1 path per edge: congestion 1 plus dilation 1.
+                fallback_embedding._quality_cache = 2 if induced.number_of_edges() else 0
+                where = [graph_index.position[v] for v in block]
                 result = VirtualExpanderResult(
                     covered=frozenset(block),
                     dropped=frozenset(),
@@ -338,6 +384,7 @@ class _HierarchyBuilder:
                     embedding=fallback_embedding,
                     iterations=result.iterations,
                     rounds=result.rounds,
+                    diameter=_charged_diameter(graph_index.adjacency()[np.ix_(where, where)]),
                 )
                 good = result.covered
                 bad = frozenset()
@@ -348,6 +395,7 @@ class _HierarchyBuilder:
                 matching = dict(matched.matching)
                 for (u, v), path in matched.embedding.mapping.items():
                     part_matching.mapping[(u, v)] = path
+                part_matching_paths.extend(matched.path_edges)
                 leftovers = [v for v in bad if v not in matching]
                 if leftovers:
                     # As a last resort attach stragglers to the lowest-ID good
@@ -362,6 +410,7 @@ class _HierarchyBuilder:
                 embedding_to_parent=result.embedding,
                 parent=node,
             )
+            child._diameter = result.diameter
             part = Part(
                 index=index,
                 good_vertices=good,
@@ -370,6 +419,7 @@ class _HierarchyBuilder:
                 child=child,
             )
             node.parts.append(part)
+        part_matching._quality_cache = path_quality(part_matching_paths)
         node.part_matching_embedding = part_matching
         for part in node.parts:
             assert part.child is not None
@@ -380,6 +430,7 @@ def build_hierarchy(
     graph: nx.Graph,
     params: HierarchyParameters | None = None,
     epsilon: float | None = None,
+    indexes: dict[int, GraphIndex] | None = None,
 ) -> HierarchicalDecomposition:
     """Build the hierarchical decomposition of an expander graph (Theorem 3.2).
 
@@ -387,6 +438,10 @@ def build_hierarchy(
         graph: a connected (preferably constant-degree) expander.
         params: full parameter object; built from defaults when omitted.
         epsilon: shortcut to override just the tradeoff parameter.
+        indexes: when given, receives the :class:`GraphIndex` of every
+            internal node's virtual graph, keyed by ``id(node)``, so a caller
+            that plays games on the same graphs need not index them again.
+            Indexes are never stored on the decomposition.
     """
     if params is None:
         params = HierarchyParameters()
@@ -404,7 +459,7 @@ def build_hierarchy(
     if not nx.is_connected(graph):
         raise ValueError("the hierarchical decomposition requires a connected graph")
 
-    builder = _HierarchyBuilder(graph, params)
+    builder = _HierarchyBuilder(graph, params, {} if indexes is None else indexes)
     root = builder.build_root()
     return HierarchicalDecomposition(
         root=root,

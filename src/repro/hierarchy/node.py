@@ -30,7 +30,6 @@ import networkx as nx
 
 from repro.cutmatching.shuffler import Shuffler
 from repro.embedding.embedding import Embedding, compose, identity_embedding
-from repro.graphs.index import diameter
 
 __all__ = ["Part", "HierarchyNode", "HierarchicalDecomposition"]
 
@@ -157,13 +156,12 @@ class HierarchyNode:
     def virtual_diameter(self) -> int:
         """Diameter of the node's virtual graph (used in round accounting).
 
-        A disconnected virtual graph is charged its vertex count.
+        A disconnected virtual graph is charged its vertex count.  The
+        hierarchy builder records it as a plain int when it creates the node,
+        from the boolean adjacency matrix it already holds (the root's from
+        its :class:`~repro.graphs.index.GraphIndex`).
         """
-        size = self.virtual_graph.number_of_nodes()
-        if size <= 1:
-            return 0
-        hops = diameter(nx.to_numpy_array(self.virtual_graph, dtype=bool, weight=None))
-        return size if hops is None else hops
+        return self._diameter
 
 
 @dataclass

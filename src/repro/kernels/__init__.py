@@ -7,8 +7,8 @@ The reproduction has two implementations of every hot inner loop:
   :class:`~repro.core.tokens.Token` objects through the object recursion
   (``_solve_task2``, :func:`~repro.core.merge.solve_task3`,
   :func:`~repro.core.dispersion.disperse`,
-  :func:`~repro.core.leaf.route_in_leaf`), and the deterministic
-  memoizations (shuffler- and embedding-quality caches) are bypassed, so the
+  :func:`~repro.core.leaf.route_in_leaf`), and the embedding and shuffler
+  qualities that preprocessing records are recomputed from the paths, so the
   reference mode reproduces the pre-kernel serving behaviour end to end — it
   is the baseline the perf-regression harness (``benchmarks/harness.py``)
   measures against.

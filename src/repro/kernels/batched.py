@@ -32,7 +32,7 @@ assert the equivalences over random expanders and the workload catalog.
 
 from __future__ import annotations
 
-from collections import Counter
+import itertools
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
@@ -60,34 +60,47 @@ class PairTable:
 
     def __init__(self, shuffler: "Shuffler", matching: "ShufflerMatching") -> None:
         t = shuffler.part_count
-        partners: list[list[tuple[int, float]]] = [[] for _ in range(t)]
-        for (u, v), value in sorted(matching.fractional.items()):
-            partners[u].append((v, value / 2.0))
-            partners[v].append((u, value / 2.0))
-        width = max(map(len, partners), default=0)
+        pairs = sorted(matching.fractional.items())
+        # Pair ``k = (u, v)`` gives ``u`` a partner ``v`` and ``v`` a partner
+        # ``u``, both worth ``value / 2``; ``k`` is the pair's sorted rank.
+        ends = np.array([key for key, _ in pairs], dtype=np.int64).reshape(-1, 2)
+        halves = np.array([value for _, value in pairs], dtype=np.float64) / 2.0
+        origin = ends.T.ravel()
+        partner = ends[:, ::-1].T.ravel()
+        rank = np.arange(len(pairs)).repeat(2).reshape(-1, 2).T.ravel()
+        row_size = np.bincount(origin, minlength=t)
+        width = int(row_size.max(initial=0))
+        row_start = np.cumsum(row_size) - row_size
+
+        def place(order: np.ndarray) -> np.ndarray:
+            """Each entry's position within its origin's row when rows follow ``order``."""
+            where = np.empty_like(origin)
+            where[order] = np.arange(len(order)) - row_start[origin[order]]
+            return where
+
+        slot = place(np.lexsort((partner, origin)))
         #: ``(t, D)`` partner part per slot (0 on padding).
         self.targets = np.zeros((t, width), dtype=np.int64)
+        self.targets[origin, slot] = partner
         #: ``(t, D)`` ``value / 2`` per slot (0.0 on padding).
         self.half_values = np.zeros((t, width))
+        self.half_values[origin, slot] = np.concatenate([halves, halves])
         #: ``(D, t)`` slot of each origin's ``j``-th partner in sorted-pair
         #: order, the order the reference sums amounts in (padding last).
-        self.sum_slots = np.tile(np.arange(width)[:, None], (1, t))
-        for origin, row in enumerate(partners):
-            by_target = sorted(range(len(row)), key=lambda j: row[j][0])
-            for slot, j in enumerate(by_target):
-                self.targets[origin, slot], self.half_values[origin, slot] = row[j]
-                self.sum_slots[j, origin] = slot
+        self.sum_slots = np.arange(width).repeat(t).reshape(width, t)
+        self.sum_slots[place(np.lexsort((rank, origin))), origin] = slot
+        # Portal pairs per (origin, target), both directions of a cross-part
+        # pair; pairs with an endpoint outside the parts do not count.
+        edges = matching.matching_edges
+        parts = np.fromiter(
+            map(shuffler.part_of.get, itertools.chain.from_iterable(edges), itertools.repeat(-1)),
+            np.int64,
+            2 * len(edges),
+        ).reshape(-1, 2)
+        pa, pb = parts[(parts >= 0).all(axis=1)].T
+        codes = np.concatenate([pa * t + pb, (pb * t + pa)[pa != pb]])
         #: ``(t, t)`` ``max(1, portal-pair count)`` per (origin, target).
-        self.portal_pairs = np.ones((t, t), dtype=np.int64)
-        portals: Counter = Counter()
-        for a, b in matching.matching_edges:
-            pa, pb = shuffler.part_of.get(a), shuffler.part_of.get(b)
-            portals[(pa, pb)] += 1
-            if pa != pb:
-                portals[(pb, pa)] += 1
-        for (pa, pb), count in portals.items():
-            if pa is not None and pb is not None:
-                self.portal_pairs[pa, pb] = max(1, count)
+        self.portal_pairs = np.maximum(np.bincount(codes, minlength=t * t), 1).reshape(t, t)
         #: the matching's embedding quality.
         self.quality = matching.quality
         #: ``(t, C, D)`` memo of :func:`plan_transfers_batched`.
@@ -150,15 +163,13 @@ def _allocate(table: PairTable, size: int) -> np.ndarray:
     budget = np.minimum(np.arange(size), np.floor(totals).astype(np.int64))
     remaining = budget - allocation.sum(axis=2)
     # A slot's bump rank is the number of peers ahead of it under
-    # (-fraction, target); slots are in target order, so a tie goes to the
-    # lower slot.  Bumps only ever reach positive fractions (there are fewer
-    # leftover units than those), so zero-value padding is inert.
-    fractions = amounts - floors
-    rank = np.zeros(amounts.shape, dtype=np.int64)
-    for peer in range(width):
-        peer_fraction = fractions[:, :, peer : peer + 1]
-        rank += peer_fraction > fractions
-        rank[:, :, peer + 1 :] += peer_fraction == fractions[:, :, peer + 1 :]
+    # (-fraction, target): its position in a stable sort by -fraction, as
+    # slots are in target order (a tie goes to the lower slot).  Bumps only
+    # ever reach positive fractions (there are fewer leftover units than
+    # those), so zero-value padding is inert.
+    by_fraction = np.argsort(floors - amounts, axis=2, kind="stable")
+    rank = np.empty_like(by_fraction)
+    np.put_along_axis(rank, by_fraction, np.arange(width), axis=2)
     allocation += rank < remaining[:, :, None]
     return allocation
 

@@ -18,6 +18,7 @@ import random
 import sys
 import threading
 import time
+from collections import Counter
 
 import networkx as nx
 import numpy as np
@@ -25,16 +26,18 @@ import pytest
 
 from repro.backends.adapters import DeterministicBackend
 from repro.cluster import DEFAULT_WORKLOAD_MIX
-from repro.core.cost import CostLedger
+from repro.core.cost import CostLedger, sorting_network_depth
 from repro.core.general import GeneralGraphRouter
 from repro.core.merge import solve_task3, solve_task3_many
 from repro.core import router as router_module
 from repro.core.router import ExpanderRouter
-from repro.core.tables import node_table, vertex_index
+from repro.core.tables import NodeTable, node_table, vertex_index
 from repro.core.tokens import RoutingRequest, Token, tokens_from_requests
+from repro.cutmatching.shuffler import ShufflerMatching
 from repro.graphs.generators import random_regular_expander, skewed_degree_expander
-from repro.hierarchy.best import build_best_index
+from repro.hierarchy.best import best_counts_per_part, build_best_index
 from repro.kernels import kernel
+from repro.kernels.batched import PairTable
 from repro.workloads import make_workload
 
 
@@ -263,6 +266,156 @@ def test_task3_fallbacks_match_reference_on_an_eleven_part_node(wide_router):
         assert result.fallback_assignments > 0
         assert int(batch.fallback_assignments[query]) == result.fallback_assignments
         assert int(batch.rounds[query]) == result.rounds
+
+
+# -- route tables against the loop-built oracles --------------------------------
+
+
+def _oracle_pair_table(shuffler, matching):
+    """A matching's PairTable fields, built with per-pair loops."""
+    t = shuffler.part_count
+    partners = [[] for _ in range(t)]
+    for (u, v), value in sorted(matching.fractional.items()):
+        partners[u].append((v, value / 2.0))
+        partners[v].append((u, value / 2.0))
+    width = max(map(len, partners), default=0)
+    targets = np.zeros((t, width), dtype=np.int64)
+    half_values = np.zeros((t, width))
+    sum_slots = np.tile(np.arange(width)[:, None], (1, t))
+    for origin, row in enumerate(partners):
+        by_target = sorted(range(len(row)), key=lambda j: row[j][0])
+        for slot, j in enumerate(by_target):
+            targets[origin, slot], half_values[origin, slot] = row[j]
+            sum_slots[j, origin] = slot
+    portal_pairs = np.ones((t, t), dtype=np.int64)
+    portals = Counter()
+    for a, b in matching.matching_edges:
+        pa, pb = shuffler.part_of.get(a), shuffler.part_of.get(b)
+        portals[(pa, pb)] += 1
+        if pa != pb:
+            portals[(pb, pa)] += 1
+    for (pa, pb), count in portals.items():
+        if pa is not None and pb is not None:
+            portal_pairs[pa, pb] = max(1, count)
+    return {
+        "targets": targets,
+        "half_values": half_values,
+        "sum_slots": sum_slots,
+        "portal_pairs": portal_pairs,
+        "quality": matching.quality,
+        "chunk_ends": np.zeros((t, 0, width), dtype=np.int32),
+    }
+
+
+def _oracle_node_table(node, index):
+    """An internal node's NodeTable fields, built with per-vertex loops."""
+    n = len(index.vertices)
+    number = index.index_of
+    quality = max(1, node.flatten_quality())
+    parts = [sorted(part.vertices) for part in node.parts]
+    t = len(parts)
+    part_of = np.full(n + 1, -1, dtype=np.int64)
+    bad_part = np.full(n + 1, -1, dtype=np.int64)
+    mate = np.arange(n + 1, dtype=np.int64)
+    for part, vertices in zip(node.parts, parts):
+        part_of[[number[v] for v in vertices]] = part.index
+        for vertex in part.bad_vertices:
+            good = part.matching.get(vertex)
+            if good is None:
+                good = min(part.good_vertices)
+            bad_part[number[vertex]] = part.index
+            mate[number[vertex]] = number[good]
+    counts = np.array(best_counts_per_part(node), dtype=np.int64)
+    part_size = np.array([len(vertices) for vertices in parts], dtype=np.int64)
+    shuffler = node.shuffler
+    return {
+        "flatten_quality": node.flatten_quality(),
+        "t": t,
+        "part_of": part_of,
+        "bad_part": bad_part,
+        "mate": mate,
+        "has_bad": bool((bad_part >= 0).any()),
+        "best_ends": np.cumsum(counts),
+        "best_starts": np.cumsum(counts) - counts,
+        "part_size": part_size,
+        "part_flat": np.array([number[v] for part in parts for v in part], dtype=np.int64),
+        "part_start": np.cumsum(part_size) - part_size,
+        "part_depth": np.array(
+            [sorting_network_depth(len(vertices)) for vertices in parts], dtype=np.int64
+        ),
+        "mark_repr_rank": np.argsort(
+            np.array(sorted(range(t), key=repr), dtype=np.int64), kind="stable"
+        ),
+        "walk_quality": (shuffler.quality if shuffler is not None else 0) * quality,
+        "matching_quality": max(1, node.part_matching_embedding.quality) * quality,
+        "dummies": {},
+    }
+
+
+def _same_fields(actual, expected: dict) -> None:
+    """Every field of a table: same names in the same order, values and dtypes."""
+    fields = vars(actual)
+    assert list(fields) == list(expected)
+    for name, value in expected.items():
+        got = fields[name]
+        if isinstance(value, np.ndarray):
+            assert got.dtype == value.dtype and got.shape == value.shape, name
+            assert np.array_equal(got, value), name
+        else:
+            assert type(got) is type(value) and got == value, name
+
+
+def _check_tables(router, extra_matchings=()):
+    """Array-built route tables equal the loop-built ones on every internal node.
+
+    The oracles read qualities under the reference kernel, which recomputes
+    them from the paths instead of the values recorded at construction.
+    """
+    index = vertex_index(router.decomposition, router.best_index)
+    checked = 0
+    for node in router.decomposition.all_nodes():
+        if node.is_leaf:
+            continue
+        with kernel("reference"):
+            expected = _oracle_node_table(node, index)
+        _same_fields(NodeTable(node, index), expected)
+        shuffler = node.shuffler
+        matchings = list(shuffler) if shuffler is not None else []
+        if node is router.decomposition.root:
+            matchings += list(extra_matchings)
+        for matching in matchings:
+            with kernel("reference"):
+                expected = _oracle_pair_table(shuffler, matching)
+            _same_fields(PairTable(shuffler, matching), expected)
+            checked += 1
+    assert checked > 0
+
+
+def test_route_tables_match_the_loop_built_oracles_on_an_eleven_part_node(wide_router):
+    root = wide_router.decomposition.root
+    part_of = root.shuffler.part_of
+    first = root.shuffler.matchings[0]
+    same_part = sorted(root.parts[0].vertices)[:2]
+    # A same-part pair counts once as a portal; a pair leaving the parts not at all.
+    odd = ShufflerMatching(
+        matching_edges=[*first.matching_edges, tuple(same_part), (same_part[0], "outside")],
+        embedding=first.embedding,
+        fractional=first.fractional,
+    )
+    assert part_of[same_part[0]] == part_of[same_part[1]]
+    _check_tables(wide_router, extra_matchings=[odd])
+
+
+def test_route_tables_match_the_loop_built_oracles_with_bad_vertices(bad_router):
+    unmatched = [
+        vertex
+        for node in bad_router.decomposition.all_nodes()
+        for part in node.parts
+        for vertex in part.bad_vertices
+        if vertex not in part.matching
+    ]
+    assert unmatched, "the fixture must leave bad vertices without a mate"
+    _check_tables(bad_router)
 
 
 @pytest.fixture(scope="module")

@@ -5,9 +5,13 @@ components and diameter of the small virtual graphs, and the capped BFS of the
 matching embedder (Lemma 2.3) over a :class:`GraphIndex`.  Each helper must
 give exactly what networkx gives — bit for bit where floats feed an
 eigensolver — so the decomposition, the shufflers and the preprocessing
-rounds do not move.  The last tests build whole artifacts with every helper
-swapped for its networkx oracle and compare canonical digests; no digest is
-committed, because ``eigh`` bits may differ between BLAS builds and CPUs.
+rounds do not move.  Every embedding and shuffler quality is recorded where
+its paths are found, from their edge ids, and every node's diameter from the
+builder's matrices; a property checks both against ``PathCollection`` and
+networkx recomputations.  The last tests build whole artifacts with every
+helper swapped for its networkx oracle and compare canonical digests; no
+digest is committed, because ``eigh`` bits may differ between BLAS builds and
+CPUs.
 """
 
 from __future__ import annotations
@@ -26,11 +30,14 @@ from pathlib import Path as FilePath
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import ExpanderRouter
+from repro.embedding import paths as paths_module
 from repro.embedding.embedding import Embedding
 from repro.embedding.matching_embed import MatchingEmbedResult, embed_matching
-from repro.embedding.paths import Path
+from repro.embedding.paths import Path, PathCollection
 from repro.graphs.conductance import normalized_laplacian
 from repro.graphs.generators import (
     random_regular_expander,
@@ -38,6 +45,13 @@ from repro.graphs.generators import (
     weighted_expander,
 )
 from repro.graphs.index import GraphIndex, component_labels, diameter
+from repro.hierarchy.builder import HierarchyParameters, build_hierarchy
+from repro.kernels import kernel
+from repro.workloads import permutation_workload
+
+#: The deep run (``--hypothesis-profile=ci``, see conftest.py) keeps its example
+#: count; tier-1 draws a few graphs.
+_EXAMPLES = settings.default.max_examples if settings.default is settings.get_profile("ci") else 8
 
 
 def _random_graphs(count: int = 40):
@@ -99,6 +113,8 @@ def test_graph_index_lists_sorted_neighbours_with_shared_edge_ids():
             assert edge_of.setdefault(frozenset((i, j)), edge) == edge
     assert sorted(edge_of.values()) == list(range(graph.number_of_edges()))
     assert index.edge_count == graph.number_of_edges()
+    expected = nx.to_numpy_array(graph, nodelist=index.vertices, dtype=bool, weight=None)
+    assert np.array_equal(index.adjacency(), expected)
 
 
 # -- capped BFS: the repr-keyed networkx embedder as the oracle -----------------
@@ -317,7 +333,18 @@ def _graph_of(index: GraphIndex) -> nx.Graph:
 
 
 def _oracle_embed_on_index(index, sources, sinks, psi=0.1, max_cap_doublings=6):
-    return _oracle_embed_matching(_graph_of(index), sources, sinks, psi, max_cap_doublings)
+    result = _oracle_embed_matching(_graph_of(index), sources, sinks, psi, max_cap_doublings)
+    # The builder and the game read each path's edge ids over the index.
+    position = index.position
+    for path in result.embedding.mapping.values():
+        hops = zip(path.vertices, path.vertices[1:])
+        result.path_edges.append(
+            [
+                index.edge_ids[position[u]][index.neighbors[position[u]].index(position[v])]
+                for u, v in hops
+            ]
+        )
+    return result
 
 
 def _graph_of_adjacency(adjacency: np.ndarray) -> nx.Graph:
@@ -345,14 +372,101 @@ def _oracle_diameter(adjacency):
     return nx.diameter(graph) if nx.is_connected(graph) else None
 
 
+# -- qualities and diameters recorded at construction ---------------------------
+
+
+def _charged_diameter_oracle(graph: nx.Graph) -> int:
+    """The round accounting's diameter through networkx: disconnected costs the size."""
+    if graph.number_of_nodes() <= 1:
+        return 0
+    hops = diameter(nx.to_numpy_array(graph, dtype=bool, weight=None))
+    return graph.number_of_nodes() if hops is None else hops
+
+
+def _check_recorded(decomposition) -> None:
+    """Every recorded quality equals its PathCollection recomputation, every diameter networkx's."""
+    for node in decomposition.all_nodes():
+        assert node.virtual_diameter() == _charged_diameter_oracle(node.virtual_graph)
+        recorded = []
+        if node.parent is not None:
+            recorded.append(node.embedding_to_parent)
+        if not node.is_leaf:
+            recorded.append(node.part_matching_embedding)
+        if node.shuffler is not None:
+            recorded.extend(matching.embedding for matching in node.shuffler)
+            union = PathCollection.union(m.embedding.path_collection() for m in node.shuffler)
+            assert node.shuffler._quality_cache == (union.quality if len(node.shuffler) else 0)
+        for embedding in recorded:
+            assert embedding._quality_cache == embedding.path_collection().quality
+
+
+@settings(max_examples=_EXAMPLES, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    n=st.integers(24, 128),
+    degree=st.integers(3, 8),
+    seed=st.integers(0, 10_000),
+)
+def test_recorded_qualities_and_diameters_match_their_recomputation(n, degree, seed):
+    n += (n * degree) % 2  # a regular graph needs n * degree even
+    router = ExpanderRouter(random_regular_expander(n, degree=degree, seed=seed))
+    router.preprocess()
+    _check_recorded(router.decomposition)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [random_regular_expander(96, degree=3, seed=2), nx.cycle_graph(48)],
+    ids=["3-regular-96", "cycle-48"],
+)
+def test_recorded_values_hold_for_bad_vertices_and_the_induced_fallback(graph):
+    # psi=4 caps the embedder at congestion 2 and a few hops: blocks drop
+    # vertices (bad vertices with part-matching paths), and on the 3-regular
+    # graph most blocks fall back to their induced, disconnected subgraphs.
+    decomposition = build_hierarchy(graph, HierarchyParameters(psi=4.0))
+    nodes = decomposition.all_nodes()
+    assert any(part.bad_vertices for node in nodes for part in node.parts)
+    if graph.number_of_nodes() == 96:
+        induced = [node for node in nodes if node.embedding_to_parent.name == "H-induced"]
+        assert any(node.virtual_diameter() == node.size > 1 for node in induced)
+    _check_recorded(decomposition)
+
+
+def test_numpy_preprocess_and_first_route_build_no_path_collection(monkeypatch):
+    graph = random_regular_expander(128, degree=8, seed=0)
+    requests = permutation_workload(graph, shift=5).requests
+    built = []
+    original = PathCollection.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(paths_module.PathCollection, "__init__", counting_init)
+    router = ExpanderRouter(graph)
+    router.preprocess()
+    outcome = router.route(requests)
+    assert outcome.all_delivered
+    assert len(built) == 0
+    # The reference kernel still recomputes every quality from the paths, so
+    # its rounds are an independent check of the recorded ones.
+    with kernel("reference"):
+        reference = ExpanderRouter(graph)
+        reference.preprocess()
+        replayed = router.route(requests)
+    assert len(built) > 0
+    assert reference.artifact.preprocessing_rounds == router.artifact.preprocessing_rounds
+    assert replayed.query_rounds == outcome.query_rounds
+
+
 @pytest.mark.parametrize(
     "graph",
     [
         random_regular_expander(64, degree=8, seed=1),
         random_regular_expander(96, degree=4, seed=1),
         random_regular_expander(48, degree=3, seed=1),
+        random_regular_expander(128, degree=8, seed=1),
     ],
-    ids=["8-regular-64", "4-regular-96", "3-regular-48"],
+    ids=["8-regular-64", "4-regular-96", "3-regular-48", "8-regular-128"],
 )
 def test_artifact_is_unchanged_with_networkx_oracles(graph, monkeypatch):
     pytest.importorskip("scipy")
@@ -360,14 +474,13 @@ def test_artifact_is_unchanged_with_networkx_oracles(graph, monkeypatch):
     import repro.cutmatching.matching_player as matching_player
     import repro.graphs.conductance as conductance
     import repro.hierarchy.builder as builder
-    import repro.hierarchy.node as node
 
     monkeypatch.setattr(builder, "embed_matching", _oracle_embed_on_index)
     monkeypatch.setattr(matching_player, "embed_matching", _oracle_embed_on_index)
     monkeypatch.setattr(builder, "normalized_laplacian", _oracle_laplacian)
     monkeypatch.setattr(conductance, "normalized_laplacian", _oracle_laplacian)
     monkeypatch.setattr(builder, "component_labels", _oracle_component_labels)
-    monkeypatch.setattr(node, "diameter", _oracle_diameter)
+    monkeypatch.setattr(builder, "diameter", _oracle_diameter)
     assert _artifact_digest(graph) == digest
 
 
