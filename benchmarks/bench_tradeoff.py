@@ -57,8 +57,7 @@ def test_tradeoff_direction_across_epsilon(benchmark):
     # component of preprocessing is comparable), raising epsilon buys cheaper
     # queries at the price of more preprocessing — the Theorem 1.1 direction.
     # (At small n a *smaller* epsilon can still have the globally largest
-    # preprocessing because its deeper hierarchy dominates; EXPERIMENTS.md
-    # discusses this small-scale effect.)
+    # preprocessing because its deeper hierarchy dominates.)
     same_depth = [row for row in rows if row["levels"] == rows[-1]["levels"]]
     if len(same_depth) >= 2:
         lower, higher = same_depth[0], same_depth[-1]

@@ -4,11 +4,11 @@ Benchmark scale note: the full recursion is simulated in Python, so the
 benchmark graphs are kept at a few hundred vertices (the repro hint "networkx
 prototyping easy; large instances slow" applies).  The *shapes* the paper
 claims — who wins, how costs scale, where the tradeoff bends — are what the
-benchmarks check and what EXPERIMENTS.md records.
+benchmarks check.
 
 CI quick mode: setting ``REPRO_BENCH_QUICK=1`` trims every size sweep to its
 smallest points (see :func:`quick_sizes`), which is what the CI bench-smoke
-job runs.  Full sweeps are for local runs and EXPERIMENTS.md regeneration.
+job runs.  Full sweeps are for local runs.
 """
 
 from __future__ import annotations

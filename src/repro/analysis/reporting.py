@@ -1,8 +1,7 @@
 """Plain-text table rendering for the experiment harness.
 
 The benchmark scripts and examples print their measurement rows through these
-helpers so that the output format is consistent across experiments (and easy
-to paste into EXPERIMENTS.md).
+helpers so that the output format is consistent across experiments.
 """
 
 from __future__ import annotations

@@ -294,4 +294,6 @@ class ShardWorker:
             "queries": self.queries_served,
             "cache_hit_rate": stats.hit_rate,
             "cache_evictions": stats.evictions,
+            "cache_admissions": stats.stores - stats.rejections,
+            "cache_rejections": stats.rejections,
         }

@@ -224,16 +224,19 @@ def sweep_cut(graph: nx.Graph) -> CutReport:
     n = len(nodes)
     if n < 2:
         return _cut_report(graph, nodes[:1])
-    laplacian = normalized_laplacian(nx.to_numpy_array(graph, nodelist=nodes))
+    adjacency = nx.to_numpy_array(graph, nodelist=nodes)
+    laplacian = normalized_laplacian(adjacency)
     eigenvalues, eigenvectors = np.linalg.eigh(laplacian)
     fiedler = eigenvectors[:, 1]
-    degrees = np.array([max(graph.degree(v), 1) for v in nodes], dtype=float)
-    scores = fiedler / np.sqrt(degrees)
+    node_degrees = np.array([graph.degree(v) for v in nodes], dtype=np.int64)
+    scores = fiedler / np.sqrt(np.maximum(node_degrees, 1).astype(float))
     order = sorted(range(n), key=lambda i: (scores[i], nodes[i]))
     if use_numpy():
         from repro.kernels.conductance import sweep_cut_best_prefix_numpy
 
-        best_k = sweep_cut_best_prefix_numpy(graph, nodes, order)
+        best_k = sweep_cut_best_prefix_numpy(
+            adjacency.astype(np.int64), node_degrees, order
+        )
         return _cut_report(graph, {nodes[i] for i in order[: best_k + 1]})
     best_report: CutReport | None = None
     prefix: set = set()

@@ -97,19 +97,21 @@ def exact_sparsity_numpy(graph: nx.Graph) -> float:
 
 
 def sweep_cut_best_prefix_numpy(
-    graph: nx.Graph, nodes: list, order: Sequence[int]
+    adjacency: np.ndarray, degrees: np.ndarray, order: Sequence[int]
 ) -> int:
     """Index ``k`` so that ``order[: k + 1]`` is the best (first-minimum) sweep prefix.
 
-    ``order`` is the Fiedler sweep order over positions into ``nodes``; the
-    caller builds the final :class:`~repro.graphs.conductance.CutReport` from
-    the returned prefix.  Ties resolve to the earliest prefix, matching the
-    reference's strict-improvement scan.
+    ``adjacency`` is the graph's integer adjacency matrix and ``degrees`` its
+    vertex degrees, both over the same vertex positions; ``order`` is the
+    Fiedler sweep order over those positions.  The caller builds the final
+    :class:`~repro.graphs.conductance.CutReport` from the returned prefix.
+    Ties resolve to the earliest prefix, matching the reference's
+    strict-improvement scan.
     """
-    n = len(nodes)
-    adjacency = nx.to_numpy_array(graph, nodelist=nodes, dtype=np.int64)
-    ordered = adjacency[np.asarray(order)][:, np.asarray(order)]
-    degrees = np.array([graph.degree(nodes[i]) for i in order], dtype=np.int64)
+    n = len(order)
+    order = np.asarray(order)
+    ordered = adjacency[order][:, order]
+    degrees = degrees[order]
     total_volume = int(degrees.sum())
 
     # Neighbours of each vertex that precede it in the sweep order.

@@ -24,6 +24,7 @@ name                                            kind       labels
 ``repro_cache_lookups_total``                   counter    ``result`` (hit / disk_hit / miss)
 ``repro_cache_stores_total``                    counter    —
 ``repro_cache_evictions_total``                 counter    ``tier`` (``memory``/``disk``)
+``repro_cache_admissions_total``                counter    ``result`` (``admitted``/``rejected``)
 ``repro_backend_route_seconds``                 histogram  ``backend``
 ``repro_backend_route_rounds_total``            counter    ``backend``
 ``repro_backend_preprocess_rounds_total``       counter    ``backend``

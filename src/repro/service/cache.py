@@ -1,11 +1,19 @@
-"""Artifact cache: in-memory LRU over :class:`PreprocessArtifact`, plus disk tier.
+"""Artifact cache: in-memory LRU with cost-weighted admission, plus disk tier.
 
 The paper's amortization story — expensive preprocessing, cheap queries — only
 materialises when the preprocessed structures survive between queries.  The
 cache is where they survive:
 
-* a bounded in-memory LRU (``capacity`` artifacts, least-recently-*used*
-  evicted first), sized for the working set of hot expanders;
+* a bounded in-memory LRU (``capacity`` artifacts) with cost-weighted
+  admission: once the cache is full, a newly built artifact replaces the
+  least-recently-used one only if ``lookups x preprocessing rounds`` is at
+  least as large for the newcomer as for that victim (ties admit).  Lookups
+  are counted per fingerprint and halved every ``10 x capacity`` lookups,
+  TinyLFU's reset (Einziger, Friedman and Manes, arXiv:1512.00727), so the
+  counts follow recent demand and the table stays bounded.  A rejected
+  artifact still serves the batch that built it and still goes to disk.
+  Warm handoffs (:meth:`ArtifactCache.adopt`) and disk promotions insert
+  without the check;
 * an optional on-disk pickle store (one ``<fingerprint>.pkl`` per artifact)
   that outlives the process; memory misses fall through to disk and promote
   back into memory on a hit.  The disk tier is bounded too when
@@ -13,8 +21,9 @@ cache is where they survive:
   first, counted in :attr:`CacheStats.evictions_disk`.
 
 When a :class:`~repro.metrics.MetricsRegistry` is attached, every lookup,
-store, and eviction is also recorded as ``repro_cache_*`` metrics, so the
-cluster tier's per-shard caches show up in the shared exposition.
+store, admission decision and eviction is also recorded as ``repro_cache_*``
+metrics, so the cluster tier's per-shard caches show up in the shared
+exposition.
 
 Entries are keyed by the canonical fingerprint of
 :func:`repro.service.fingerprint.graph_fingerprint`, so invalidation is
@@ -41,6 +50,10 @@ from repro.core.router import PreprocessArtifact
 from repro.metrics import MetricsRegistry
 
 __all__ = ["CacheStats", "ArtifactCache"]
+
+#: Lookups between two halvings of the admission counts, per slot of
+#: ``capacity`` (TinyLFU's sample size; Caffeine also uses 10x its maximum).
+_SAMPLE_PER_SLOT = 10
 
 #: What ``pickle.load`` raises on a disk entry that cannot be served: an
 #: unreadable file (``OSError``), truncated bytes (``EOFError``,
@@ -73,7 +86,8 @@ class CacheStats:
         misses: lookups nothing could serve (caller must preprocess).
         evictions: artifacts dropped from the LRU because of capacity.
         evictions_disk: disk files dropped because of ``disk_capacity``.
-        stores: artifacts written via :meth:`ArtifactCache.put`.
+        stores: artifacts written via :meth:`ArtifactCache.put`, admitted or not.
+        rejections: stores the admission rule kept out of the memory tier.
         disk_rejects: disk entries discarded as corrupt, stale, or mismatched.
     """
 
@@ -83,6 +97,7 @@ class CacheStats:
     evictions: int = 0
     evictions_disk: int = 0
     stores: int = 0
+    rejections: int = 0
     disk_rejects: int = 0
 
     @property
@@ -104,6 +119,7 @@ class CacheStats:
             "evictions": self.evictions,
             "evictions_disk": self.evictions_disk,
             "stores": self.stores,
+            "rejections": self.rejections,
             "disk_rejects": self.disk_rejects,
             "hit_rate": self.hit_rate,
         }
@@ -111,7 +127,11 @@ class CacheStats:
 
 @dataclass
 class ArtifactCache:
-    """Bounded LRU of preprocessed artifacts with an optional disk tier.
+    """Bounded LRU of preprocessed artifacts, cost-weighted admission, optional disk tier.
+
+    The victim is always the least-recently-used entry; :meth:`put` decides
+    whether a new artifact may take its slot (see the module docstring).
+    :meth:`adopt` and promotions from disk insert without that check.
 
     Attributes:
         capacity: maximum number of artifacts held in memory (>= 1).
@@ -135,6 +155,9 @@ class ArtifactCache:
         if self.disk_capacity is not None and self.disk_capacity < 1:
             raise ValueError("disk capacity must be at least 1 (or None for unbounded)")
         self._entries: OrderedDict[str, PreprocessArtifact] = OrderedDict()
+        # Admission counts: get() lookups per fingerprint since the last halving.
+        self._frequency: dict[str, int] = {}
+        self._sampled = 0
         self._lock = threading.RLock()
         self._disk_lock = threading.Lock()
         if self.disk_dir is not None:
@@ -150,8 +173,14 @@ class ArtifactCache:
             self._m_evictions = self.metrics.counter(
                 "repro_cache_evictions_total", "Artifacts evicted, by tier.", labels=("tier",)
             )
+            self._m_admissions = self.metrics.counter(
+                "repro_cache_admissions_total",
+                "Admission decisions on stored artifacts, by result.",
+                labels=("result",),
+            )
         else:
             self._m_lookups = self._m_stores = self._m_evictions = None
+            self._m_admissions = None
 
     def _record_lookup(self, result: str) -> None:
         if self._m_lookups is not None:
@@ -162,6 +191,7 @@ class ArtifactCache:
     def get(self, fingerprint: str) -> PreprocessArtifact | None:
         """The cached artifact for ``fingerprint``, or ``None`` (a miss)."""
         with self._lock:
+            self._count_lookup(fingerprint)
             artifact = self._entries.get(fingerprint)
             if artifact is not None:
                 self._entries.move_to_end(fingerprint)
@@ -210,17 +240,27 @@ class ArtifactCache:
 
     # -- stores --------------------------------------------------------------
 
-    def put(self, fingerprint: str, artifact: PreprocessArtifact) -> None:
-        """Cache ``artifact`` under ``fingerprint`` (memory, and disk if enabled)."""
+    def put(self, fingerprint: str, artifact: PreprocessArtifact) -> bool:
+        """Cache ``artifact`` under ``fingerprint``; whether memory admitted it.
+
+        The disk tier (if enabled) is written either way.
+        """
         artifact.fingerprint = fingerprint
         with self._lock:
             self.stats.stores += 1
             if self._m_stores is not None:
                 self._m_stores.inc()
-            self._insert(fingerprint, artifact)
+            admitted = self._admits(fingerprint, artifact)
+            if admitted:
+                self._insert(fingerprint, artifact)
+            else:
+                self.stats.rejections += 1
+            if self._m_admissions is not None:
+                self._m_admissions.labels(result="admitted" if admitted else "rejected").inc()
         # Disk write outside the lock: the atomic tmp-file rename keeps
         # concurrent writers of the same fingerprint consistent.
         self._store_to_disk(fingerprint, artifact)
+        return admitted
 
     def adopt(self, fingerprint: str, artifact: PreprocessArtifact) -> None:
         """Insert an artifact handed off from another cache, memory tier only.
@@ -243,6 +283,26 @@ class ArtifactCache:
                     path.unlink(missing_ok=True)
 
     # -- internals -----------------------------------------------------------
+
+    def _count_lookup(self, fingerprint: str) -> None:
+        self._frequency[fingerprint] = self._frequency.get(fingerprint, 0) + 1
+        self._sampled += 1
+        if self._sampled >= _SAMPLE_PER_SLOT * self.capacity:
+            self._sampled = 0
+            self._frequency = {
+                key: count // 2 for key, count in self._frequency.items() if count > 1
+            }
+
+    def _admits(self, fingerprint: str, artifact: PreprocessArtifact) -> bool:
+        """May ``artifact`` take the LRU victim's slot? Always, while a slot is free."""
+        if fingerprint in self._entries or len(self._entries) < self.capacity:
+            return True
+        victim_fingerprint, victim = next(iter(self._entries.items()))
+        frequency = self._frequency.get
+        return (
+            frequency(fingerprint, 0) * artifact.preprocessing_rounds
+            >= frequency(victim_fingerprint, 0) * victim.preprocessing_rounds
+        )
 
     def _insert(self, fingerprint: str, artifact: PreprocessArtifact) -> None:
         self._entries[fingerprint] = artifact

@@ -595,8 +595,12 @@ class RoutingService:
         # Batch accounting (cache hits, incurred/reused rounds) is computed
         # from the artifact cache exactly as before — the memo only skips
         # redundant reconstruction work, never changes what is reported.
+        # An artifact-backed runner (info None) is kept only while the cache
+        # holds its artifact, so the memo never serves what the cache evicted
+        # or refused to admit; a runner without an artifact keeps the
+        # PreprocessInfo a rebuild would report.
         self._runner_memo: OrderedDict[
-            str, tuple[RoutingBackend, PreprocessInfo | None, PreprocessArtifact | None]
+            str, tuple[RoutingBackend, PreprocessInfo | None]
         ] = OrderedDict()
 
     # -- lifecycle -----------------------------------------------------------
@@ -724,25 +728,31 @@ class RoutingService:
 
     def _runner_memo_get(
         self, fingerprint: str
-    ) -> tuple[RoutingBackend, PreprocessInfo | None, PreprocessArtifact | None] | None:
+    ) -> tuple[RoutingBackend, PreprocessInfo | None] | None:
         entry = self._runner_memo.get(fingerprint)
         if entry is not None:
             self._runner_memo.move_to_end(fingerprint)
         return entry
 
     def _runner_memo_put(
-        self,
-        fingerprint: str,
-        runner: RoutingBackend,
-        info: PreprocessInfo | None,
-        artifact: PreprocessArtifact | None,
+        self, fingerprint: str, runner: RoutingBackend, info: PreprocessInfo | None
     ) -> None:
         """Retain a query-ready runner (LRU, sized to the artifact cache)."""
-        self._runner_memo[fingerprint] = (runner, info, artifact)
+        self._runner_memo[fingerprint] = (runner, info)
         self._runner_memo.move_to_end(fingerprint)
         cap = max(4, getattr(self.cache, "capacity", 4))
         while len(self._runner_memo) > cap:
             self._runner_memo.popitem(last=False)
+
+    def _runner_memo_prune(self) -> None:
+        """Drop artifact-backed runners whose artifact the cache no longer holds."""
+        resident = set(self.cache.fingerprints())
+        for fingerprint in [
+            fingerprint
+            for fingerprint, (_, info) in self._runner_memo.items()
+            if info is None and fingerprint not in resident
+        ]:
+            del self._runner_memo[fingerprint]
 
     def _graph_payload(self, graph: nx.Graph) -> str:
         payload = self._payload_memo.get(graph)
@@ -1094,29 +1104,22 @@ class RoutingService:
             )
             memo = self._runner_memo_get(fingerprint)
             if cached is not None:
-                runners[fingerprint] = (
-                    memo[0] if memo is not None else factory.from_artifact(query.graph, cached)
-                )
-                if memo is None:
-                    self._runner_memo_put(
-                        fingerprint, runners[fingerprint], None, cached
-                    )
+                if memo is not None and memo[1] is None:
+                    runners[fingerprint] = memo[0]
+                else:
+                    runners[fingerprint] = factory.from_artifact(query.graph, cached)
+                    self._runner_memo_put(fingerprint, runners[fingerprint], None)
                 warm[fingerprint] = True
                 report.preprocess_rounds_reused += cached.preprocessing_rounds
-            elif memo is not None:
-                # Memoized runner for a fingerprint the artifact cache no
-                # longer holds (or a stateless backend): serve it, and charge
-                # the batch exactly what a rebuild would have reported —
-                # preprocessing is deterministic, so the counts are
-                # byte-identical and only the redundant work is skipped.
-                runner, info, artifact = memo
-                runners[fingerprint] = runner
+            elif memo is not None and memo[1] is not None:
+                # A runner without an artifact (the memo is its only cache):
+                # serve it, and charge the batch exactly what a rebuild would
+                # have reported — preprocessing is deterministic, so the
+                # counts are byte-identical and only the redundant work is
+                # skipped.
+                runners[fingerprint] = memo[0]
                 warm[fingerprint] = False
-                if artifact is not None:
-                    self.cache.put(fingerprint, artifact)
-                    report.preprocess_rounds_incurred += artifact.preprocessing_rounds
-                elif info is not None:
-                    report.preprocess_rounds_incurred += info.rounds
+                report.preprocess_rounds_incurred += memo[1].rounds
             else:
                 cold[fingerprint] = query
                 warm[fingerprint] = False
@@ -1130,16 +1133,20 @@ class RoutingService:
             for fingerprint, future in futures.items():
                 runner, info, artifact, build_seconds = future.result()
                 runners[fingerprint] = runner
-                self._runner_memo_put(fingerprint, runner, info, artifact)
                 if artifact is not None:
-                    self.cache.put(fingerprint, artifact)
+                    # A refused artifact still serves this batch, unmemoized.
+                    if self.cache.put(fingerprint, artifact):
+                        self._runner_memo_put(fingerprint, runner, None)
                     report.preprocess_rounds_incurred += artifact.preprocessing_rounds
                 else:
+                    self._runner_memo_put(fingerprint, runner, info)
                     report.preprocess_rounds_incurred += info.rounds
                 self._record_preprocess(cold[fingerprint], build_seconds)
             slice_preprocess = time.perf_counter() - preprocess_start
             report.preprocess_seconds += slice_preprocess
             self._m_preprocess_seconds.observe(slice_preprocess)
+        # Admissions and disk promotions above may have evicted artifacts.
+        self._runner_memo_prune()
 
         # Phase 2: route every query of the batch concurrently.  Queries on
         # the same fingerprint whose plan asks for chunking share one pool

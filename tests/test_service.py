@@ -1,12 +1,15 @@
 """Tests for the serving layer: fingerprints, artifact cache, batched routing."""
 
 import pickle
+import sys
+import threading
 
 import pytest
 
 from repro.core.router import ExpanderRouter, PreprocessArtifact
 from repro.core.tokens import RoutingRequest
 from repro.graphs.generators import circulant_expander, weighted_expander
+from repro.metrics import MetricsRegistry
 from repro.service import (
     ArtifactCache,
     BatchReport,
@@ -28,6 +31,15 @@ def small_graph():
 @pytest.fixture(scope="module")
 def small_artifact(small_graph):
     return ExpanderRouter(small_graph, epsilon=0.5).export_artifact(fingerprint="small")
+
+
+@pytest.fixture(scope="module")
+def cheap_artifact():
+    # circulant_expander(24) preprocesses in about half the rounds of the
+    # 48-vertex small_graph, which is what the admission tests lean on.
+    return ExpanderRouter(circulant_expander(24), epsilon=0.5).export_artifact(
+        fingerprint="cheap"
+    )
 
 
 # -- fingerprints -----------------------------------------------------------------
@@ -81,6 +93,104 @@ def test_cache_lru_evicts_least_recently_used(small_artifact):
     assert cache.stats.evictions == 1
     assert "b" not in cache
     assert cache.get("a") is not None and cache.get("c") is not None
+
+
+def test_cache_rejects_a_colder_cheaper_newcomer(tmp_path, small_artifact, cheap_artifact):
+    assert cheap_artifact.preprocessing_rounds < small_artifact.preprocessing_rounds
+    registry = MetricsRegistry()
+    cache = ArtifactCache(capacity=1, disk_dir=tmp_path, metrics=registry)
+    assert cache.put("hot", small_artifact)
+    assert cache.get("hot") is not None and cache.get("hot") is not None
+    assert cache.get("new") is None  # 1 lookup x cheap rounds < 2 x the victim's
+    assert not cache.put("new", cheap_artifact)
+    assert cache.fingerprints() == ["hot"]
+    assert cache.stats.rejections == 1 and cache.stats.evictions == 0
+    assert cache.stats.stores == 2
+    assert cache.stats.as_dict()["rejections"] == 1
+    assert (tmp_path / "new.pkl").exists()  # the disk tier still gets it
+    admissions = registry.as_dict()["repro_cache_admissions_total"]
+    assert admissions == {"result=admitted": 1, "result=rejected": 1}
+
+
+def test_cache_admission_weighs_lookups_by_preprocessing_rounds(small_artifact, cheap_artifact):
+    cache = ArtifactCache(capacity=1)
+    cache.put("cheap", cheap_artifact)
+    assert cache.get("cheap") is not None and cache.get("cheap") is not None
+    assert cache.get("costly") is None
+    # Colder (1 lookup against 2) but more than twice as costly to rebuild.
+    assert cache.put("costly", small_artifact)
+    assert cache.fingerprints() == ["costly"]
+    assert cache.stats.evictions == 1 and cache.stats.rejections == 0
+
+
+def test_cache_admission_tie_admits(small_artifact):
+    cache = ArtifactCache(capacity=1)
+    cache.put("a", small_artifact)
+    assert cache.get("a") is not None
+    assert cache.get("b") is None
+    assert cache.put("b", small_artifact)  # equal lookups, equal rounds
+    assert cache.fingerprints() == ["b"]
+    assert cache.stats.evictions == 1 and cache.stats.rejections == 0
+
+
+def test_cache_admission_counts_halve_and_stay_bounded():
+    cache = ArtifactCache(capacity=2)  # counts halve every 20 lookups
+    for _ in range(20):
+        cache.get("x")
+    assert cache._frequency == {"x": 10}
+    for index in range(1000):
+        cache.get(f"cold-{index}")
+    # Single lookups drop at the next halving; "x" has decayed away too.
+    assert len(cache._frequency) <= 20
+    assert "x" not in cache._frequency
+
+
+def test_cache_admission_counts_survive_concurrent_lookups(small_artifact):
+    cache = ArtifactCache(capacity=1000)  # no halving within 10,000 lookups
+    workers, lookups = 8, 1000
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+
+        def hammer():
+            for index in range(lookups):
+                fingerprint = f"graph-{index % 16}"
+                if cache.get(fingerprint) is None:
+                    cache.put(fingerprint, small_artifact)
+
+        threads = [threading.Thread(target=hammer) for _ in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sum(cache._frequency.values()) == cache.stats.lookups == workers * lookups
+    assert cache.stats.stores == cache.stats.misses
+    assert cache.stats.rejections == 0 and len(cache) == 16
+
+
+def test_cache_adopt_and_disk_promotion_bypass_admission(
+    tmp_path, small_artifact, cheap_artifact
+):
+    cache = ArtifactCache(capacity=1)
+    cache.put("hot", small_artifact)
+    for _ in range(3):
+        cache.get("hot")
+    cache.adopt("handed-off", cheap_artifact)
+    assert cache.fingerprints() == ["handed-off"]
+    assert cache.stats.rejections == 0 and cache.stats.evictions == 1
+
+    tiered = ArtifactCache(capacity=1, disk_dir=tmp_path)
+    tiered.put("on-disk", cheap_artifact)
+    tiered.put("hot", small_artifact)  # evicts "on-disk" from memory only
+    for _ in range(3):
+        tiered.get("hot")
+    assert tiered.get("on-disk") is not None
+    assert tiered.stats.disk_hits == 1
+    assert tiered.fingerprints() == ["on-disk"]  # promoted over the hotter entry
+    assert tiered.stats.rejections == 0
 
 
 def test_cache_disk_tier_survives_a_new_cache(tmp_path, small_artifact):
