@@ -41,9 +41,8 @@ from repro.workloads import make_workload
 BENCH_SIZES = quick_sizes([64, 128, 256])
 REPEATS = 4 if QUICK else 7
 #: Queries per timed batch: raises each measurement well above the scheduler
-#: noise floor for the sub-millisecond workloads and exercises real batch
-#: fan-out (including the planner's chunking decision) instead of
-#: batches-of-one.
+#: noise floor for the sub-millisecond workloads and exercises real batches
+#: (including the planner's fusion decision) instead of batches-of-one.
 BATCH_QUERIES = 4
 WORKLOAD_SPECS = [
     ("permutation", {"shift": 3}),

@@ -3,15 +3,16 @@
 
 Runs every benchmark scenario three ways —
 
-* ``reference``  — ``REPRO_KERNEL=reference`` + thread pool: the faithful
-  pre-kernel (PR 3) hot paths, i.e. the baseline the speedups are against;
-* ``numpy``      — vectorized kernels + memoized fast paths, thread pool;
+* ``reference``  — ``REPRO_KERNEL=reference``, in-process (``"threads"``
+  mode): the faithful pre-kernel (PR 3) hot paths, i.e. the baseline the
+  speedups are against;
+* ``numpy``      — vectorized kernels + memoized fast paths, in-process;
 * ``processes``  — numpy kernels + the service's process pool (service and
   cluster scenarios only)
 
 — and writes one ``bench-suite.json`` with per-bench wall times and speedups.
 The headline ``speedup`` column is the *optimized* configuration (numpy
-kernels on whichever pool, threads or processes, measured faster in this run,
+kernels in whichever mode, threads or processes, measured faster in this run,
 labelled ``optimized_mode``) against the reference.
 
 Regression gate: the run is compared against the checked-in

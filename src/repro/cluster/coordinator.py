@@ -11,9 +11,9 @@
    (:mod:`repro.cluster.admission`); overload degrades predictably instead of
    growing an unbounded backlog.
 3. **Scatter/gather** — :meth:`ClusterCoordinator.dispatch` drains every
-   queue, fans each shard's slice out to its worker concurrently, and merges
-   the per-shard :class:`~repro.service.BatchReport` s into one
-   :class:`ClusterReport`.
+   queue, serves each shard's slice on its worker (one after another for
+   local shards, concurrently for remote ones), and merges the per-shard
+   :class:`~repro.service.BatchReport` s into one :class:`ClusterReport`.
 4. **Scale** — :meth:`add_shard` / :meth:`remove_shard` rebalance the ring
    and report how much artifact locality the change cost
    (:class:`~repro.cluster.ring.RebalanceStats` over every fingerprint the
@@ -37,6 +37,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import networkx as nx
@@ -268,8 +269,8 @@ class ClusterCoordinator:
             unbounded).
         admission_policy: ``"reject"`` or ``"shed-oldest"``.
         default_plan: the cluster's execution defaults as **one**
-            :class:`~repro.planner.ExecutionPlan` — pool mode and width for
-            every shard service, and the template fixed submissions execute
+            :class:`~repro.planner.ExecutionPlan` — execution mode (and
+            process-pool width) for every shard service, and the template fixed submissions execute
             under.  (The deprecated ``shard_parallelism`` /
             ``shard_max_workers`` property shims are gone as of this
             release; read the plan.)
@@ -290,7 +291,7 @@ class ClusterCoordinator:
         net_family: listener family for ``transport="tcp"`` — ``"unix"``
             (default, CI-safe) or ``"inet"`` (real TCP on loopback).
 
-    Shard services keep long-lived worker pools (and, under
+    Shard services may keep long-lived process pools (and, under
     ``transport="tcp"``, server processes); :meth:`close` (or using the
     coordinator as a context manager) releases all of them, idempotently.
     """
@@ -945,7 +946,13 @@ class ClusterCoordinator:
     _merge_batch_reports = staticmethod(merge_batch_reports)
 
     def dispatch(self) -> ClusterReport:
-        """Drain every queue, scatter to the shard workers, gather, merge.
+        """Drain every queue, serve each busy shard's slice, gather, merge.
+
+        Local shards are served one after another on the calling thread: the
+        array engine is serialized per process, so a thread per shard would
+        add only hand-offs.  Remote (``transport="tcp"``) shards are served
+        concurrently through a per-cycle thread pool, since their work runs
+        in the shard-server processes.
 
         Failover lives here: a shard whose slice dies mid-scatter (crash,
         partition, killed server process) is marked failed, its whole slice —
@@ -966,14 +973,18 @@ class ClusterCoordinator:
             if not busy:
                 break
             failed: dict[str, list[ShardQuery]] = {}
-            with ThreadPoolExecutor(max_workers=len(busy)) as pool:
-                futures = {
-                    shard_id: pool.submit(self.process_shard, shard_id, items)
-                    for shard_id, items in busy.items()
-                }
-                for shard_id, future in futures.items():
+            calls = {
+                shard_id: partial(self.process_shard, shard_id, items)
+                for shard_id, items in busy.items()
+            }
+            # Only remote hops overlap real work (see the docstring).
+            pool = ThreadPoolExecutor(len(calls)) if self.transport == "tcp" else None
+            with pool or nullcontext():
+                if pool is not None:
+                    calls = {shard_id: pool.submit(call).result for shard_id, call in calls.items()}
+                for shard_id, call in calls.items():
                     try:
-                        collected.setdefault(shard_id, []).append(future.result())
+                        collected.setdefault(shard_id, []).append(call())
                     except ConnectionError:
                         failed[shard_id] = busy[shard_id]
             if not failed:
@@ -1002,7 +1013,7 @@ class ClusterCoordinator:
     # -- lifecycle -------------------------------------------------------------
 
     def close(self) -> None:
-        """Release every shard (pools or server processes) and the keyer; idempotent."""
+        """Release every shard (services or server processes) and the keyer; idempotent."""
         if self._closed:
             return
         self._closed = True

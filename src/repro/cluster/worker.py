@@ -1,7 +1,7 @@
 """One shard of the cluster: a :class:`RoutingService` plus its own cache.
 
 A shard worker is deliberately thin — all the serving machinery (fingerprint
-memoization, artifact cache, parallel fan-out, batch reports) already lives
+memoization, artifact cache, execution, batch reports) already lives
 in :class:`~repro.service.RoutingService`; the worker gives one shard its own
 isolated instance of it.  Isolation is the point: the coordinator's
 consistent-hash ring sends every fingerprint to exactly one shard, so each
@@ -12,8 +12,8 @@ coordination (measured by ``benchmarks/bench_cluster.py``).
 
 Execution knobs arrive as **one** :class:`~repro.planner.ExecutionPlan`: the
 coordinator plans centrally (policy + cost model) and ships the plan inside
-each :class:`ShardQuery`, and the worker's service shape (pool mode, width)
-comes from a single default plan instead of the ``shard_parallelism`` /
+each :class:`ShardQuery`, and the worker's service shape (execution mode,
+process-pool width) comes from a single default plan instead of the ``shard_parallelism`` /
 ``shard_max_workers`` pass-through pairs the pre-planner cluster re-forwarded
 argument by argument.
 
@@ -119,8 +119,10 @@ class ShardWorker:
             of the working set.
         disk_dir / disk_capacity: optional per-shard disk tier.
         default_plan: the execution defaults this shard's service takes its
-            pool shape from (``parallelism``, ``max_workers``); per-query
-            plans shipped in :class:`ShardQuery` override it query by query.
+            shape from: ``parallelism`` (``"threads"`` serves each slice
+            in-process on the caller's thread) and ``max_workers`` (the
+            process-pool width, ``"processes"`` only); per-query plans
+            shipped in :class:`ShardQuery` override it query by query.
         planner: the cluster's shared :class:`~repro.planner.QueryPlanner`
             (if any) — attaching it feeds the shard's observed timings back
             into the shared cost model, which is what makes the cluster-wide
@@ -129,8 +131,9 @@ class ShardWorker:
             labeled ``shard=<shard_id>``).
         service: inject a preconfigured service instead (tests).
 
-    The shard's service keeps long-lived executors; :meth:`close` releases
-    them (the coordinator closes every shard it owns).
+    :meth:`process` serves a slice on the calling thread (in-process) or
+    through the service's long-lived process pool; :meth:`close` releases
+    that pool (the coordinator closes every shard it owns).
     """
 
     def __init__(
@@ -244,7 +247,7 @@ class ShardWorker:
         return True
 
     def close(self) -> None:
-        """Release the shard service's worker pools; idempotent by design so
+        """Release the shard service (and its process pool); idempotent by design so
         server shutdown paths can call it unconditionally."""
         if self._closed:
             return

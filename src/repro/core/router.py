@@ -35,8 +35,11 @@ Queries run on one of two paths with identical outcomes, chosen once per
 A process runs one array-engine call at a time: ``route`` and ``route_many``
 take one module-level lock around it, across all routers.  The engine is a
 chain of short numpy calls that hold the GIL, so threads routing at once
-gain no parallelism and pay for switching.  Preprocessing and the reference
-kernel take no lock.
+gain no parallelism and pay for switching.  The service and the local
+cluster therefore route on the caller's thread; the lock is for the callers
+that still share a router across threads (the gateway's per-shard
+``asyncio.to_thread`` calls, a shard server's worker threads).
+Preprocessing and the reference kernel take no lock.
 """
 
 from __future__ import annotations
@@ -67,7 +70,9 @@ from repro.kernels import use_numpy
 
 __all__ = ["PreprocessArtifact", "PreprocessSummary", "RoutingOutcome", "ExpanderRouter"]
 
-#: Serializes array-engine calls in this process (see the module docstring).
+#: Serializes array-engine calls in this process across the threads that can
+#: still share a router, e.g. gateway and shard-server threads (see the module
+#: docstring).
 _ENGINE_LOCK = threading.Lock()
 
 

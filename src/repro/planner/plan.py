@@ -13,7 +13,7 @@ the benchmarks all consume:
   :meth:`~repro.service.BatchReport.signature` records (so signatures stay
   byte-identical across thread/process execution of the same plan);
 * **physical fields** — ``kernel``, ``parallelism``, ``max_workers``,
-  ``chunk_size``, ``fused`` determine *how fast* it is computed; results
+  ``fused`` determine *how fast* it is computed; results
   are identical by construction (the kernels are equivalence-tested), only
   wall-clock changes.  How an artifact reaches process workers is not a
   plan dimension: the service always spills it once to a pickle directory
@@ -38,7 +38,7 @@ from repro.backends.base import canonical_backend_params
 
 __all__ = ["EXECUTION_MODES", "ExecutionPlan"]
 
-#: The execution modes a plan may select for batch fan-out.
+#: The execution modes a plan may select for a batch.
 EXECUTION_MODES = ("threads", "processes")
 
 
@@ -54,15 +54,15 @@ class ExecutionPlan:
             ``numpy``).  Kernel selection is process-global
             (:mod:`repro.kernels`); the plan records the kernel in effect at
             planning time and worker-process tasks are pinned to it.
-        parallelism: batch fan-out mode, ``"threads"`` or ``"processes"``.
-        max_workers: intended pool width for the fan-out (``None`` =
-            executor default).  Consumed where services are *built* — the
-            cluster sizes each shard service from its ``default_plan`` —
-            and advisory on per-query plans: an existing service keeps one
-            long-lived pool per mode sized by its own ``max_workers``.
-        chunk_size: how many same-fingerprint queries one thread-pool task
-            routes (``None``/1 = one task per query; larger values amortize
-            task overhead for sub-millisecond queries).
+        parallelism: execution mode.  ``"threads"`` runs the batch
+            in-process on the caller's thread (the engine is serialized per
+            process anyway, so a thread fan-out adds only hand-offs);
+            ``"processes"`` ships builds and routes to a worker-process pool.
+        max_workers: process-pool width (``None`` = executor default);
+            ignored by ``"threads"``.  Consumed where services are *built* —
+            the cluster sizes each shard service from its ``default_plan``
+            — and advisory on per-query plans: an existing service keeps one
+            long-lived process pool sized by its own ``max_workers``.
         fused: route same-fingerprint query groups through the backend's
             fused batch kernel (``route_many``) when it has one.  Physical:
             fused results are identical to sequential by construction
@@ -81,7 +81,6 @@ class ExecutionPlan:
     kernel: str = "numpy"
     parallelism: str = "threads"
     max_workers: int | None = None
-    chunk_size: int | None = None
     fused: bool = False
     shard_hint: str | None = None
     policy: str = "fixed"
@@ -93,8 +92,6 @@ class ExecutionPlan:
                 f"unknown parallelism {self.parallelism!r}; "
                 f"expected one of {', '.join(EXECUTION_MODES)}"
             )
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError("chunk_size must be at least 1 (or None)")
 
     # -- identities ----------------------------------------------------------
 
@@ -108,8 +105,8 @@ class ExecutionPlan:
         """Hash of the *result-affecting* fields only (backend + params).
 
         Two plans with the same semantic id produce byte-identical routing
-        outcomes (deliveries, rounds, loads) regardless of kernel, pool mode,
-        or chunking — this is the identity batch signatures record.
+        outcomes (deliveries, rounds, loads) regardless of kernel, execution
+        mode or fusion — this is the identity batch signatures record.
         """
         payload = json.dumps(
             {"backend": self.backend, "params": self.canonical_params},
@@ -128,7 +125,6 @@ class ExecutionPlan:
                 "kernel": self.kernel,
                 "parallelism": self.parallelism,
                 "max_workers": self.max_workers,
-                "chunk_size": self.chunk_size,
                 "fused": self.fused,
             },
             sort_keys=True,
@@ -137,10 +133,6 @@ class ExecutionPlan:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
     # -- derived views -------------------------------------------------------
-
-    @property
-    def effective_chunk_size(self) -> int:
-        return self.chunk_size or 1
 
     def with_shard(self, shard_id: str) -> "ExecutionPlan":
         """The same decision annotated with its placement (identity unchanged)."""
@@ -154,7 +146,6 @@ class ExecutionPlan:
             "kernel": self.kernel,
             "parallelism": self.parallelism,
             "max_workers": self.max_workers,
-            "chunk_size": self.chunk_size,
             "fused": self.fused,
             "shard_hint": self.shard_hint,
             "policy": self.policy,
@@ -178,8 +169,6 @@ class ExecutionPlan:
         bits.append(f"parallelism={self.parallelism}")
         if self.max_workers is not None:
             bits.append(f"max_workers={self.max_workers}")
-        if self.effective_chunk_size != 1:
-            bits.append(f"chunk={self.effective_chunk_size}")
         if self.fused:
             bits.append("fused")
         if self.shard_hint is not None:

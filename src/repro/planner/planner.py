@@ -44,10 +44,6 @@ __all__ = ["PLAN_POLICIES", "workload_signature", "PlanExplanation", "QueryPlann
 #: The recognised planning policies.
 PLAN_POLICIES = ("fixed", "cost", "adaptive")
 
-#: Calibrated per-query cost below which thread fan-out is chunked (task
-#: submission overhead dominates sub-millisecond queries).
-CHUNK_THRESHOLD_SECONDS = 2e-3
-
 #: Calibrated per-query cost above which ``parallelism="auto"`` ships the
 #: batch to worker processes (below it, pickling dominates the win).
 PROCESS_THRESHOLD_SECONDS = 5e-3
@@ -135,12 +131,12 @@ class QueryPlanner:
             caller names none.
         epsilon: tradeoff parameter recorded for the cost model default.
         parallelism: execution mode planned batches run under — one of
-            ``"threads"``, ``"processes"``, or ``"auto"`` (processes exactly
-            when the calibrated per-query cost clears
-            ``PROCESS_THRESHOLD_SECONDS`` and the machine has >1 core).
-        max_workers: pool width stamped onto every plan (``None`` = default).
-        chunk_size: thread fan-out chunk applied when the calibrated
-            per-query cost is below ``CHUNK_THRESHOLD_SECONDS``.
+            ``"threads"`` (in-process, on the caller's thread),
+            ``"processes"``, or ``"auto"`` (processes exactly when the
+            calibrated per-query cost clears ``PROCESS_THRESHOLD_SECONDS``
+            and the machine has >1 core).
+        max_workers: process-pool width stamped onto every plan (``None`` =
+            default).
         plan_cache_capacity: bound on memoized decisions (LRU).
         replan_interval: how many cost-model observations a *converged*
             decision stays cached for before it is re-derived (exploration
@@ -167,7 +163,6 @@ class QueryPlanner:
         epsilon: float = 0.5,
         parallelism: str = "threads",
         max_workers: int | None = None,
-        chunk_size: int = 4,
         plan_cache_capacity: int = 1024,
         replan_interval: int = 64,
         explore_probes: int = 2,
@@ -192,7 +187,6 @@ class QueryPlanner:
         self.default_backend = default_backend
         self.parallelism = parallelism
         self.max_workers = max_workers
-        self.chunk_size = chunk_size
         self.plan_cache_capacity = plan_cache_capacity
         self.replan_interval = replan_interval
         self.explore_probes = max(1, explore_probes)
@@ -360,7 +354,6 @@ class QueryPlanner:
             ),
         )
         parallelism = self._pick_parallelism(chosen_estimate, notes)
-        chunk = self._pick_chunk(chosen_estimate, notes)
         fused = self._pick_fused(chosen_name, notes)
         plan = ExecutionPlan(
             backend=chosen_name,
@@ -368,7 +361,6 @@ class QueryPlanner:
             kernel=kernel,
             parallelism=parallelism,
             max_workers=self.max_workers,
-            chunk_size=chunk,
             fused=fused,
             policy=policy,
             reason=reason,
@@ -419,19 +411,6 @@ class QueryPlanner:
                 f"backend {backend} exposes route_many -> fused batch kernels enabled"
             )
         return capable
-
-    def _pick_chunk(self, estimate: CostEstimate, notes: list[str]) -> int | None:
-        if (
-            self.chunk_size > 1
-            and estimate.calibrated is not None
-            and estimate.calibrated < CHUNK_THRESHOLD_SECONDS
-        ):
-            notes.append(
-                f"chunking thread fan-out x{self.chunk_size}: calibrated "
-                f"{estimate.calibrated:.3e}s/query < {CHUNK_THRESHOLD_SECONDS:.0e}s"
-            )
-            return self.chunk_size
-        return None
 
     # -- feedback ------------------------------------------------------------
 

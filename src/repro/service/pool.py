@@ -1,9 +1,8 @@
 """Worker-process side of the service's ``parallelism="processes"`` mode.
 
-The GIL makes the thread-pool fan-out of :class:`RoutingService` a
-single-core affair: routing is pure Python compute, so "parallel" queries
-time-slice one core.  Process mode ships the work to real worker processes
-instead:
+The GIL makes in-process execution a single-core affair: the
+``"threads"`` mode of :class:`RoutingService` routes on the caller's thread.
+Process mode ships the work to real worker processes instead:
 
 * **Builds** send the (picklable) graph + backend parameters to a worker,
   which preprocesses and returns the :class:`PreprocessArtifact` (plus the

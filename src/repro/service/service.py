@@ -19,9 +19,12 @@ routing.
    most once; artifacts come from the :class:`ArtifactCache` (memory LRU +
    optional disk pickles) whenever possible.  Backends without reusable state
    simply preprocess per batch (a no-op for all current ones).
-3. **Fan out** — a batch is grouped per fingerprint; missing backends are
-   built concurrently (distinct graphs are independent), then every query of
-   the batch routes concurrently through a ``concurrent.futures`` pool.
+3. **Execute** — a batch is grouped per fingerprint; missing backends are
+   built, then every same-fingerprint group routes (fused through
+   ``route_many`` when its plan asks), in-process on the caller's thread.
+   The engine is serialized per process, so a thread fan-out would add only
+   hand-offs; ``parallelism="processes"`` ships the same work to a
+   worker-process pool instead.
 4. **Report** — each batch returns a :class:`BatchReport`; the multi-backend
    entry point :meth:`RoutingService.compare_batch` routes the same workloads
    through several backends and returns a side-by-side
@@ -30,7 +33,7 @@ routing.
 
 Since PR 5 every query executes through an
 :class:`~repro.planner.ExecutionPlan` — one object owning the backend,
-backend parameters, kernel, parallelism, and chunking decision.  Callers may
+backend parameters, kernel, parallelism, and fusion decision.  Callers may
 pass a plan explicitly, attach a :class:`~repro.planner.QueryPlanner`
 (``policy="cost"`` / ``"adaptive"``) and let the cost model choose, or keep
 using the legacy kwargs, which the service turns into ``fixed`` plans with
@@ -38,8 +41,8 @@ identical behaviour.  Observed per-query and per-preprocess timings flow back
 into the planner's cost model, which is how the adaptive policy converges.
 
 Queries are pure with respect to the shared backend state — routing mutates
-only its own tokens and per-query ledgers — so concurrent queries on one
-backend are safe.
+only its own tokens and per-query ledgers — so callers on other threads (the
+gateway, a shard server) may share one backend safely.
 """
 
 from __future__ import annotations
@@ -52,10 +55,10 @@ import tempfile
 import time
 import weakref
 from collections import OrderedDict
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Hashable, Mapping, Sequence
+from typing import Any, Hashable, Mapping, Sequence
 
 import networkx as nx
 
@@ -104,8 +107,8 @@ __all__ = [
 DEFAULT_BACKEND = "deterministic"
 
 
-def _shutdown_executor(pool: Executor) -> None:
-    """Finalizer target: release a dropped service's executor without blocking."""
+def _shutdown_executor(pool: ProcessPoolExecutor) -> None:
+    """Finalizer target: release a dropped service's process pool without blocking."""
     pool.shutdown(wait=False)
 
 
@@ -208,8 +211,8 @@ class BatchReport:
         preprocess_rounds_reused: rounds of preprocessing served from cache —
             the amortization the paper's tradeoff buys.
         preprocess_seconds: wall-clock spent building missing backends.
-        route_seconds: wall-clock of the routing phase (all queries fanned
-            out, from first submit to last gather).
+        route_seconds: wall-clock of the routing phase (every query of the
+            batch, from the first route to the last result).
         wall_seconds: wall-clock of the whole batch.
 
     All timings come from the monotonic high-resolution clock
@@ -294,11 +297,11 @@ class BatchReport:
 
         Covers every count and round total but no wall-clock, so two batches
         over the same submissions agree byte for byte regardless of timing —
-        and regardless of whether they were routed by the thread pool or the
+        and regardless of whether they were routed in-process or by the
         process pool (the determinism tests compare exactly this).  Plan
         identity is recorded as the *semantic* id (backend + parameters
-        only), which is invariant across kernels, pool modes, and chunking
-        of the same plan.
+        only), which is invariant across kernels, execution modes, and
+        fusion of the same plan.
         """
         payload = {
             "queries": [
@@ -366,7 +369,7 @@ class ComparisonReport:
         entries: one entry per (backend, workload), grouped by backend in the
             order the backends were compared.
         batch_reports: the underlying per-backend :class:`BatchReport` (one
-            batch per backend, so caching and fan-out behave exactly as in
+            batch per backend, so caching and execution behave exactly as in
             :meth:`RoutingService.route_batch`).
     """
 
@@ -435,7 +438,7 @@ class ComparisonReport:
 
 
 class RoutingService:
-    """Batched, cached, parallel front end over the pluggable routing backends.
+    """Batched, cached front end over the pluggable routing backends.
 
     Args:
         epsilon: tradeoff parameter used for every deterministic preprocess
@@ -446,20 +449,17 @@ class RoutingService:
             given, its fields join the cache key.
         cache: the artifact cache to use (fresh default-sized
             :class:`ArtifactCache` when omitted).
-        max_workers: worker pool size (``None`` = executor default).
+        max_workers: process-pool size (``None`` = executor default); the
+            ``"threads"`` mode starts no workers.
         parallelism: the *default* execution mode for fixed plans —
-            ``"threads"`` (default) fans queries out over a thread pool —
-            concurrency without parallel compute, the GIL applies — while
-            ``"processes"`` ships preprocessing and routing to worker
-            processes (artifacts spilled to disk once, loaded at most once
-            per worker; see :mod:`repro.service.pool`).  Results are
-            byte-identical either way (:meth:`BatchReport.signature`).  A
-            query's :class:`~repro.planner.ExecutionPlan` may override the
-            mode per batch slice; the service keeps one lazy long-lived pool
-            per mode it actually uses.
-        executor_factory: alternative ``concurrent.futures`` executor factory
-            taking ``max_workers``; defaults to :class:`ThreadPoolExecutor`
-            (thread-mode slices only).
+            ``"threads"`` (default) builds and routes in-process on the
+            calling thread, while ``"processes"`` ships preprocessing and
+            routing to worker processes (artifacts spilled to disk once,
+            loaded at most once per worker; see :mod:`repro.service.pool`).
+            Results are byte-identical either way
+            (:meth:`BatchReport.signature`).  A query's
+            :class:`~repro.planner.ExecutionPlan` may override the mode per
+            batch slice.
         metrics: registry the service records ``repro_service_*`` metrics
             into (default: the process-wide :func:`default_registry`).  A
             default-constructed cache inherits the same registry.
@@ -471,11 +471,10 @@ class RoutingService:
             parallelism, worker count, and metrics.  Ignored when ``planner``
             is given.
 
-    Executors are created lazily on the first batch that needs their mode and
-    reused across batches for the life of the service (one pool per mode per
-    service instance, not one per batch); call :meth:`close` — or use the
-    service as a context manager — to release them and the artifact spill
-    directory.
+    The process pool is created lazily on the first process-mode batch and
+    reused across batches for the life of the service; call :meth:`close` —
+    or use the service as a context manager — to release it and the artifact
+    spill directory.
     """
 
     def __init__(
@@ -486,7 +485,6 @@ class RoutingService:
         cache: ArtifactCache | None = None,
         max_workers: int | None = None,
         parallelism: str = "threads",
-        executor_factory: Callable[[int | None], Executor] | None = None,
         metrics: MetricsRegistry | None = None,
         planner: QueryPlanner | None = None,
         policy: str | None = None,
@@ -495,8 +493,6 @@ class RoutingService:
             raise ValueError(
                 f"unknown parallelism {parallelism!r}; expected 'threads' or 'processes'"
             )
-        if parallelism == "processes" and executor_factory is not None:
-            raise ValueError("executor_factory only applies to parallelism='threads'")
         self.epsilon = epsilon
         self.psi = psi
         self.hierarchy_params = hierarchy_params
@@ -535,15 +531,15 @@ class RoutingService:
         )
         self._m_pool_created = self.metrics.counter(
             "repro_service_pool_created_total",
-            "Executor pools created by the service (1 per service lifetime).",
+            "Process pools created by the service (1 per service lifetime).",
             labels=("kind",),
         )
         self._m_pool_workers = self.metrics.gauge(
-            "repro_service_pool_workers", "Configured worker count of the service's pool."
+            "repro_service_pool_workers", "Configured worker count of the service's process pool."
         )
         self._m_pool_tasks = self.metrics.counter(
             "repro_service_pool_tasks_total",
-            "Tasks submitted to the service's pool.",
+            "Tasks submitted to the service's process pool.",
             labels=("kind",),
         )
         self._m_pool_runner_loads = self.metrics.counter(
@@ -556,11 +552,8 @@ class RoutingService:
             "Same-fingerprint query groups routed through one fused kernel pass.",
             labels=("mode",),
         )
-        self._executor_factory = executor_factory or (
-            lambda workers: ThreadPoolExecutor(max_workers=workers)
-        )
-        self._pools: dict[str, Executor] = {}
-        self._pool_finalizers: dict[str, weakref.finalize] = {}
+        self._pool: ProcessPoolExecutor | None = None
+        self._pool_finalizer: weakref.finalize | None = None
         self._spill_dir: Path | None = None
         # Insertion-ordered so the oldest spilled artifacts trim first.
         self._spilled: dict[str, None] = {}
@@ -587,7 +580,7 @@ class RoutingService:
         self._key_memo: "weakref.WeakKeyDictionary[nx.Graph, dict[tuple, str]]" = (
             weakref.WeakKeyDictionary()
         )
-        # Query-ready runners memoized per fingerprint for the thread path
+        # Query-ready runners memoized per fingerprint for the in-process path
         # (the process path has its per-worker equivalent in service/pool.py).
         # Rebuilding a backend from its artifact every warm batch costs more
         # than the routing itself for cheap queries; the fingerprint already
@@ -605,35 +598,22 @@ class RoutingService:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def _ensure_pool(self, mode: str | None = None) -> Executor:
-        """The service's long-lived executor for ``mode``, created on first use.
+    def _ensure_process_pool(self) -> ProcessPoolExecutor:
+        """The service's long-lived process pool, created on first use.
 
-        One pool per execution mode the service actually serves (a plan may
-        pick either mode per batch slice); each is created lazily, sized by
-        the *service's* ``max_workers`` (per-query ``plan.max_workers`` is
-        advisory — see :class:`~repro.planner.ExecutionPlan`), and reused
-        for the service's lifetime.
+        Sized by the *service's* ``max_workers`` (per-query
+        ``plan.max_workers`` is advisory — see
+        :class:`~repro.planner.ExecutionPlan`) and reused for the service's
+        lifetime.
         """
-        if self._closed:
-            raise RuntimeError("service is closed")
-        mode = mode or self.parallelism
-        pool = self._pools.get(mode)
-        if pool is None:
-            if mode == "processes":
-                pool = ProcessPoolExecutor(max_workers=self.max_workers)
-            else:
-                pool = self._executor_factory(self.max_workers)
-            self._pools[mode] = pool
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
             # Services dropped without close() (loops over short-lived
-            # services) must not strand their executors until process exit.
-            self._pool_finalizers[mode] = weakref.finalize(
-                self, _shutdown_executor, pool
-            )
-            self._m_pool_created.labels(kind=mode).inc()
-            workers = getattr(pool, "_max_workers", None)
-            if workers:
-                self._m_pool_workers.set(workers)
-        return pool
+            # services) must not strand their workers until process exit.
+            self._pool_finalizer = weakref.finalize(self, _shutdown_executor, self._pool)
+            self._m_pool_created.labels(kind="processes").inc()
+            self._m_pool_workers.set(self._pool._max_workers)
+        return self._pool
 
     def _ensure_spill_dir(self) -> Path:
         if self._spill_dir is None:
@@ -694,7 +674,7 @@ class RoutingService:
             return None
 
     def close(self) -> None:
-        """Shut the worker pool down and remove the artifact spill directory.
+        """Shut the process pool down and remove the artifact spill directory.
 
         Idempotent; afterwards the service rejects new batches.  Pending
         (unrouted) submissions are left queued so callers can inspect them.
@@ -702,12 +682,10 @@ class RoutingService:
         if self._closed:
             return
         self._closed = True
-        for finalizer in self._pool_finalizers.values():
-            finalizer.detach()
-        self._pool_finalizers.clear()
-        for pool in self._pools.values():
-            pool.shutdown(wait=True)
-        self._pools.clear()
+        if self._pool is not None:
+            self._pool_finalizer.detach()
+            self._pool.shutdown(wait=True)
+            self._pool = self._pool_finalizer = None
         if self._spill_finalizer is not None:
             self._spill_finalizer()
             self._spill_finalizer = None
@@ -963,9 +941,10 @@ class RoutingService:
         """Route a batch (the pending queue when ``queries`` is omitted).
 
         Grouping, backend resolution, and query execution are all per
-        fingerprint: one preprocess per distinct cold (graph, backend) pair
-        (built concurrently), then every query routed concurrently on shared
-        read-only backends.
+        fingerprint: one preprocess per distinct cold (graph, backend) pair,
+        then every query routed on shared read-only backends — in-process
+        for ``"threads"`` plans, in the worker-process pool for
+        ``"processes"`` plans.
         """
         if self._closed:
             # Before touching the pending queue: close() promises queued
@@ -983,25 +962,22 @@ class RoutingService:
 
         report.distinct_graphs = len({query.fingerprint for query in queries})
 
-        # Each plan names its execution mode; slice the batch per mode and
-        # run every slice through that mode's long-lived pool.  Legacy
-        # plan-less queries ride the service's default mode.
+        # Each plan names its execution mode; slice the batch per mode.
+        # Legacy plan-less queries ride the service's default mode.
         by_mode: dict[str, list[RoutingQuery]] = {}
         for query in queries:
             mode = query.plan.parallelism if query.plan is not None else self.parallelism
             by_mode.setdefault(mode, []).append(query)
         for mode in sorted(by_mode):
-            slice_queries = by_mode[mode]
             by_fingerprint: dict[str, list[RoutingQuery]] = {}
-            for query in slice_queries:
+            for query in by_mode[mode]:
                 by_fingerprint.setdefault(query.fingerprint, []).append(query)
-            pool = self._ensure_pool(mode)
             if mode == "processes":
-                self._route_batch_processes(pool, slice_queries, by_fingerprint, report)
+                self._route_batch_processes(self._ensure_process_pool(), by_fingerprint, report)
             else:
-                self._route_batch_threads(pool, slice_queries, by_fingerprint, report)
+                self._route_batch_threads(by_fingerprint, report)
 
-        # Submission order, regardless of mode slicing and chunked fan-out.
+        # Submission order, regardless of mode slicing and grouping.
         report.results.sort(key=lambda result: result.query_id)
         report.cache_hits = sum(1 for result in report.results if result.cache_hit)
         report.cache_misses = len(report.results) - report.cache_hits
@@ -1051,7 +1027,7 @@ class RoutingService:
                 backend name.
 
         One :meth:`route_batch` runs per backend, so artifact caching and
-        parallel fan-out apply exactly as in normal serving — routing a
+        execution apply exactly as in normal serving — routing a
         workload through the comparison yields the same rounds as routing it
         through the backend directly.
         """
@@ -1085,14 +1061,12 @@ class RoutingService:
 
     def _route_batch_threads(
         self,
-        pool: Executor,
-        queries: Sequence[RoutingQuery],
         by_fingerprint: dict[str, list[RoutingQuery]],
         report: BatchReport,
     ) -> None:
-        """Thread-pool execution: shared in-process backends, concurrent fan-out."""
+        """In-process execution on the calling thread, over shared backends."""
         # Phase 1: resolve a query-ready backend per distinct fingerprint
-        # (artifact-cache lookups first, cold builds concurrently in the pool).
+        # (artifact-cache lookups first, then the cold builds).
         runners: dict[str, RoutingBackend] = {}
         warm: dict[str, bool] = {}
         cold: dict[str, RoutingQuery] = {}
@@ -1125,13 +1099,8 @@ class RoutingService:
                 warm[fingerprint] = False
         if cold:
             preprocess_start = time.perf_counter()
-            futures = {
-                fingerprint: pool.submit(self._build_runner, query)
-                for fingerprint, query in cold.items()
-            }
-            self._m_pool_tasks.labels(kind="build").inc(len(futures))
-            for fingerprint, future in futures.items():
-                runner, info, artifact, build_seconds = future.result()
+            for fingerprint, query in cold.items():
+                runner, info, artifact, build_seconds = self._build_runner(query)
                 runners[fingerprint] = runner
                 if artifact is not None:
                     # A refused artifact still serves this batch, unmemoized.
@@ -1141,19 +1110,15 @@ class RoutingService:
                 else:
                     self._runner_memo_put(fingerprint, runner, info)
                     report.preprocess_rounds_incurred += info.rounds
-                self._record_preprocess(cold[fingerprint], build_seconds)
+                self._record_preprocess(query, build_seconds)
             slice_preprocess = time.perf_counter() - preprocess_start
             report.preprocess_seconds += slice_preprocess
             self._m_preprocess_seconds.observe(slice_preprocess)
         # Admissions and disk promotions above may have evicted artifacts.
         self._runner_memo_prune()
 
-        # Phase 2: route every query of the batch concurrently.  Queries on
-        # the same fingerprint whose plan asks for chunking share one pool
-        # task (amortizes task overhead for sub-millisecond queries); the
-        # per-query timing and results are identical either way.
+        # Phase 2: route every group of the batch.
         route_start = time.perf_counter()
-        chunk_futures = []
         for fingerprint, group in by_fingerprint.items():
             runner = runners[fingerprint]
             plan = group[0].plan
@@ -1166,20 +1131,11 @@ class RoutingService:
                 # The whole same-fingerprint group through one fused kernel
                 # pass; per-group results are identical to routing each query
                 # alone (the fused-equivalence tests assert this).
-                chunk_futures.append(
-                    (group, pool.submit(self._route_group_fused, runner, group))
-                )
+                routed = self._route_group_fused(runner, group)
                 self._m_fused_batches.labels(mode="threads").inc()
-                continue
-            chunk_size = plan.effective_chunk_size if plan is not None else 1
-            for index in range(0, len(group), chunk_size):
-                chunk = group[index : index + chunk_size]
-                chunk_futures.append(
-                    (chunk, pool.submit(self._route_chunk, runner, chunk))
-                )
-        self._m_pool_tasks.labels(kind="route").inc(len(chunk_futures))
-        for chunk, future in chunk_futures:
-            for query, (outcome, seconds) in zip(chunk, future.result()):
+            else:
+                routed = [self._route_one(runner, query) for query in group]
+            for query, (outcome, seconds) in zip(group, routed):
                 self._m_query_seconds.labels(backend=query.backend).observe(seconds)
                 self._record_query(query, seconds)
                 report.results.append(
@@ -1198,8 +1154,7 @@ class RoutingService:
 
     def _route_batch_processes(
         self,
-        pool: Executor,
-        queries: Sequence[RoutingQuery],
+        pool: ProcessPoolExecutor,
         by_fingerprint: dict[str, list[RoutingQuery]],
         report: BatchReport,
     ) -> None:
@@ -1398,13 +1353,6 @@ class RoutingService:
         start = time.perf_counter()
         outcome = runner.route(list(query.requests), load=query.load)
         return outcome, time.perf_counter() - start
-
-    @classmethod
-    def _route_chunk(
-        cls, runner: RoutingBackend, chunk: Sequence[RoutingQuery]
-    ) -> list[tuple[RouteResult, float]]:
-        """Route a chunk of same-fingerprint queries inside one pool task."""
-        return [cls._route_one(runner, query) for query in chunk]
 
     @staticmethod
     def _route_group_fused(

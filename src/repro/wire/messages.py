@@ -438,7 +438,6 @@ class WirePlan(WireMessage):
     kernel: str = "numpy"
     parallelism: str = "threads"
     max_workers: int | None = None
-    chunk_size: int | None = None
     fused: bool = False
     shard_hint: str | None = None
     policy: str = "fixed"
@@ -452,7 +451,6 @@ class WirePlan(WireMessage):
             kernel=plan.kernel,
             parallelism=plan.parallelism,
             max_workers=plan.max_workers,
-            chunk_size=plan.chunk_size,
             fused=plan.fused,
             shard_hint=plan.shard_hint,
             policy=plan.policy,
@@ -466,7 +464,6 @@ class WirePlan(WireMessage):
             kernel=self.kernel,
             parallelism=self.parallelism,
             max_workers=self.max_workers,
-            chunk_size=self.chunk_size,
             fused=self.fused,
             shard_hint=self.shard_hint,
             policy=self.policy,

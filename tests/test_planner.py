@@ -78,11 +78,9 @@ def test_plan_identities_split_semantic_from_physical():
     assert placed.semantic_id == threads.semantic_id
 
 
-def test_plan_validates_execution_mode_and_chunk():
+def test_plan_validates_execution_mode():
     with pytest.raises(ValueError):
         ExecutionPlan(backend="direct", parallelism="fibers")
-    with pytest.raises(ValueError):
-        ExecutionPlan(backend="direct", chunk_size=0)
 
 
 def test_plan_canonical_json_is_stable():

@@ -1,8 +1,9 @@
 """The service's execution modes: persistent pools, process workers, lifecycle.
 
-Covers the PR's parallelism contract:
+Covers the execution-mode contract:
 
-* one long-lived executor per service instance, reused across batches (no
+* ``parallelism="threads"`` runs in-process and starts no pool; process mode
+  keeps one long-lived pool per service instance, reused across batches (no
   per-batch pool churn);
 * ``parallelism="processes"`` produces byte-identical
   :meth:`BatchReport.signature` to ``parallelism="threads"`` — the pool is a
@@ -72,27 +73,24 @@ def test_processes_signature_byte_identical_to_threads(graphs):
 
 def test_pool_is_created_once_and_reused_across_batches(graphs):
     g1, _ = graphs
-    created = []
-
-    def factory(workers):
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(max_workers=workers)
-        created.append(pool)
-        return pool
+    metrics = MetricsRegistry()
+    with RoutingService(epsilon=0.5, max_workers=1, metrics=metrics) as service:
+        for _ in range(2):
+            service.submit(g1, permutation_workload(g1, shift=3))
+            service.route_batch()
+    # The in-process mode never creates a pool.
+    assert _counter_value(metrics, "repro_service_pool_created_total", kind="threads") == 0
+    assert _counter_value(metrics, "repro_service_pool_created_total", kind="processes") == 0
 
     metrics = MetricsRegistry()
-    service = RoutingService(
-        epsilon=0.5, max_workers=2, executor_factory=factory, metrics=metrics
-    )
-    try:
+    with RoutingService(
+        epsilon=0.5, max_workers=1, parallelism="processes", metrics=metrics
+    ) as service:
         for _ in range(3):
             service.submit(g1, permutation_workload(g1, shift=3))
             service.route_batch()
-    finally:
-        service.close()
-    assert len(created) == 1
-    assert _counter_value(metrics, "repro_service_pool_created_total", kind="threads") == 1
+    assert _counter_value(metrics, "repro_service_pool_created_total", kind="processes") == 1
+    assert _counter_value(metrics, "repro_service_pool_tasks_total", kind="build") == 1
     assert _counter_value(metrics, "repro_service_pool_tasks_total", kind="route") == 3
 
 
@@ -113,8 +111,6 @@ def test_closed_service_rejects_new_batches(graphs):
 def test_invalid_parallelism_rejected():
     with pytest.raises(ValueError):
         RoutingService(parallelism="fibers")
-    with pytest.raises(ValueError):
-        RoutingService(parallelism="processes", executor_factory=lambda workers: None)
 
 
 def test_worker_process_runner_cache_warms_up(graphs):

@@ -115,7 +115,6 @@ def wire_plans(draw):
         kernel=draw(names),
         parallelism=draw(st.sampled_from(["serial", "threads", "processes"])),
         max_workers=draw(st.none() | st.integers(1, 16)),
-        chunk_size=draw(st.none() | st.integers(1, 64)),
         shard_hint=draw(st.none() | names),
         policy=draw(names),
         reason=draw(st.text(max_size=20)),

@@ -77,7 +77,6 @@ PLAN = WirePlan(
     kernel="numpy",
     parallelism="threads",
     max_workers=2,
-    chunk_size=None,
     fused=True,
     shard_hint="shard-1",
     policy="cost",
@@ -246,10 +245,10 @@ GOLDEN: dict[str, bytes] = {
         b':7,"preprocess_rounds":11,"load":1,"extra":{"paths":4,"label":"ok"}},"cache_hit":'
         b'true,"seconds":0.25,"workload":"permutation","plan":{"type":"plan","v":1,"backend'
         b'":"deterministic","backend_params":{"epsilon":0.5,"seed":7},"kernel":"numpy","par'
-        b'allelism":"threads","max_workers":2,"chunk_size":null,"fused":true,"shard_hint":"'
-        b'shard-1","policy":"cost","reason":"golden"}}],"distinct_graphs":1,"cache_hits":1,'
-        b'"cache_misses":0,"preprocess_rounds_incurred":0,"preprocess_rounds_reused":11,"pr'
-        b'eprocess_seconds":0.0,"route_seconds":0.125,"wall_seconds":0.5}'
+        b'allelism":"threads","max_workers":2,"fused":true,"shard_hint":"shard-1","policy":'
+        b'"cost","reason":"golden"}}],"distinct_graphs":1,"cache_hits":1,"cache_misses":0,"'
+        b'preprocess_rounds_incurred":0,"preprocess_rounds_reused":11,"preprocess_seconds":'
+        b'0.0,"route_seconds":0.125,"wall_seconds":0.5}'
     ),
     "cluster-report": (
         b'\x00{"type":"cluster-report","v":1,"shard_reports":{"shard-0":{"type":"batch-repo'
@@ -259,12 +258,12 @@ GOLDEN: dict[str, bytes] = {
         b'11,"load":1,"extra":{"paths":4,"label":"ok"}},"cache_hit":true,"seconds":0.25,"wo'
         b'rkload":"permutation","plan":{"type":"plan","v":1,"backend":"deterministic","back'
         b'end_params":{"epsilon":0.5,"seed":7},"kernel":"numpy","parallelism":"threads","ma'
-        b'x_workers":2,"chunk_size":null,"fused":true,"shard_hint":"shard-1","policy":"cost'
-        b'","reason":"golden"}}],"distinct_graphs":1,"cache_hits":1,"cache_misses":0,"prepr'
-        b'ocess_rounds_incurred":0,"preprocess_rounds_reused":11,"preprocess_seconds":0.0,"'
-        b'route_seconds":0.125,"wall_seconds":0.5}},"dispatch_seconds":0.75,"admission":{"t'
-        b'ype":"admission-stats","v":1,"offered":5,"accepted":4,"rejected":1,"shed":2},"los'
-        b't_batches":0,"requeued_batches":1}'
+        b'x_workers":2,"fused":true,"shard_hint":"shard-1","policy":"cost","reason":"golden'
+        b'"}}],"distinct_graphs":1,"cache_hits":1,"cache_misses":0,"preprocess_rounds_incur'
+        b'red":0,"preprocess_rounds_reused":11,"preprocess_seconds":0.0,"route_seconds":0.1'
+        b'25,"wall_seconds":0.5}},"dispatch_seconds":0.75,"admission":{"type":"admission-st'
+        b'ats","v":1,"offered":5,"accepted":4,"rejected":1,"shed":2},"lost_batches":0,"requ'
+        b'eued_batches":1}'
     ),
     "dispatch": b'\x00{"type":"dispatch","v":1,"deadline":null}',
     "dispatch-done": (
@@ -280,10 +279,10 @@ GOLDEN: dict[str, bytes] = {
         b's":11,"load":1,"extra":{"paths":4,"label":"ok"}},"cache_hit":true,"seconds":0.25,'
         b'"workload":"permutation","plan":{"type":"plan","v":1,"backend":"deterministic","b'
         b'ackend_params":{"epsilon":0.5,"seed":7},"kernel":"numpy","parallelism":"threads",'
-        b'"max_workers":2,"chunk_size":null,"fused":true,"shard_hint":"shard-1","policy":"c'
-        b'ost","reason":"golden"}}],"distinct_graphs":1,"cache_hits":1,"cache_misses":0,"pr'
-        b'eprocess_rounds_incurred":0,"preprocess_rounds_reused":11,"preprocess_seconds":0.'
-        b'0,"route_seconds":0.125,"wall_seconds":0.5}}'
+        b'"max_workers":2,"fused":true,"shard_hint":"shard-1","policy":"cost","reason":"gol'
+        b'den"}}],"distinct_graphs":1,"cache_hits":1,"cache_misses":0,"preprocess_rounds_in'
+        b'curred":0,"preprocess_rounds_reused":11,"preprocess_seconds":0.0,"route_seconds":'
+        b'0.125,"wall_seconds":0.5}}'
     ),
     "error": b'\x00{"type":"error","v":1,"code":"deadline","message":"submit deadline expired"}',
     "fault-inject": b'\x00{"type":"fault-inject","v":1,"kind":"slow","seconds":0.5}',
@@ -306,29 +305,28 @@ GOLDEN: dict[str, bytes] = {
         b'e":1,"destination":3,"payload":{"tag":[1,"x",null]}}],"load":2,"backend":"determi'
         b'nistic","backend_params":{"epsilon":0.5},"workload":"permutation","plan":{"type":'
         b'"plan","v":1,"backend":"deterministic","backend_params":{"epsilon":0.5,"seed":7},'
-        b'"kernel":"numpy","parallelism":"threads","max_workers":2,"chunk_size":null,"fused'
-        b'":true,"shard_hint":"shard-1","policy":"cost","reason":"golden"},"idempotency_key'
-        b'":"key-1"}}'
+        b'"kernel":"numpy","parallelism":"threads","max_workers":2,"fused":true,"shard_hint'
+        b'":"shard-1","policy":"cost","reason":"golden"},"idempotency_key":"key-1"}}'
     ),
     "journal-checkpoint": (
-        b'\x00{"type":"journal-checkpoint","v":1,"shard_ids":["shard-0","shard-1"],"next_shar'
-        b'd_index":2,"seen_fingerprints":["fp-1"],"pending":[{"type":"shard-query","v":1,"'
-        b'fingerprint":"fp-1","graph":null,"graph_ref":"c5b1e0d8b8c2d8bb","requests":[{"ty'
-        b'pe":"request","v":1,"source":0,"destination":2,"payload":null}],"load":null,"bac'
-        b'kend":"deterministic","backend_params":{},"workload":"permutation","plan":null,"'
-        b'idempotency_key":"key-2"}],"completed_keys":["key-0"],"warm":[{"type":"shard-que'
-        b'ry","v":1,"fingerprint":"fp-1","graph":{"type":"graph","v":1,"nodes":[0,1,2,3],"'
-        b'edges":[[0,1,{}],[1,2,{"weight":2}],[2,3,{}],[3,0,{"weight":1.5}]]},"graph_ref":'
-        b'"","requests":[{"type":"request","v":1,"source":0,"destination":2,"payload":null'
-        b'},{"type":"request","v":1,"source":1,"destination":3,"payload":{"tag":[1,"x",nul'
-        b'l]}}],"load":2,"backend":"deterministic","backend_params":{"epsilon":0.5},"workl'
-        b'oad":"permutation","plan":{"type":"plan","v":1,"backend":"deterministic","backen'
-        b'd_params":{"epsilon":0.5,"seed":7},"kernel":"numpy","parallelism":"threads","max'
-        b'_workers":2,"chunk_size":null,"fused":true,"shard_hint":"shard-1","policy":"cost'
-        b'","reason":"golden"},"idempotency_key":"key-1"}],"auto_key_counter":17,"admissio'
-        b'n":{"shard-0":{"offered":5,"accepted":4,"rejected":1,"shed":2}},"lost_batches":0'
-        b',"requeued_batches":1,"failovers":1,"duplicate_results":0,"planner_state":{"dete'
-        b'rministic":{"ms":1.5,"samples":3}},"planner_version":3}'
+        b'\x00{"type":"journal-checkpoint","v":1,"shard_ids":["shard-0","shard-1"],"next_sh'
+        b'ard_index":2,"seen_fingerprints":["fp-1"],"pending":[{"type":"shard-query","v":1,'
+        b'"fingerprint":"fp-1","graph":null,"graph_ref":"c5b1e0d8b8c2d8bb","requests":[{"ty'
+        b'pe":"request","v":1,"source":0,"destination":2,"payload":null}],"load":null,"back'
+        b'end":"deterministic","backend_params":{},"workload":"permutation","plan":null,"id'
+        b'empotency_key":"key-2"}],"completed_keys":["key-0"],"warm":[{"type":"shard-query"'
+        b',"v":1,"fingerprint":"fp-1","graph":{"type":"graph","v":1,"nodes":[0,1,2,3],"edge'
+        b's":[[0,1,{}],[1,2,{"weight":2}],[2,3,{}],[3,0,{"weight":1.5}]]},"graph_ref":"","r'
+        b'equests":[{"type":"request","v":1,"source":0,"destination":2,"payload":null},{"ty'
+        b'pe":"request","v":1,"source":1,"destination":3,"payload":{"tag":[1,"x",null]}}],"'
+        b'load":2,"backend":"deterministic","backend_params":{"epsilon":0.5},"workload":"pe'
+        b'rmutation","plan":{"type":"plan","v":1,"backend":"deterministic","backend_params"'
+        b':{"epsilon":0.5,"seed":7},"kernel":"numpy","parallelism":"threads","max_workers":'
+        b'2,"fused":true,"shard_hint":"shard-1","policy":"cost","reason":"golden"},"idempot'
+        b'ency_key":"key-1"}],"auto_key_counter":17,"admission":{"shard-0":{"offered":5,"ac'
+        b'cepted":4,"rejected":1,"shed":2}},"lost_batches":0,"requeued_batches":1,"failover'
+        b's":1,"duplicate_results":0,"planner_state":{"deterministic":{"ms":1.5,"samples":3'
+        b'}},"planner_version":3}'
     ),
     "journal-complete": (
         b'\x00{"type":"journal-complete","v":1,"key":"key-1","fingerprint":"fp-1","shard_id'
@@ -338,8 +336,8 @@ GOLDEN: dict[str, bytes] = {
     "ping": b'\x00{"type":"ping","v":1}',
     "plan": (
         b'\x00{"type":"plan","v":1,"backend":"deterministic","backend_params":{"epsilon":0.'
-        b'5,"seed":7},"kernel":"numpy","parallelism":"threads","max_workers":2,"chunk_size"'
-        b':null,"fused":true,"shard_hint":"shard-1","policy":"cost","reason":"golden"}'
+        b'5,"seed":7},"kernel":"numpy","parallelism":"threads","max_workers":2,"fused":true'
+        b',"shard_hint":"shard-1","policy":"cost","reason":"golden"}'
     ),
     "pong": b'\x00{"type":"pong","v":1}',
     "query-result": (
@@ -348,9 +346,8 @@ GOLDEN: dict[str, bytes] = {
         b'ivered":2,"total_tokens":2,"query_rounds":7,"preprocess_rounds":11,"load":1,"extr'
         b'a":{"paths":4,"label":"ok"}},"cache_hit":true,"seconds":0.25,"workload":"permutat'
         b'ion","plan":{"type":"plan","v":1,"backend":"deterministic","backend_params":{"eps'
-        b'ilon":0.5,"seed":7},"kernel":"numpy","parallelism":"threads","max_workers":2,"chu'
-        b'nk_size":null,"fused":true,"shard_hint":"shard-1","policy":"cost","reason":"golde'
-        b'n"}}'
+        b'ilon":0.5,"seed":7},"kernel":"numpy","parallelism":"threads","max_workers":2,"fus'
+        b'ed":true,"shard_hint":"shard-1","policy":"cost","reason":"golden"}}'
     ),
     "request": (
         b'\x00{"type":"request","v":1,"source":1,"destination":3,"payload":{"tag":[1,"x",nu'
@@ -373,10 +370,10 @@ GOLDEN: dict[str, bytes] = {
         b':3,"payload":{"tag":[1,"x",null]}}],"load":2,"backend":"deterministic","backend_p'
         b'arams":{"epsilon":0.5},"workload":"permutation","plan":{"type":"plan","v":1,"back'
         b'end":"deterministic","backend_params":{"epsilon":0.5,"seed":7},"kernel":"numpy","'
-        b'parallelism":"threads","max_workers":2,"chunk_size":null,"fused":true,"shard_hint'
-        b'":"shard-1","policy":"cost","reason":"golden"},"idempotency_key":"key-1"}],"graph'
-        b's":{"c5b1e0d8b8c2d8bb":{"type":"graph","v":1,"nodes":[0,1,2,3],"edges":[[0,1,{}],'
-        b'[1,2,{"weight":2}],[2,3,{}],[3,0,{"weight":1.5}]]}}}'
+        b'parallelism":"threads","max_workers":2,"fused":true,"shard_hint":"shard-1","polic'
+        b'y":"cost","reason":"golden"},"idempotency_key":"key-1"}],"graphs":{"c5b1e0d8b8c2d'
+        b'8bb":{"type":"graph","v":1,"nodes":[0,1,2,3],"edges":[[0,1,{}],[1,2,{"weight":2}]'
+        b',[2,3,{}],[3,0,{"weight":1.5}]]}}}'
     ),
     "shard-query": (
         b'\x00{"type":"shard-query","v":1,"fingerprint":"fp-1","graph":{"type":"graph","v":'
@@ -386,8 +383,8 @@ GOLDEN: dict[str, bytes] = {
         b':{"tag":[1,"x",null]}}],"load":2,"backend":"deterministic","backend_params":{"eps'
         b'ilon":0.5},"workload":"permutation","plan":{"type":"plan","v":1,"backend":"determ'
         b'inistic","backend_params":{"epsilon":0.5,"seed":7},"kernel":"numpy","parallelism"'
-        b':"threads","max_workers":2,"chunk_size":null,"fused":true,"shard_hint":"shard-1",'
-        b'"policy":"cost","reason":"golden"},"idempotency_key":"key-1"}'
+        b':"threads","max_workers":2,"fused":true,"shard_hint":"shard-1","policy":"cost","r'
+        b'eason":"golden"},"idempotency_key":"key-1"}'
     ),
     "shard-report": (
         b'\x00{"type":"shard-report","v":1,"report":{"type":"batch-report","v":1,"results":'
@@ -396,11 +393,11 @@ GOLDEN: dict[str, bytes] = {
         b'red":2,"total_tokens":2,"query_rounds":7,"preprocess_rounds":11,"load":1,"extra":'
         b'{"paths":4,"label":"ok"}},"cache_hit":true,"seconds":0.25,"workload":"permutation'
         b'","plan":{"type":"plan","v":1,"backend":"deterministic","backend_params":{"epsilo'
-        b'n":0.5,"seed":7},"kernel":"numpy","parallelism":"threads","max_workers":2,"chunk_'
-        b'size":null,"fused":true,"shard_hint":"shard-1","policy":"cost","reason":"golden"}'
-        b'}],"distinct_graphs":1,"cache_hits":1,"cache_misses":0,"preprocess_rounds_incurre'
-        b'd":0,"preprocess_rounds_reused":11,"preprocess_seconds":0.0,"route_seconds":0.125'
-        b',"wall_seconds":0.5}}'
+        b'n":0.5,"seed":7},"kernel":"numpy","parallelism":"threads","max_workers":2,"fused"'
+        b':true,"shard_hint":"shard-1","policy":"cost","reason":"golden"}}],"distinct_graph'
+        b's":1,"cache_hits":1,"cache_misses":0,"preprocess_rounds_incurred":0,"preprocess_r'
+        b'ounds_reused":11,"preprocess_seconds":0.0,"route_seconds":0.125,"wall_seconds":0.'
+        b'5}}'
     ),
     "shard-stats": (
         b'\x00{"type":"shard-stats","v":1,"row":{"shard":"shard-0","batches":3,"hit_ratio":'
@@ -427,9 +424,15 @@ GOLDEN: dict[str, bytes] = {
         b'uplicate":false}'
     ),
 }
-#: The "plan" row as encoded before plans lost their artifact-transport
-#: field.  Journals on disk and older peers still carry it, so it must keep
-#: decoding, to the current PLAN (unknown fields are ignored).
+#: The "plan" row as encoded before plans lost their chunk-size field.
+#: Journals on disk and older peers still carry it, so it must keep decoding,
+#: to the current PLAN (unknown fields are ignored).
+CHUNKED_PLAN = (
+    b'\x00{"type":"plan","v":1,"backend":"deterministic","backend_params":{"epsilon":0.'
+    b'5,"seed":7},"kernel":"numpy","parallelism":"threads","max_workers":2,"chunk_size"'
+    b':null,"fused":true,"shard_hint":"shard-1","policy":"cost","reason":"golden"}'
+)
+#: The same row from before plans also lost their artifact-transport field.
 LEGACY_PLAN = (
     b'\x00{"type":"plan","v":1,"backend":"deterministic","backend_params":{"epsilon":0.'
     b'5,"seed":7},"kernel":"numpy","parallelism":"threads","max_workers":2,"chunk_size"'
@@ -477,16 +480,20 @@ def test_wire_bytes_are_pinned(tag):
 
 
 def test_legacy_plan_bytes_decode_to_the_current_plan():
-    decoded = message_from_wire(LEGACY_PLAN)
-    assert decoded == PLAN
-    assert decoded.to_plan() == PLAN.to_plan()
-    assert decoded.to_plan().plan_id == PLAN.to_plan().plan_id
+    for legacy in (CHUNKED_PLAN, LEGACY_PLAN):
+        decoded = message_from_wire(legacy)
+        assert decoded == PLAN
+        assert decoded.to_plan() == PLAN.to_plan()
+        assert decoded.to_plan().plan_id == PLAN.to_plan().plan_id
 
 
 def test_legacy_checkpoint_decodes_without_the_replication_maps():
     decoded = message_from_wire(LEGACY_CHECKPOINT)
     legacy_fields = json.loads(LEGACY_CHECKPOINT[1:])
     assert legacy_fields.pop("hot_ewma") and legacy_fields.pop("replicas")
+    # Its plans predate the removal of the chunk-size field as well.
+    for warm in legacy_fields["warm"]:
+        assert warm["plan"].pop("chunk_size") is None
     assert json.loads(decoded.to_wire()[1:]) == legacy_fields
 
 
