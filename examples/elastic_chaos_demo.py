@@ -4,7 +4,8 @@ The elastic control plane end to end, on one seeded run:
 
 1. a queue-depth :class:`~repro.elastic.Autoscaler` grows a 2-shard cluster
    under a bursty arrival process and shrinks it back in the quiet tail,
-   riding the warm shm handoff so scale events cost zero re-preprocessing;
+   handing warm artifacts to their new owners as files, so scale events
+   cost zero re-preprocessing;
 2. a seeded :class:`~repro.elastic.FaultPlan` crashes a shard mid-run and
    rejoins it later — the coordinator's health check observes the crash,
    re-owns the dead shard's admitted batches, and the SLO report proves

@@ -39,7 +39,7 @@ from repro.cluster.coordinator import (
 )
 from repro.cluster.loadgen import DEFAULT_WORKLOAD_MIX, OpenLoopLoadGenerator, SLOReport
 from repro.cluster.ring import ConsistentHashRing, RebalanceStats
-from repro.cluster.worker import FAULT_KINDS, ShardCrashed, ShardQuery, ShardWorker, WarmHandoff
+from repro.cluster.worker import FAULT_KINDS, ShardCrashed, ShardQuery, ShardWorker
 
 __all__ = [
     "ADMISSION_POLICIES",
@@ -58,6 +58,5 @@ __all__ = [
     "ShardQuery",
     "ShardWorker",
     "TRANSPORTS",
-    "WarmHandoff",
     "merge_batch_reports",
 ]

@@ -17,9 +17,9 @@
 4. **Scale** — :meth:`add_shard` / :meth:`remove_shard` rebalance the ring
    and report how much artifact locality the change cost
    (:class:`~repro.cluster.ring.RebalanceStats` over every fingerprint the
-   coordinator has seen).  Under the local transport, warm artifacts whose
-   placement moved are handed to their new owners through the shared-memory
-   plane (:mod:`repro.service.shm`) instead of being rebuilt — counted by
+   coordinator has seen).  Warm artifacts whose placement moved are handed
+   to their new owners as one artifact file each, in the cache's disk-tier
+   format, instead of being rebuilt — counted by
    ``repro_cluster_warm_handoffs_total``.
 
 Placement, admission, and per-shard serving are all deterministic given the
@@ -52,7 +52,7 @@ from repro.kernels import active_kernel
 from repro.metrics import MetricsRegistry, default_registry
 from repro.metrics import quantile as _quantile
 from repro.planner import ExecutionPlan, QueryPlanner
-from repro.service.cache import ArtifactCache
+from repro.service.cache import ArtifactCache, artifact_path
 from repro.service.service import DEFAULT_BACKEND, BatchReport, RoutingService
 from repro.workloads import Workload
 
@@ -386,8 +386,8 @@ class ClusterCoordinator:
         )
         self._m_warm_handoffs = self.metrics.counter(
             "repro_cluster_warm_handoffs_total",
-            "Warm artifacts migrated during rebalances, by carrier plane.",
-            labels=("path",),
+            "Warm artifacts handed to a new owner during rebalances, by result.",
+            labels=("result",),
         )
         self._m_requeued = self.metrics.counter(
             "repro_cluster_requeued_batches_total",
@@ -417,10 +417,6 @@ class ClusterCoordinator:
             "repro_cluster_duplicate_results_total",
             "Completions observed for an already-completed idempotency key "
             "(double execution — zero when exactly-once holds).",
-        )
-        self._m_orphans_swept = self.metrics.counter(
-            "repro_cluster_orphan_segments_swept_total",
-            "Dead-owner shared-memory segments unlinked by the failover sweep.",
         )
         if shard_ids is not None:
             for shard_id in shard_ids:
@@ -469,15 +465,6 @@ class ClusterCoordinator:
                 self._pending_keys.pop(key, None)
             if self.journal is not None:
                 self.journal.record_complete(item, shard_id)
-
-    def _sweep_orphan_segments(self) -> int:
-        """Unlink shm segments whose owner process is gone (SIGKILLed shard)."""
-        from repro.service.shm import leaked_segments
-
-        swept = len(leaked_segments(reap=True))
-        if swept:
-            self._m_orphans_swept.inc(swept)
-        return swept
 
     # -- membership -----------------------------------------------------------
 
@@ -560,7 +547,7 @@ class ClusterCoordinator:
         self.ring.remove_shard(shard_id)
         departing = self.workers.pop(shard_id)
         # The departing shard's warm artifacts migrate to their new owners
-        # (shm plane when available) before its pools and segments go away.
+        # before it closes.
         self._migrate_warm(before, departed={shard_id: departing})
         departing.close()
         self._requeue_items(stranded, reason="rebalance")
@@ -581,34 +568,46 @@ class ClusterCoordinator:
 
         ``before`` maps each seen fingerprint to its pre-rebalance shard;
         ``departed`` supplies workers already removed from :attr:`workers`
-        (still open, about to close).  Local workers hand the artifact over
-        in-process; shard servers publish/attach a shared-memory segment via
-        the artifact-handoff wire messages, so the tcp transport rides the
-        same plane (without shm a remote pair rebuilds instead).
-        Returns how many artifacts migrated.
+        (still open, about to close).  Local workers and shard servers alike
+        hand off one file per moved key: the source writes it in the cache's
+        disk-tier format into a temporary directory, made only when some key
+        moved and removed on return whatever failed, and the new owner loads
+        it with the disk tier's checks.  Each warm key's handoff counts as
+        ``adopted``, ``refused`` (the new owner rejected the file or failed)
+        or ``missing`` (the source was unreachable or wrote no file).
+        Returns how many artifacts were adopted.
         """
-        migrated = 0
+        moves = []
         for fingerprint, old_owner in before.items():
             new_owner = self.ring.assign(fingerprint)
             if new_owner == old_owner:
                 continue
             source = (departed or {}).get(old_owner) or self.workers.get(old_owner)
             target = self.workers.get(new_owner)
-            if not hasattr(source, "export_artifact") or not hasattr(target, "adopt_artifact"):
-                continue
-            try:
-                handoff = source.export_artifact(fingerprint)
-            except (ConnectionError, OSError):
-                continue  # an unreachable source cannot hand off; rebuild instead
-            if handoff is None:
-                continue
-            try:
-                adopted = target.adopt_artifact(handoff)
-            except (ConnectionError, OSError):
-                adopted = False
-            if adopted:
-                self._m_warm_handoffs.labels(path=handoff.path).inc()
-                migrated += 1
+            if hasattr(source, "export_artifact") and hasattr(target, "adopt_artifact"):
+                moves.append((fingerprint, source, target))
+        if not moves:
+            return 0
+        migrated = 0
+        with tempfile.TemporaryDirectory(prefix="repro-handoff-") as handoff_dir:
+            for fingerprint, source, target in moves:
+                path = artifact_path(handoff_dir, fingerprint)
+                try:
+                    if not source.export_artifact(fingerprint, path):
+                        continue  # not warm at the source: nothing to hand off
+                except (ConnectionError, OSError):
+                    self._m_warm_handoffs.labels(result="missing").inc()
+                    continue
+                if not path.exists():
+                    result = "missing"
+                else:
+                    try:
+                        adopted = target.adopt_artifact(fingerprint, path)
+                    except (ConnectionError, OSError):
+                        adopted = False
+                    result = "adopted" if adopted else "refused"
+                    migrated += adopted
+                self._m_warm_handoffs.labels(result=result).inc()
         return migrated
 
     # -- failover: health checks and unplanned shard loss ----------------------
@@ -660,11 +659,6 @@ class ClusterCoordinator:
             worker.close()
         except (ConnectionError, OSError, RuntimeError):
             pass  # a dead shard may not shut down cleanly
-        if self.transport == "tcp":
-            # A SIGKILLed server process never unlinks its published RSHM
-            # segments, and its resource tracker dies with it — sweep the
-            # dead-owner segments now instead of leaking them until exit.
-            self._sweep_orphan_segments()
         requeued = self._requeue_items(list(in_flight) + stranded, reason="failover")
         self.membership_version += 1
         if self.journal is not None:

@@ -25,23 +25,21 @@ derive from the same service parameters).
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 import networkx as nx
 
-from repro.core.router import PreprocessArtifact
 from repro.core.tokens import RoutingRequest
 from repro.hierarchy.builder import HierarchyParameters
 from repro.metrics import MetricsRegistry, default_registry
 from repro.planner import ExecutionPlan, QueryPlanner
-from repro.service.cache import ArtifactCache
+from repro.service.cache import ArtifactCache, read_artifact, write_artifact
 from repro.service.service import DEFAULT_BACKEND, BatchReport, RoutingService
-from repro.service.shm import attach as shm_attach
-from repro.service.shm import shm_available
 
-__all__ = ["FAULT_KINDS", "ShardCrashed", "ShardQuery", "ShardWorker", "WarmHandoff"]
+__all__ = ["FAULT_KINDS", "ShardCrashed", "ShardQuery", "ShardWorker"]
 
 #: Faults a shard can have injected (``heal`` clears ``slow``/``partition``).
 FAULT_KINDS = ("crash", "slow", "partition", "heal")
@@ -54,25 +52,6 @@ class ShardCrashed(ConnectionError):
     path catches ``ConnectionError`` uniformly, so a local crashed worker and
     a killed remote shard server fail identically.
     """
-
-
-@dataclass(frozen=True)
-class WarmHandoff:
-    """One warm artifact in flight between shards during a rebalance.
-
-    Either ``segment`` names a shared-memory segment the adopter attaches
-    zero-copy, or ``artifact`` carries the object directly (the fallback when
-    the shm plane is unavailable).  Exactly one is set.
-    """
-
-    fingerprint: str
-    segment: str | None = None
-    artifact: PreprocessArtifact | None = None
-
-    @property
-    def path(self) -> str:
-        """Which plane carries the bytes: ``"shm"`` or ``"direct"``."""
-        return "shm" if self.segment is not None else "direct"
 
 
 @dataclass(frozen=True)
@@ -212,38 +191,29 @@ class ShardWorker:
 
     # -- warm-key handoff ------------------------------------------------------
 
-    def warm_keys(self) -> list[str]:
-        """Fingerprints this shard holds warm in memory (coldest first)."""
-        return self.service.cache.fingerprints()
+    def export_artifact(self, fingerprint: str, path: str | os.PathLike) -> bool:
+        """Write one warm artifact to ``path`` in the disk-tier format.
 
-    def export_artifact(self, fingerprint: str) -> WarmHandoff | None:
-        """Hand one warm artifact off for adoption elsewhere, or ``None``.
-
-        Prefers the shared-memory plane (the adopter attaches the published
-        segment zero-copy); when shm is unavailable or publishing fails the
-        handoff degrades to carrying the artifact object directly, which is
-        still copy-free for the in-process local transport.
+        Returns whether this shard held ``fingerprint`` warm (nothing is
+        written otherwise).  The read is :meth:`ArtifactCache.peek`, so the
+        handoff leaves the hit rate operators watch untouched.
         """
         artifact = self.service.cache.peek(fingerprint)
         if artifact is None:
-            return None
-        if shm_available():
-            info = self.service.publish_segment(fingerprint, artifact)
-            if info is not None:
-                return WarmHandoff(fingerprint=fingerprint, segment=info.name)
-        return WarmHandoff(fingerprint=fingerprint, artifact=artifact)
+            return False
+        write_artifact(path, artifact)
+        return True
 
-    def adopt_artifact(self, handoff: WarmHandoff) -> bool:
-        """Adopt a handoff into this shard's cache; ``True`` on success."""
-        artifact = handoff.artifact
-        if artifact is None and handoff.segment is not None:
-            try:
-                artifact = shm_attach(handoff.segment, metrics=self.metrics)
-            except (FileNotFoundError, ValueError):
-                artifact = None
+    def adopt_artifact(self, fingerprint: str, path: str | os.PathLike) -> bool:
+        """Load an exported artifact file into this shard's cache; ``True`` on success.
+
+        A missing file, corrupt bytes, a stale format or another fingerprint
+        are refused (``False``), and the key rebuilds on its first lookup.
+        """
+        artifact = read_artifact(path, fingerprint)
         if artifact is None:
             return False
-        self.service.cache.adopt(handoff.fingerprint, artifact)
+        self.service.cache.adopt(fingerprint, artifact)
         return True
 
     def close(self) -> None:

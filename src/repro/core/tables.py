@@ -4,10 +4,10 @@ A query batch travels through the hierarchy as flat int arrays indexed by
 vertex number (see :mod:`repro.core.router`).  Everything those arrays are
 looked up against is a pure function of the preprocessed artifact, so it is
 built on the first route that needs it, with numpy over the vertex numbers
-(no per-pair loops), and attached to the artifact's objects (pickled and
-published with it, like the dispersion pair tables).  The qualities the
-tables carry were recorded when preprocessing built the embeddings, so
-building a table recomputes none of them:
+(no per-pair loops), and attached to the artifact's objects (pickled with
+it, like the dispersion pair tables).  The qualities the tables carry were
+recorded when preprocessing built the embeddings, so building a table
+recomputes none of them:
 
 * :class:`VertexIndex`, per decomposition: the vertex numbering (sorted
   vertex order), each vertex's rank in ``repr`` order (the token order of
@@ -44,7 +44,6 @@ __all__ = [
     "vertex_index",
     "node_table",
     "dummy_cells",
-    "build_route_tables",
 ]
 
 
@@ -219,21 +218,3 @@ def dummy_cells(node: "HierarchyNode", table: NodeTable, dummies_per_vertex: int
         total_cells=cells,
     )
     return cached
-
-
-def build_route_tables(
-    decomposition: "HierarchicalDecomposition", best_index: "BestVertexIndex"
-) -> None:
-    """Build every table of the decomposition, with dummy cells for loads 1 and 2.
-
-    Loads 1 and 2 are the workload catalog's.  A query of load ``L`` reaches
-    level ``l`` with load ``4^l * L`` and disperses ``2 * max(1, 4^l * L)``
-    dummies per vertex there; other loads build their cells on first use.
-    """
-    index = vertex_index(decomposition, best_index)
-    for node in decomposition.all_nodes():
-        table = node_table(node, index)
-        if node.is_leaf or node.shuffler is None or table.t < 2:
-            continue
-        for load in (1, 2):
-            dummy_cells(node, table, 2 * max(1, 4**node.level * load))

@@ -15,8 +15,7 @@ a live :class:`~repro.cluster.ClusterCoordinator`:
   warm fingerprint **in last-use order**, so the rebuilt LRU caches converge
   to the crashed coordinator's content and the post-recovery hit/miss stream
   — and therefore :meth:`~repro.cluster.ClusterReport.signature` — matches a
-  crash-free run;
-* orphaned shared-memory segments from SIGKILLed server processes are swept.
+  crash-free run.
 
 :class:`CoordinatorSupervisor` packages the crash/recover cycle behind the
 two-method protocol the chaos :class:`~repro.elastic.FaultInjector` expects
@@ -144,7 +143,6 @@ class RecoveryReport:
     completed_keys: int = 0
     rewarmed: int = 0
     rewarm_failures: int = 0
-    segments_swept: int = 0
     journal_bytes: int = 0
     replay_seconds: float = 0.0
     total_seconds: float = 0.0
@@ -162,7 +160,6 @@ class RecoveryReport:
             "completed_keys": self.completed_keys,
             "rewarmed": self.rewarmed,
             "rewarm_failures": self.rewarm_failures,
-            "segments_swept": self.segments_swept,
             "journal_bytes": self.journal_bytes,
             "replay_seconds": self.replay_seconds,
             "replay_records_per_second": self.replay_records_per_second,
@@ -175,7 +172,6 @@ def recover(
     coordinator_kwargs: Mapping[str, Any],
     *,
     rewarm: bool = True,
-    sweep: bool = True,
     attach: bool = True,
     journal_kwargs: Mapping[str, Any] | None = None,
 ) -> tuple[ClusterCoordinator, RecoveryReport]:
@@ -189,8 +185,6 @@ def recover(
         rewarm: serve a one-request exemplar of every warm fingerprint on its
             current owner, in last-use order, so the rebuilt caches match the
             crashed ones (required for report-signature parity).
-        sweep: unlink orphaned shared-memory segments whose owner process is
-            dead (SIGKILLed ``tcp`` shard servers leak them).
         attach: attach a fresh :class:`CoordinatorJournal` over the same
             directory (seeded with the recovered state) so the rebuilt
             coordinator is itself recoverable; its baseline checkpoint also
@@ -274,9 +268,6 @@ def recover(
                     item.fingerprint
                 )
 
-    if sweep:
-        report.segments_swept = coordinator._sweep_orphan_segments()
-
     if attach:
         fresh_kwargs = dict(journal_kwargs or {})
         fresh_kwargs.setdefault("metrics", coordinator.metrics)
@@ -302,7 +293,7 @@ class CoordinatorSupervisor:
         coordinator_kwargs: constructor arguments for every incarnation.
         journal_kwargs: :class:`CoordinatorJournal` knobs (segment bytes,
             checkpoint interval, fsync).
-        rewarm / sweep: passed to :func:`recover`.
+        rewarm: passed to :func:`recover`.
         metrics: shared registry; counters therefore span incarnations.
     """
 
@@ -313,7 +304,6 @@ class CoordinatorSupervisor:
         *,
         journal_kwargs: Mapping[str, Any] | None = None,
         rewarm: bool = True,
-        sweep: bool = True,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         self.directory = directory
@@ -322,7 +312,6 @@ class CoordinatorSupervisor:
             self.coordinator_kwargs.setdefault("metrics", metrics)
         self.journal_kwargs = dict(journal_kwargs or {})
         self.rewarm = rewarm
-        self.sweep = sweep
         self.coordinator: ClusterCoordinator | None = None
         self.crashes = 0
         self.recoveries: list[RecoveryReport] = []
@@ -367,7 +356,6 @@ class CoordinatorSupervisor:
             self.directory,
             self.coordinator_kwargs,
             rewarm=self.rewarm,
-            sweep=self.sweep,
             journal_kwargs=self.journal_kwargs,
         )
         self.recoveries.append(report)

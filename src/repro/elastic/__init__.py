@@ -2,8 +2,8 @@
 
 ROADMAP item 2's closing move.  The cluster tier already knows how to scale
 (:meth:`~repro.cluster.ClusterCoordinator.add_shard` /
-:meth:`~repro.cluster.ClusterCoordinator.remove_shard` with warm shm
-handoff) and fail over (:meth:`~repro.cluster.ClusterCoordinator.check_health` /
+:meth:`~repro.cluster.ClusterCoordinator.remove_shard` with a warm
+artifact-file handoff) and fail over (:meth:`~repro.cluster.ClusterCoordinator.check_health` /
 :meth:`~repro.cluster.ClusterCoordinator.fail_shard`); this package adds the
 *drivers* that exercise those mechanisms:
 

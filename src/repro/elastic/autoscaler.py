@@ -3,8 +3,8 @@
 The autoscaler closes the elasticity loop: the coordinator exposes the
 signals (admission-queue depth, per-dispatch latency) and the mechanism
 (:meth:`~repro.cluster.ClusterCoordinator.add_shard` /
-:meth:`~repro.cluster.ClusterCoordinator.remove_shard` with warm shm
-handoff); the autoscaler is the policy that connects them.
+:meth:`~repro.cluster.ClusterCoordinator.remove_shard` with a warm
+artifact-file handoff); the autoscaler is the policy that connects them.
 
 It runs on **simulated time**, not a wall-clock thread: the open-loop load
 generator calls :meth:`Autoscaler.evaluate` at every dispatch-window boundary

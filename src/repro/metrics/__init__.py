@@ -33,7 +33,7 @@ name                                            kind       labels
 ``repro_cluster_queue_depth``                   gauge      ``shard``
 ``repro_cluster_query_seconds``                 histogram  ``shard``
 ``repro_cluster_dispatch_seconds``              histogram  —
-``repro_cluster_warm_handoffs_total``           counter    ``path`` (``shm``/``pickle``)
+``repro_cluster_warm_handoffs_total``           counter    ``result`` (``adopted``/``refused``/``missing``)
 ``repro_cluster_requeued_batches_total``        counter    ``reason`` (``rebalance``/``failover``)
 ``repro_cluster_lost_batches_total``            counter    —
 ``repro_cluster_failovers_total``               counter    ``shard``

@@ -36,10 +36,11 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import networkx as nx
 
-from repro.cluster.worker import ShardQuery, ShardWorker, WarmHandoff
+from repro.cluster.worker import ShardQuery, ShardWorker
 from repro.hierarchy.builder import HierarchyParameters
 from repro.metrics import MetricsRegistry, default_registry
 from repro.net import address as net_address
@@ -52,6 +53,7 @@ from repro.net.frames import (
     write_frame,
 )
 from repro.planner import ExecutionPlan
+from repro.service.cache import artifact_path
 from repro.service.service import BatchReport
 from repro.wire.messages import (
     ArtifactAdoptReply,
@@ -88,6 +90,16 @@ __all__ = [
 
 #: How long the parent waits for a child to report its bound address.
 READY_TIMEOUT_SECONDS = 60.0
+
+
+def _handoff_path_ok(fingerprint: str, path: str) -> bool:
+    """May a shard write or read the handoff file ``path`` for ``fingerprint``?
+
+    Only a non-empty path whose basename is ``<fingerprint>.pkl``: the name
+    the coordinator's handoff directory uses.  This keeps a peer from
+    pointing a shard's pickle write or load at an arbitrary file.
+    """
+    return bool(fingerprint) and Path(path).name == artifact_path("", fingerprint).name
 
 
 class ShardSpawnError(RuntimeError):
@@ -210,20 +222,21 @@ async def serve_shard(config: ShardServerConfig, ready=None) -> None:
             worker.inject_fault(message.kind, seconds=message.seconds)
             return FaultInjectReply(applied=True)
         if isinstance(message, ArtifactExportRequest):
-            async with process_lock:
-                handoff = await asyncio.to_thread(worker.export_artifact, message.fingerprint)
-            # Direct (in-object) handoffs cannot cross the process boundary;
-            # only a published shm segment counts as found here.
-            if handoff is None or handoff.segment is None:
-                return ArtifactExportReply(fingerprint=message.fingerprint, found=False)
-            return ArtifactExportReply(
-                fingerprint=message.fingerprint, segment=handoff.segment, found=True
-            )
+            found = False
+            if _handoff_path_ok(message.fingerprint, message.path):
+                async with process_lock:
+                    found = await asyncio.to_thread(
+                        worker.export_artifact, message.fingerprint, message.path
+                    )
+            return ArtifactExportReply(fingerprint=message.fingerprint, found=found)
         if isinstance(message, ArtifactAdoptRequest):
-            handoff = WarmHandoff(fingerprint=message.fingerprint, segment=message.segment)
-            async with process_lock:
-                adopted = await asyncio.to_thread(worker.adopt_artifact, handoff)
-            return ArtifactAdoptReply(adopted=bool(adopted))
+            adopted = False
+            if _handoff_path_ok(message.fingerprint, message.path):
+                async with process_lock:
+                    adopted = await asyncio.to_thread(
+                        worker.adopt_artifact, message.fingerprint, message.path
+                    )
+            return ArtifactAdoptReply(adopted=adopted)
         if isinstance(message, Ping):
             return Pong()
         if isinstance(message, Shutdown):
@@ -441,24 +454,14 @@ class RemoteShard:
         except (ConnectionError, OSError):
             pass  # a dead or unreachable shard cannot be slowed or healed
 
-    def export_artifact(self, fingerprint: str) -> WarmHandoff | None:
-        """Ask the server to publish ``fingerprint``'s artifact as a shm segment."""
-        reply = self._request(ArtifactExportRequest(fingerprint=fingerprint))
-        if not isinstance(reply, ArtifactExportReply) or not reply.found:
-            return None
-        return WarmHandoff(fingerprint=fingerprint, segment=reply.segment)
+    def export_artifact(self, fingerprint: str, path: str | os.PathLike) -> bool:
+        """Ask the server to write ``fingerprint``'s warm artifact to ``path``."""
+        reply = self._request(ArtifactExportRequest(fingerprint=fingerprint, path=str(path)))
+        return isinstance(reply, ArtifactExportReply) and reply.found
 
-    def adopt_artifact(self, handoff: WarmHandoff) -> bool:
-        """Ship a segment-backed handoff to the server for adoption.
-
-        Direct (in-object) handoffs cannot cross the process boundary; the
-        artifact is rebuilt on first use instead.
-        """
-        if handoff.segment is None:
-            return False
-        reply = self._request(
-            ArtifactAdoptRequest(fingerprint=handoff.fingerprint, segment=handoff.segment)
-        )
+    def adopt_artifact(self, fingerprint: str, path: str | os.PathLike) -> bool:
+        """Ask the server to load the artifact file at ``path`` into its cache."""
+        reply = self._request(ArtifactAdoptRequest(fingerprint=fingerprint, path=str(path)))
         return isinstance(reply, ArtifactAdoptReply) and reply.adopted
 
     def close(self) -> None:

@@ -11,6 +11,8 @@ comparison, and ``examples/serving_demo.py`` /
 ``examples/backend_showdown.py`` for tours.
 """
 
+import os
+
 from repro.service.cache import ArtifactCache, CacheStats
 from repro.service.fingerprint import (
     canonical_graph_payload,
@@ -25,12 +27,6 @@ from repro.service.service import (
     RoutingQuery,
     RoutingService,
 )
-from repro.service.shm import (
-    ShmArtifactStore,
-    ShmSegmentInfo,
-    leaked_segments,
-    shm_available,
-)
 
 __all__ = [
     "ArtifactCache",
@@ -44,8 +40,18 @@ __all__ = [
     "QueryResult",
     "RoutingQuery",
     "RoutingService",
-    "ShmArtifactStore",
-    "ShmSegmentInfo",
     "leaked_segments",
-    "shm_available",
 ]
+
+
+def leaked_segments() -> list[str]:
+    """Names of ``repro-shm*`` entries in ``/dev/shm`` (a teardown audit).
+
+    Nothing in this package creates such entries any more; the listing stays
+    for harnesses that audit ``/dev/shm`` before and after a run.  Returns an
+    empty list where ``/dev/shm`` does not exist.
+    """
+    root = "/dev/shm"
+    if not os.path.isdir(root):
+        return []
+    return sorted(entry for entry in os.listdir(root) if entry.startswith("repro-shm"))

@@ -20,6 +20,10 @@ cache is where they survive:
   ``disk_capacity`` is set: oldest files (by modification time) are evicted
   first, counted in :attr:`CacheStats.evictions_disk`.
 
+:func:`write_artifact` and :func:`read_artifact` are that tier's file format,
+and the only one: the cluster's warm handoff and the process-mode spill
+directory write and load artifact files through the same two functions.
+
 When a :class:`~repro.metrics.MetricsRegistry` is attached, every lookup,
 store, admission decision and eviction is also recorded as ``repro_cache_*``
 metrics, so the cluster tier's per-shard caches show up in the shared
@@ -49,7 +53,7 @@ from pathlib import Path
 from repro.core.router import PreprocessArtifact
 from repro.metrics import MetricsRegistry
 
-__all__ = ["CacheStats", "ArtifactCache"]
+__all__ = ["CacheStats", "ArtifactCache", "artifact_path", "read_artifact", "write_artifact"]
 
 #: Lookups between two halvings of the admission counts, per slot of
 #: ``capacity`` (TinyLFU's sample size; Caffeine also uses 10x its maximum).
@@ -74,6 +78,45 @@ _UNSERVABLE_PICKLE_ERRORS = (
     OverflowError,
     MemoryError,
 )
+
+
+def artifact_path(directory: str | os.PathLike, fingerprint: str) -> Path:
+    """Where an artifact file for ``fingerprint`` lives in ``directory``."""
+    return Path(directory) / f"{fingerprint}.pkl"
+
+
+def write_artifact(path: str | os.PathLike, artifact: PreprocessArtifact) -> None:
+    """Pickle ``artifact`` to ``path`` atomically (tmp file, then ``os.replace``).
+
+    The tmp name carries the pid and thread id, so concurrent writers of the
+    same path never interleave bytes; readers see the old file or the new one.
+    """
+    tmp = Path(path).with_suffix(f".{os.getpid()}.{threading.get_ident()}.tmp")
+    with open(tmp, "wb") as handle:
+        pickle.dump(artifact, handle, protocol=pickle.HIGHEST_PROTOCOL)
+    os.replace(tmp, path)
+
+
+def read_artifact(path: str | os.PathLike, fingerprint: str) -> PreprocessArtifact | None:
+    """The artifact pickled at ``path`` if it may serve ``fingerprint``, else ``None``.
+
+    ``None`` covers a missing or unreadable file, truncated or corrupt bytes
+    (:data:`_UNSERVABLE_PICKLE_ERRORS`), an object that is not a
+    :class:`PreprocessArtifact`, a stale ``FORMAT_VERSION`` and an artifact
+    stamped with another fingerprint.
+    """
+    try:
+        with open(path, "rb") as handle:
+            artifact = pickle.load(handle)
+    except _UNSERVABLE_PICKLE_ERRORS:
+        return None
+    if (
+        not isinstance(artifact, PreprocessArtifact)
+        or artifact.format_version != PreprocessArtifact.FORMAT_VERSION
+        or artifact.fingerprint != fingerprint
+    ):
+        return None
+    return artifact
 
 
 @dataclass
@@ -266,9 +309,10 @@ class ArtifactCache:
         """Insert an artifact handed off from another cache, memory tier only.
 
         Unlike :meth:`put` this neither counts as a store nor writes the disk
-        tier: adopted artifacts arrive via the shared-memory plane during
-        cluster rebalances, and re-pickling a zero-copy view to disk would
-        duplicate exactly the bytes the handoff avoided copying.
+        tier: an adopted artifact was built elsewhere and moves here during a
+        cluster rebalance, so it is no new store, and the handoff already
+        paid one pickle write and load for it; a second write here would
+        only lengthen the scale event.
         """
         artifact.fingerprint = fingerprint
         with self._lock:
@@ -316,16 +360,13 @@ class ArtifactCache:
     def _disk_path(self, fingerprint: str) -> Path | None:
         if self.disk_dir is None:
             return None
-        return Path(self.disk_dir) / f"{fingerprint}.pkl"
+        return artifact_path(self.disk_dir, fingerprint)
 
     def _store_to_disk(self, fingerprint: str, artifact: PreprocessArtifact) -> None:
         path = self._disk_path(fingerprint)
         if path is None:
             return
-        tmp = path.with_suffix(f".{os.getpid()}.{threading.get_ident()}.tmp")
-        with open(tmp, "wb") as handle:
-            pickle.dump(artifact, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)
+        write_artifact(path, artifact)
         self._enforce_disk_capacity()
 
     def _enforce_disk_capacity(self) -> None:
@@ -356,19 +397,9 @@ class ArtifactCache:
         path = self._disk_path(fingerprint)
         if path is None or not path.exists():
             return None
-        try:
-            with open(path, "rb") as handle:
-                artifact = pickle.load(handle)
-        except _UNSERVABLE_PICKLE_ERRORS:
+        artifact = read_artifact(path, fingerprint)
+        if artifact is None:
             self._reject_disk_entry(path)
-            return None
-        if (
-            not isinstance(artifact, PreprocessArtifact)
-            or artifact.format_version != PreprocessArtifact.FORMAT_VERSION
-            or artifact.fingerprint != fingerprint
-        ):
-            self._reject_disk_entry(path)
-            return None
         return artifact
 
     def _reject_disk_entry(self, path: Path) -> None:

@@ -12,9 +12,10 @@ Process mode ships the work to real worker processes instead:
   distinct artifact to disk once, and each worker process loads it at most
   once into its module-level runner cache (``artifact once per worker``).
   Subsequent queries for the same fingerprint hit the warm runner directly.
-  The spill directory is the only artifact transport to workers: measured
-  against publishing shared-memory segments it was as fast warm and faster
-  cold, so :mod:`repro.service.shm` serves the cluster's warm handoff only.
+  Spill files are written and loaded with the disk tier's
+  :func:`~repro.service.cache.write_artifact` /
+  :func:`~repro.service.cache.read_artifact`; a file that fails the read's
+  checks counts as missing, exactly as an absent one does.
 
 Everything here is module-level so ``ProcessPoolExecutor`` can pickle task
 references; the runner cache survives for the life of the worker process
@@ -23,10 +24,8 @@ references; the runner cache survives for the life of the worker process
 
 from __future__ import annotations
 
-import pickle
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Mapping
 
 import networkx as nx
@@ -41,6 +40,7 @@ from repro.backends.base import (
 from repro.core.router import PreprocessArtifact
 from repro.core.tokens import RoutingRequest
 from repro.kernels import kernel
+from repro.service.cache import artifact_path, read_artifact
 
 __all__ = [
     "BuildTask",
@@ -49,7 +49,6 @@ __all__ = [
     "build_in_worker",
     "route_in_worker",
     "route_group_in_worker",
-    "spill_path",
 ]
 
 
@@ -110,11 +109,6 @@ class FusedRouteTask:
     kernel: str = "numpy"
 
 
-def spill_path(spill_dir: str | Path, fingerprint: str) -> Path:
-    """Where the parent spills (and workers load) the artifact for ``fingerprint``."""
-    return Path(spill_dir) / f"{fingerprint}.artifact.pkl"
-
-
 #: fingerprint -> query-ready backend, per worker process (LRU, bounded).
 _RUNNERS: dict[str, RoutingBackend] = {}
 
@@ -170,10 +164,7 @@ def _runner_for(task: RouteTask | FusedRouteTask) -> tuple[RoutingBackend, bool]
     factory = backend_factory(task.backend)
     artifact = None
     if task.spill_dir is not None and supports_artifacts(factory):
-        path = spill_path(task.spill_dir, task.fingerprint)
-        if path.exists():
-            with open(path, "rb") as handle:
-                artifact = pickle.load(handle)
+        artifact = read_artifact(artifact_path(task.spill_dir, task.fingerprint), task.fingerprint)
     if artifact is not None:
         graph = task.graph if task.graph is not None else _artifact_graph(artifact)
         if graph is None:

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import inspect
 import json
-import pickle
 import shutil
 import tempfile
 import time
@@ -80,7 +79,7 @@ from repro.kernels import active_kernel
 from repro.metrics import MetricsRegistry, default_registry
 from repro.metrics import quantile as _quantile
 from repro.planner import ExecutionPlan, QueryPlanner
-from repro.service.cache import ArtifactCache
+from repro.service.cache import ArtifactCache, artifact_path, write_artifact
 from repro.service.fingerprint import graph_fingerprint, graph_payload
 from repro.service.pool import (
     BuildTask,
@@ -89,9 +88,7 @@ from repro.service.pool import (
     build_in_worker,
     route_group_in_worker,
     route_in_worker,
-    spill_path,
 )
-from repro.service.shm import ShmArtifactStore
 from repro.workloads import Workload
 
 __all__ = [
@@ -558,9 +555,6 @@ class RoutingService:
         # Insertion-ordered so the oldest spilled artifacts trim first.
         self._spilled: dict[str, None] = {}
         self._spill_finalizer: weakref.finalize | None = None
-        # Shared-memory plane for the cluster's warm-key handoff
-        # (publish_segment); created lazily, unlinked on close.
-        self._shm_store: ShmArtifactStore | None = None
         self._closed = False
         self._pending: list[RoutingQuery] = []
         self._next_query_id = 0
@@ -627,11 +621,7 @@ class RoutingService:
         """Write ``artifact`` to the spill directory once, for worker processes."""
         if fingerprint in self._spilled:
             return
-        path = spill_path(self._ensure_spill_dir(), fingerprint)
-        staging = path.with_suffix(".tmp")
-        with open(staging, "wb") as handle:
-            pickle.dump(artifact, handle)
-        staging.replace(path)
+        write_artifact(artifact_path(self._ensure_spill_dir(), fingerprint), artifact)
         self._spilled[fingerprint] = None
 
     def _trim_spill_dir(self, keep: set[str]) -> None:
@@ -651,27 +641,7 @@ class RoutingService:
             if fingerprint in keep:
                 continue
             del self._spilled[fingerprint]
-            spill_path(self._spill_dir, fingerprint).unlink(missing_ok=True)
-
-    def publish_segment(self, fingerprint: str, artifact: PreprocessArtifact):
-        """Publish ``artifact`` on this service's shm plane (idempotent).
-
-        Returns the :class:`~repro.service.shm.ShmSegmentInfo`, or ``None``
-        when the plane is unavailable (no ``multiprocessing.shared_memory``,
-        no /dev/shm, segment exhaustion); any other error is a bug and
-        propagates.  The cluster's warm-key handoff calls this to export a
-        shard's artifact for zero-copy adoption elsewhere; the segment lives
-        until the service closes.
-        """
-        try:
-            if self._shm_store is None:
-                self._shm_store = ShmArtifactStore(metrics=self.metrics)
-            info = self._shm_store.segment_for(fingerprint)
-            if info is None:
-                info = self._shm_store.publish(fingerprint, artifact)
-            return info
-        except (OSError, ImportError):
-            return None
+            artifact_path(self._spill_dir, fingerprint).unlink(missing_ok=True)
 
     def close(self) -> None:
         """Shut the process pool down and remove the artifact spill directory.
@@ -691,9 +661,6 @@ class RoutingService:
             self._spill_finalizer = None
         self._spill_dir = None
         self._spilled.clear()
-        if self._shm_store is not None:
-            self._shm_store.close()
-            self._shm_store = None
 
     def __enter__(self) -> "RoutingService":
         return self

@@ -1042,50 +1042,53 @@ class FaultInjectReply(WireMessage):
 @_register
 @dataclass(frozen=True)
 class ArtifactExportRequest(WireMessage):
-    """Coordinator → shard: publish one warm artifact for cross-process adoption.
+    """Coordinator → shard: write one warm artifact to ``path`` for its new owner.
 
-    The shard answers with the shared-memory segment name carrying the
-    artifact; the bytes themselves never travel on this connection (that is
-    the point — the shm plane is the data plane, the wire is control).
+    ``path`` lies in a handoff directory the coordinator owns, and its
+    basename must be ``<fingerprint>.pkl``; the shard refuses any other path.
+    The artifact bytes travel in that file, never on this connection.
     """
 
     type: ClassVar[str] = "artifact-export"
 
     fingerprint: str = ""
+    path: str = ""
 
 
 @_register
 @dataclass(frozen=True)
 class ArtifactExportReply(WireMessage):
-    """Shard → coordinator: the published segment, or ``found=False``.
+    """Shard → coordinator: whether the artifact file was written.
 
     ``found`` is false when the fingerprint is not warm on this shard or the
-    shm plane is disabled — direct (in-object) handoff cannot cross a process
-    boundary, so the adopter rebuilds instead.
+    request's path was refused; the new owner then rebuilds on first use.
     """
 
     type: ClassVar[str] = "artifact-export-reply"
 
     fingerprint: str = ""
-    segment: str | None = None
     found: bool = False
 
 
 @_register
 @dataclass(frozen=True)
 class ArtifactAdoptRequest(WireMessage):
-    """Coordinator → shard: attach a published segment and warm the cache with it."""
+    """Coordinator → shard: load the artifact file at ``path`` into the cache.
+
+    The same basename rule as :class:`ArtifactExportRequest` holds; an empty
+    path (what a peer's older ``segment`` field decodes to) is refused.
+    """
 
     type: ClassVar[str] = "artifact-adopt"
 
     fingerprint: str = ""
-    segment: str = ""
+    path: str = ""
 
 
 @_register
 @dataclass(frozen=True)
 class ArtifactAdoptReply(WireMessage):
-    """Shard → coordinator: whether the segment was attached and adopted."""
+    """Shard → coordinator: whether the file passed the read checks and was adopted."""
 
     type: ClassVar[str] = "artifact-adopt-reply"
 

@@ -7,12 +7,9 @@ admitted batch (``lost_batches == 0``), serve no batch twice
 :meth:`ClusterReport.signature` as a crash-free run — on the local and the
 tcp transport alike.  Around it: WAL framing and torn-tail replay, checkpoint
 rotation/pruning, the truncate-at-every-boundary invariants of
-:func:`read_journal_state`, submit dedup, orphaned-shm reaping, and the
-shard-spawn failure satellite.
+:func:`read_journal_state`, submit dedup, and the shard-spawn failure
+satellite.
 """
-
-import multiprocessing
-import os
 
 import pytest
 
@@ -31,8 +28,7 @@ from repro.metrics import MetricsRegistry
 from repro.net import ShardSpawnError
 from repro.net.shard_server import ShardServerConfig, start_shard_server
 from repro.planner import ExecutionPlan
-from repro.service.shm import SEGMENT_PREFIX as SHM_PREFIX
-from repro.service.shm import leaked_segments
+from repro.service import leaked_segments
 from repro.wire import JournalAdmit, JournalCheckpoint, JournalComplete, Ping, WireShardQuery
 from repro.workloads import permutation_workload
 
@@ -579,38 +575,9 @@ def test_local_coordinator_crash_recovers_with_signature_parity(tmp_path):
 @pytest.mark.chaos
 def test_tcp_coordinator_crash_recovers_with_signature_parity(tmp_path):
     """SIGKILLs real shard server processes; the journal still recovers a
-    byte-identical run, and the orphaned shm segments get swept."""
+    byte-identical run, and nothing is left in /dev/shm."""
     _crash_parity_run(tmp_path, "tcp")
-    assert leaked_segments() == []  # the sweep left /dev/shm clean
-
-
-# -- orphaned shm segments ---------------------------------------------------------
-
-
-@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm on this platform")
-def test_leaked_segments_reaps_only_dead_owners():
-    probe = multiprocessing.get_context("spawn").Process(target=int)
-    probe.start()
-    dead_pid = probe.pid
-    probe.join()
-    orphan = f"{SHM_PREFIX}-{dead_pid}-0-deadbeef"
-    live = f"{SHM_PREFIX}-{os.getpid()}-0-cafebabe"
-    for name in (orphan, live):
-        with open(os.path.join("/dev/shm", name), "wb") as handle:
-            handle.write(b"x")
-    try:
-        assert orphan in leaked_segments()
-        reaped = leaked_segments(reap=True)
-        assert orphan in reaped
-        assert live not in reaped  # live owner: never touched
-        assert not os.path.exists(os.path.join("/dev/shm", orphan))
-        assert os.path.exists(os.path.join("/dev/shm", live))
-    finally:
-        for name in (orphan, live):
-            try:
-                os.unlink(os.path.join("/dev/shm", name))
-            except FileNotFoundError:
-                pass
+    assert leaked_segments() == []
 
 
 # -- shard spawn failures ----------------------------------------------------------

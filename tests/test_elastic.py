@@ -353,7 +353,7 @@ def test_autoscaler_scale_up_causes_zero_extra_preprocess_rounds(graphs):
 
 @pytest.mark.chaos
 def test_tcp_warm_handoff_keeps_full_cache_hits_and_signatures():
-    """Satellite: scale events over tcp ride the shm plane, byte-identically."""
+    """Scale events over tcp hand warm keys off as files, byte-identically."""
     graphs = [random_regular_expander(48, degree=6, seed=s) for s in range(3)]
     metrics = MetricsRegistry()
     with ClusterCoordinator(
@@ -384,4 +384,4 @@ def test_tcp_warm_handoff_keeps_full_cache_hits_and_signatures():
         # Same membership as before the scale events: byte-identical dispatch.
         assert shrunk.signature() == before.signature()
         handoffs = metrics.as_dict().get("repro_cluster_warm_handoffs_total", {})
-        assert handoffs and handoffs.get("path=shm", 0.0) == sum(handoffs.values())
+        assert handoffs and handoffs.get("result=adopted", 0.0) == sum(handoffs.values())

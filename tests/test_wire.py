@@ -303,14 +303,9 @@ MESSAGE_STRATEGIES = {
         seconds=st.floats(0, 10, allow_nan=False),
     ),
     "fault-inject-reply": st.builds(FaultInjectReply, applied=st.booleans()),
-    "artifact-export": st.builds(ArtifactExportRequest, fingerprint=names),
-    "artifact-export-reply": st.builds(
-        ArtifactExportReply,
-        fingerprint=names,
-        segment=st.none() | names,
-        found=st.booleans(),
-    ),
-    "artifact-adopt": st.builds(ArtifactAdoptRequest, fingerprint=names, segment=names),
+    "artifact-export": st.builds(ArtifactExportRequest, fingerprint=names, path=names),
+    "artifact-export-reply": st.builds(ArtifactExportReply, fingerprint=names, found=st.booleans()),
+    "artifact-adopt": st.builds(ArtifactAdoptRequest, fingerprint=names, path=names),
     "artifact-adopt-reply": st.builds(ArtifactAdoptReply, adopted=st.booleans()),
     "journal-admit": st.builds(
         JournalAdmit,

@@ -19,6 +19,7 @@ import pytest
 from repro import RoutingRequest
 from repro.durability import recover
 from repro.metrics import MetricsRegistry
+from repro.net.shard_server import ShardServerConfig, start_shard_server
 from repro.wire import (
     WIRE_VERSION,
     ArtifactAdoptReply,
@@ -193,11 +194,9 @@ INSTANCES = {
     ),
     "fault-inject": FaultInjectRequest(kind="slow", seconds=0.5),
     "fault-inject-reply": FaultInjectReply(applied=True),
-    "artifact-export": ArtifactExportRequest(fingerprint="fp-1"),
-    "artifact-export-reply": ArtifactExportReply(
-        fingerprint="fp-1", segment="repro-shm-1-1-fp1", found=True
-    ),
-    "artifact-adopt": ArtifactAdoptRequest(fingerprint="fp-1", segment="repro-shm-1-1-fp1"),
+    "artifact-export": ArtifactExportRequest(fingerprint="fp-1", path="repro-handoff-x/fp-1.pkl"),
+    "artifact-export-reply": ArtifactExportReply(fingerprint="fp-1", found=True),
+    "artifact-adopt": ArtifactAdoptRequest(fingerprint="fp-1", path="repro-handoff-x/fp-1.pkl"),
     "artifact-adopt-reply": ArtifactAdoptReply(adopted=True),
     "journal-admit": JournalAdmit(
         key="key-1", shard_id="shard-1", accepted=True, shed_keys=("key-0",), query=QUERY
@@ -229,14 +228,16 @@ GOLDEN: dict[str, bytes] = {
         b'2}'
     ),
     "artifact-adopt": (
-        b'\x00{"type":"artifact-adopt","v":1,"fingerprint":"fp-1","segment":"repro-shm-1-1-'
-        b'fp1"}'
+        b'\x00{"type":"artifact-adopt","v":1,"fingerprint":"fp-1","path":"repro-handoff-x/f'
+        b'p-1.pkl"}'
     ),
     "artifact-adopt-reply": b'\x00{"type":"artifact-adopt-reply","v":1,"adopted":true}',
-    "artifact-export": b'\x00{"type":"artifact-export","v":1,"fingerprint":"fp-1"}',
+    "artifact-export": (
+        b'\x00{"type":"artifact-export","v":1,"fingerprint":"fp-1","path":"repro-handoff-x/'
+        b'fp-1.pkl"}'
+    ),
     "artifact-export-reply": (
-        b'\x00{"type":"artifact-export-reply","v":1,"fingerprint":"fp-1","segment":"repro-s'
-        b'hm-1-1-fp1","found":true}'
+        b'\x00{"type":"artifact-export-reply","v":1,"fingerprint":"fp-1","found":true}'
     ),
     "batch-report": (
         b'\x00{"type":"batch-report","v":1,"results":[{"type":"query-result","v":1,"query_i'
@@ -464,6 +465,13 @@ LEGACY_CHECKPOINT = (
     b'57909bc":1.75},"replicas":{"67c308c885530867f9a1164272e7044693d2885643be169ceef5'
     b'84c4057909bc":["shard-0"]},"planner_state":null,"planner_version":0}'
 )
+#: The "artifact-adopt" row from before warm handoffs moved to artifact files:
+#: it names a shared-memory segment.  It still decodes (unknown fields are
+#: ignored) to an empty ``path``, which every shard refuses to adopt.
+LEGACY_ADOPT = (
+    b'\x00{"type":"artifact-adopt","v":1,"fingerprint":"fp-1","segment":"repro-shm-1-1-'
+    b'fp1"}'
+)
 GRAPH_FINGERPRINT = "ef7b1a690e6e0e02bbd4ab553f97b80e95ac009db79e876ef8c57b63fcdcfeee"
 
 
@@ -495,6 +503,23 @@ def test_legacy_checkpoint_decodes_without_the_replication_maps():
     for warm in legacy_fields["warm"]:
         assert warm["plan"].pop("chunk_size") is None
     assert json.loads(decoded.to_wire()[1:]) == legacy_fields
+
+
+def test_legacy_adopt_bytes_decode_and_a_shard_refuses_them(tmp_path):
+    legacy = message_from_wire(LEGACY_ADOPT)
+    assert legacy == ArtifactAdoptRequest(fingerprint="fp-1", path="")
+    config = ShardServerConfig(shard_id="shard-0", socket_path=str(tmp_path / "shard-0.sock"))
+    shard = start_shard_server(config, metrics=MetricsRegistry())
+    try:
+        assert shard._request(legacy) == ArtifactAdoptReply(adopted=False)
+        # Any path whose basename is not <fingerprint>.pkl is refused too,
+        # before the shard reads or writes it.
+        outside = tmp_path / "elsewhere.pkl"
+        assert shard.export_artifact("fp-1", outside) is False
+        assert shard.adopt_artifact("fp-1", outside) is False
+        assert not outside.exists()
+    finally:
+        shard.close()
 
 
 def test_legacy_checkpoint_journal_recovers_a_serving_coordinator(tmp_path):
