@@ -28,7 +28,7 @@ from repro.graphs.generators import random_regular_expander
 from repro.metrics import MetricsRegistry
 from repro.planner import ExecutionPlan
 from repro.service import RoutingService, pool
-from repro.service.cache import artifact_path, read_artifact
+from repro.service.cache import artifact_path
 from repro.service.pool import RouteTask
 from repro.workloads import hotspot_workload, permutation_workload
 
@@ -194,31 +194,6 @@ def test_process_batches_leave_stderr_and_dev_shm_clean():
     assert completed.stderr == ""
     result = json.loads(completed.stdout.strip().splitlines()[-1])
     assert result == {"delivered": [True, True], "leaked": []}
-
-
-def test_process_batches_spill_each_fingerprint_once(graphs):
-    """Process batches reach workers through spill files, each written once."""
-    plan = ExecutionPlan(backend="deterministic", parallelism="processes")
-    spills = []
-    with RoutingService(max_workers=2, metrics=MetricsRegistry()) as service:
-        for _ in range(2):
-            for graph in graphs:
-                for shift in (1, 2):
-                    service.submit(graph, permutation_workload(graph, shift=shift), plan=plan)
-            assert service.route_batch().all_delivered
-            for path in service._spill_dir.iterdir():
-                fingerprint = path.name.removesuffix(".pkl")
-                assert read_artifact(path, fingerprint) is not None
-            # An atomic re-spill would replace the file: new inode, new mtime.
-            spills.append(
-                {
-                    path.name: (path.stat().st_ino, path.stat().st_mtime_ns)
-                    for path in service._spill_dir.iterdir()
-                }
-            )
-    assert len(spills[0]) == len(graphs)
-    assert all(name.endswith(".pkl") for name in spills[0])
-    assert spills[1] == spills[0]
 
 
 def test_refused_spill_file_is_rebuilt_like_a_missing_one(graphs, tmp_path, monkeypatch):
