@@ -34,6 +34,7 @@ import shutil
 import tempfile
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
@@ -328,6 +329,9 @@ class ClusterCoordinator:
         self.transport = transport
         self.net_family = net_family
         self._socket_dir: str | None = None
+        # Removes the socket directory when the coordinator is closed or, if
+        # it never is (a crash drops it), when it is collected.
+        self._socket_dir_finalizer: weakref.finalize | None = None
         self._closed = False
         self.metrics = metrics if metrics is not None else default_registry()
         if default_plan is None:
@@ -494,6 +498,9 @@ class ClusterCoordinator:
 
         if self._socket_dir is None:
             self._socket_dir = tempfile.mkdtemp(prefix="repro-net-")
+            self._socket_dir_finalizer = weakref.finalize(
+                self, shutil.rmtree, self._socket_dir, True
+            )
         config = ShardServerConfig(
             shard_id=shard_id,
             family=self.net_family,
@@ -1020,9 +1027,10 @@ class ClusterCoordinator:
         for worker in self.workers.values():
             worker.close()
         self._keyer.close()
-        if self._socket_dir is not None:
-            shutil.rmtree(self._socket_dir, ignore_errors=True)
-            self._socket_dir = None
+        if self._socket_dir_finalizer is not None:
+            self._socket_dir_finalizer()
+            self._socket_dir_finalizer = None
+        self._socket_dir = None
 
     def __enter__(self) -> "ClusterCoordinator":
         return self

@@ -200,10 +200,12 @@ class PreprocessArtifact:
         fingerprint: canonical graph+parameter hash (set by the service layer;
             ``None`` for artifacts exported outside the cache).
         format_version: bumped on incompatible layout changes so stale on-disk
-            pickles can be rejected instead of mis-read.
+            pickles can be rejected instead of mis-read.  Version 2 holds
+            the hierarchy top-down only (no parent pointers), so an artifact
+            has no reference cycles.
     """
 
-    FORMAT_VERSION: ClassVar[int] = 1
+    FORMAT_VERSION: ClassVar[int] = 2
 
     decomposition: HierarchicalDecomposition
     best_index: BestVertexIndex

@@ -29,7 +29,8 @@ We provide both:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -44,15 +45,47 @@ class CutPlayerResult:
     """Two disjoint cluster-vertex subsets chosen by the cut player.
 
     ``small_side`` plays the role of ``S`` (to be saturated by the matching
-    player) and ``large_side`` plays ``S'``.
+    player) and ``large_side`` plays ``S'``.  ``walk_matrix`` is a copy of the
+    matrix ``R`` they were chosen from; :attr:`separation` reads it.
     """
 
     small_side: tuple[int, ...]
     large_side: tuple[int, ...]
-    separation: float
+    walk_matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def separation(self) -> float:
+        """``sum_{y in S} min_{s in S'} ||R[y] - R[s]||^2``, Property B.1(2)'s diagnostic.
+
+        The game never reads it, so it is computed on first read.
+        """
+        if self.walk_matrix is None:
+            return 0.0
+        return _worst_case_separation(self.walk_matrix, self.small_side, self.large_side)
 
     def as_sets(self) -> tuple[set[int], set[int]]:
         return set(self.small_side), set(self.large_side)
+
+
+def _worst_case_separation(
+    walk_matrix: np.ndarray, small: Sequence[int], large: Sequence[int]
+) -> float:
+    """Sum over ``small`` of the squared distance to the nearest ``large`` row of ``R``.
+
+    This is the separation any mapping ``sigma : S -> S'`` is guaranteed
+    (Property B.1(2)): each row of ``S`` is charged its nearest row of ``S'``.
+    """
+    if not small or not large:
+        return 0.0
+    if use_numpy():
+        from repro.kernels.matrixops import pairwise_separation_numpy
+
+        return pairwise_separation_numpy(walk_matrix, small, large)
+    total = 0.0
+    for y in small:
+        distances = [float(np.sum((walk_matrix[y] - walk_matrix[s]) ** 2)) for s in large]
+        total += min(distances)
+    return total
 
 
 def lemma_b4_split(values: Sequence[float]) -> tuple[list[int], list[int], float]:
@@ -125,7 +158,7 @@ class SpectralCutPlayer:
         """
         t = walk_matrix.shape[0]
         if t < 2:
-            return CutPlayerResult(small_side=(), large_side=tuple(range(t)), separation=0.0)
+            return CutPlayerResult(small_side=(), large_side=tuple(range(t)))
         uniform = np.full(t, 1.0 / t)
         centred = walk_matrix - uniform[None, :]
         # Dominant right singular direction of the centred rows; deterministic
@@ -145,9 +178,8 @@ class SpectralCutPlayer:
         else:
             a_l, a_r, _ = lemma_b4_split(list(projections))
         small, large = self._balance_sides(a_l, a_r, part_sizes)
-        separation = self._separation(walk_matrix, small, large)
         return CutPlayerResult(
-            small_side=tuple(small), large_side=tuple(large), separation=separation
+            small_side=tuple(small), large_side=tuple(large), walk_matrix=walk_matrix.copy()
         )
 
     @staticmethod
@@ -168,23 +200,6 @@ class SpectralCutPlayer:
             return a_l, a_r[:-1]
         return a_l, a_r
 
-    @staticmethod
-    def _separation(walk_matrix: np.ndarray, small: Sequence[int], large: Sequence[int]) -> float:
-        """Worst-case pairwise separation sum over greedy pairings (diagnostic)."""
-        if not small or not large:
-            return 0.0
-        if use_numpy():
-            from repro.kernels.matrixops import pairwise_separation_numpy
-
-            return pairwise_separation_numpy(walk_matrix, small, large)
-        total = 0.0
-        for y in small:
-            distances = [
-                float(np.sum((walk_matrix[y] - walk_matrix[s]) ** 2)) for s in large
-            ]
-            total += min(distances)
-        return total
-
 
 class ExhaustiveCutPlayer:
     """Literal derandomization: enumerate subset pairs on a tiny cluster graph.
@@ -201,8 +216,8 @@ class ExhaustiveCutPlayer:
         if t > self.max_size:
             raise ValueError(f"exhaustive cut player limited to t <= {self.max_size}")
         if t < 2:
-            return CutPlayerResult(small_side=(), large_side=tuple(range(t)), separation=0.0)
-        best: CutPlayerResult | None = None
+            return CutPlayerResult(small_side=(), large_side=tuple(range(t)))
+        best: tuple[float, tuple[int, ...], tuple[int, ...]] | None = None
         indices = list(range(t))
         for small_size in range(1, max(2, t // 8 + 1)):
             for small in itertools.combinations(indices, small_size):
@@ -213,24 +228,9 @@ class ExhaustiveCutPlayer:
                         weight_large = sum(part_sizes[i] for i in large)
                         if weight_small >= weight_large:
                             continue
-                        separation = self._worst_case_separation(walk_matrix, small, large)
-                        if best is None or separation > best.separation:
-                            best = CutPlayerResult(
-                                small_side=tuple(small),
-                                large_side=tuple(large),
-                                separation=separation,
-                            )
+                        separation = _worst_case_separation(walk_matrix, small, large)
+                        if best is None or separation > best[0]:
+                            best = (separation, small, large)
         assert best is not None
-        return best
-
-    @staticmethod
-    def _worst_case_separation(
-        walk_matrix: np.ndarray, small: Sequence[int], large: Sequence[int]
-    ) -> float:
-        total = 0.0
-        for y in small:
-            distances = [
-                float(np.sum((walk_matrix[y] - walk_matrix[s]) ** 2)) for s in large
-            ]
-            total += min(distances)
-        return total
+        _, small, large = best
+        return CutPlayerResult(small_side=small, large_side=large, walk_matrix=walk_matrix.copy())

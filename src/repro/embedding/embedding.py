@@ -21,6 +21,7 @@ from typing import Hashable, Iterable, Iterator
 import networkx as nx
 
 from repro.embedding.paths import Path, PathCollection
+from repro.graphs.index import iter_edges
 
 __all__ = ["Embedding", "identity_embedding", "compose", "union"]
 
@@ -131,7 +132,7 @@ class Embedding:
 def identity_embedding(graph: nx.Graph, name: str = "identity") -> Embedding:
     """The identity embedding: every edge maps to itself (the root of the hierarchy)."""
     embedding = Embedding(name=name)
-    for u, v in graph.edges():
+    for u, v in iter_edges(graph):
         embedding.add_edge(u, v, Path((u, v)))
     return embedding
 

@@ -72,7 +72,8 @@ class MatchingEmbedResult:
 
 
 def _capped_bfs_to_sink(
-    index: GraphIndex,
+    neighbors: list[list[int]],
+    edge_ids: list[list[int]],
     source: int,
     free_sink: bytearray,
     edge_load: list[int],
@@ -81,12 +82,18 @@ def _capped_bfs_to_sink(
 ) -> tuple[list[int], list[int]] | None:
     """Shortest path from ``source`` to any free sink using only under-loaded edges.
 
-    Works on positions of ``index``; neighbours are scanned in sorted order.
-    Returns the path's positions and the ids of its edges.
+    Works on the positions of a :class:`GraphIndex` (its ``neighbors`` and
+    ``edge_ids``); neighbours are scanned in sorted order.  Returns the path's
+    positions and the ids of its edges.
     """
-    neighbors, edge_ids = index.neighbors, index.edge_ids
-    parent = [-1] * len(index.vertices)
-    parent_edge = [-1] * len(index.vertices)
+    # Most searches end at depth 1.  The BFS scans the source's neighbours
+    # first and in this order, so the first free sink behind an under-loaded
+    # edge is the one it would return; only a miss pays for the BFS state.
+    for neighbour, edge in zip(neighbors[source], edge_ids[source]):
+        if free_sink[neighbour] and edge_load[edge] < congestion_cap:
+            return [source, neighbour], [edge]
+    parent = [-1] * len(neighbors)
+    parent_edge = [-1] * len(neighbors)
     parent[source] = source
     frontier = [source]
     for _ in range(dilation_cap):
@@ -182,20 +189,22 @@ def embed_matching(
     congestion_cap = max(2, min(base_congestion, 8))
     dilation_cap = max(2, min(base_dilation, 16))
 
+    neighbors, edge_ids = index.neighbors, index.edge_ids
+    source_positions = [position[source] for source in source_list]
+    sink_positions = [position[sink] for sink in sink_set if sink in position]
     for _ in range(max_cap_doublings + 1):
         matching: dict[Hashable, Hashable] = {}
         embedding = Embedding(name="matching")
         edge_load = [0] * index.edge_count
         free_sink = bytearray(n)
-        for sink in sink_set:
-            if sink in position:
-                free_sink[position[sink]] = 1
+        for sink in sink_positions:
+            free_sink[sink] = 1
         unmatched: list[Hashable] = []
         path_edges: list[list[int]] = []
         dilation = 0
-        for source in source_list:
+        for source, at in zip(source_list, source_positions):
             found = _capped_bfs_to_sink(
-                index, position[source], free_sink, edge_load, congestion_cap, dilation_cap
+                neighbors, edge_ids, at, free_sink, edge_load, congestion_cap, dilation_cap
             )
             if found is None:
                 unmatched.append(source)

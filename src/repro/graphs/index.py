@@ -13,6 +13,8 @@ these paths run on integers instead:
 * :func:`component_labels` and :func:`diameter` — networkx's connected
   components and diameter on a dense boolean adjacency matrix, for the small
   virtual graphs of the hierarchy.
+* :func:`iter_edges` — a graph's edges in ``graph.edges()`` order, without the
+  view networkx would cache on the graph.
 * :func:`path_quality` — the quality (congestion + dilation, Section 2) of a
   set of paths given as lists of :class:`GraphIndex` edge ids, which is how
   the matching embedder finds them.
@@ -22,11 +24,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 import networkx as nx
 import numpy as np
 
-__all__ = ["GraphIndex", "component_labels", "diameter", "path_quality"]
+__all__ = ["GraphIndex", "component_labels", "diameter", "iter_edges", "path_quality"]
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,22 @@ class GraphIndex:
         matrix = np.zeros((size, size), dtype=bool)
         matrix[rows, columns] = True
         return matrix
+
+
+def iter_edges(graph: nx.Graph) -> Iterator[tuple]:
+    """The edges of ``graph`` in the order of ``graph.edges()``.
+
+    ``graph.edges`` caches an ``EdgeView`` on the graph that refers back to the
+    graph, a reference cycle that only a full garbage collection frees.  The
+    preprocessing reads its own graphs through this function instead, so the
+    graphs an artifact holds stay acyclic.
+    """
+    seen: set = set()
+    for u in graph:
+        for v in graph.neighbors(u):
+            if v not in seen:
+                yield u, v
+        seen.add(u)
 
 
 def component_labels(adjacency: np.ndarray) -> np.ndarray:

@@ -42,7 +42,7 @@ from repro.embedding.embedding import Embedding
 from repro.embedding.matching_embed import embed_matching
 from repro.embedding.paths import Path
 from repro.graphs.conductance import normalized_laplacian
-from repro.graphs.index import GraphIndex, component_labels, diameter, path_quality
+from repro.graphs.index import GraphIndex, component_labels, diameter, iter_edges, path_quality
 from repro.hierarchy.node import HierarchicalDecomposition, HierarchyNode, Part
 
 __all__ = [
@@ -267,7 +267,7 @@ def embed_virtual_expander(
     covered = frozenset(active)
     final_graph = nx.Graph()
     final_graph.add_nodes_from(sorted(covered))
-    for u, v in virtual_graph.edges():
+    for u, v in iter_edges(virtual_graph):
         if u in covered and v in covered:
             final_graph.add_edge(u, v)
     final_embedding = Embedding(name="H-block")
@@ -336,7 +336,6 @@ class _HierarchyBuilder:
             level=0,
             virtual_graph=self.graph,
             embedding_to_parent=Embedding(name="root"),
-            parent=None,
         )
         index = GraphIndex.of(root.virtual_graph)
         root._diameter = _charged_diameter(index.adjacency())
@@ -372,10 +371,10 @@ class _HierarchyBuilder:
                 # graph — a quality-1 embedding — and no bad vertices.
                 induced = node.virtual_graph.subgraph(block).copy()
                 fallback_embedding = Embedding(name="H-induced")
-                for u, v in induced.edges():
+                for u, v in iter_edges(induced):
                     fallback_embedding.add_edge(u, v, Path((u, v)))
                 # One length-1 path per edge: congestion 1 plus dilation 1.
-                fallback_embedding._quality_cache = 2 if induced.number_of_edges() else 0
+                fallback_embedding._quality_cache = 2 if fallback_embedding.mapping else 0
                 where = [graph_index.position[v] for v in block]
                 result = VirtualExpanderResult(
                     covered=frozenset(block),
@@ -408,7 +407,8 @@ class _HierarchyBuilder:
                 level=node.level + 1,
                 virtual_graph=result.virtual_graph,
                 embedding_to_parent=result.embedding,
-                parent=node,
+                flatten_quality_cache=node.flatten_quality_cache
+                * max(1, result.embedding.quality),
             )
             child._diameter = result.diameter
             part = Part(

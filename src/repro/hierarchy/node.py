@@ -64,19 +64,42 @@ class Part:
 
 @dataclass
 class HierarchyNode:
-    """A good node of the hierarchical decomposition."""
+    """A good node of the hierarchical decomposition.
+
+    The tree is held top-down only: a node reaches its children through
+    ``parts`` and has no pointer back to its parent.  A decomposition is
+    therefore free of reference cycles, and a dropped artifact is freed by
+    reference counting as soon as its last reference goes, without waiting
+    for a full garbage collection.  What needs a node's ancestors walks down
+    from the root (:meth:`HierarchicalDecomposition.flatten_embedding`); the
+    builder records the one per-node value that depends on them,
+    ``flatten_quality_cache``, top-down.
+
+    Attributes:
+        vertices: the node's vertex set ``X``.
+        level: depth in the tree (the root is level 0).
+        virtual_graph: ``H_X``.
+        embedding_to_parent: ``f_X``, ``H_X`` into the parent's virtual graph
+            (an empty embedding at the root).
+        parts: the parts ``X*_i``, each holding its good child.
+        part_matching_embedding: ``f_{M_X}``, the bad-to-good matchings.
+        shuffler: the node's shuffler, set by preprocessing.
+        is_leaf: whether the node is a leaf component.
+        sorting_network_quality: quality factor of the node's sorting network.
+        flatten_quality_cache: ``Q(f^0_X)``; the builder sets it top-down from
+            the parent's value (1 at the root).
+    """
 
     vertices: frozenset
     level: int
     virtual_graph: nx.Graph
     embedding_to_parent: Embedding
-    parent: Optional["HierarchyNode"] = None
     parts: list[Part] = field(default_factory=list)
     part_matching_embedding: Embedding = field(default_factory=Embedding)
     shuffler: Optional[Shuffler] = None
     is_leaf: bool = False
     sorting_network_quality: int = 1
-    flatten_quality_cache: Optional[int] = None
+    flatten_quality_cache: int = 1
 
     # -- basic structure ---------------------------------------------------
 
@@ -122,36 +145,13 @@ class HierarchyNode:
 
     # -- embeddings ---------------------------------------------------------
 
-    def flatten_embedding(self) -> Embedding:
-        """The flatten embedding ``f^0_X`` of Definition 3.3 (H_X into the root graph).
-
-        Composes ``f_X`` with every ancestor's embedding.  The root's flatten
-        embedding is the identity on its own virtual graph.
-        """
-        if self.parent is None:
-            return identity_embedding(self.virtual_graph, name="f0-root")
-        flattened = self.embedding_to_parent
-        ancestor = self.parent
-        while ancestor is not None and ancestor.parent is not None:
-            flattened = compose(ancestor.embedding_to_parent, flattened)
-            ancestor = ancestor.parent
-        return flattened
-
     def flatten_quality(self) -> int:
         """Quality upper bound of ``f^0_X`` (Corollary 3.4 accounting).
 
-        Computed as the product of the per-level embedding qualities along the
-        path to the root; cached because it is read on every routing query.
+        The product of the per-level embedding qualities along the path to the
+        root, recorded by the builder because it is read on every routing query.
         """
-        if self.flatten_quality_cache is not None:
-            return self.flatten_quality_cache
-        quality = 1
-        node: Optional[HierarchyNode] = self
-        while node is not None and node.parent is not None:
-            quality *= max(1, node.embedding_to_parent.quality)
-            node = node.parent
-        self.flatten_quality_cache = quality
-        return quality
+        return self.flatten_quality_cache
 
     def virtual_diameter(self) -> int:
         """Diameter of the node's virtual graph (used in round accounting).
@@ -204,6 +204,34 @@ class HierarchicalDecomposition:
     def rho_best(self) -> float:
         """``rho_best = max_X |X| / |Xbest|`` (Definition 3.7)."""
         return max(node.best_ratio() for node in self.all_nodes())
+
+    def flatten_embedding(self, node: HierarchyNode) -> Embedding:
+        """The flatten embedding ``f^0_X`` of Definition 3.3 (``H_X`` into the root graph).
+
+        Composes ``f_X`` with the embedding of every ancestor below the root;
+        the root's flatten embedding is the identity on its own virtual graph.
+        Nodes hold no parent pointer, so the ancestors are found from the
+        root down: sibling vertex sets are disjoint, so one vertex of ``node``
+        picks the child to descend into at every level.
+
+        Raises:
+            ValueError: if ``node`` is not a node of this decomposition.
+        """
+        if node is self.root:
+            return identity_embedding(node.virtual_graph, name="f0-root")
+        probe = next(iter(node.vertices), None)
+        above: list[Embedding] = []
+        current: Optional[HierarchyNode] = self.root
+        while current is not node:
+            if current is None:
+                raise ValueError("node is not part of this decomposition")
+            if current is not self.root:
+                above.append(current.embedding_to_parent)
+            current = next((child for child in current.children if probe in child.vertices), None)
+        flattened = node.embedding_to_parent
+        for embedding in reversed(above):
+            flattened = compose(embedding, flattened)
+        return flattened
 
     def node_of_vertex(self, vertex: Hashable, level: int) -> Optional[HierarchyNode]:
         """The good node at ``level`` whose vertex set contains ``vertex`` (if any)."""

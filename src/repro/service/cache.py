@@ -22,7 +22,10 @@ cache is where they survive:
 
 :func:`write_artifact` and :func:`read_artifact` are that tier's file format,
 and the only one: the cluster's warm handoff and the process-mode spill
-directory write and load artifact files through the same two functions.
+directory write and load artifact files through the same two functions.  An
+artifact is a plain tree (no reference cycles), and the file keeps it one:
+graphs are written without the views networkx caches on them, so a loaded
+copy is freed by reference counting like a freshly built one.
 
 When a :class:`~repro.metrics.MetricsRegistry` is attached, every lookup,
 store, admission decision and eviction is also recorded as ``repro_cache_*``
@@ -43,12 +46,16 @@ worker threads.
 
 from __future__ import annotations
 
+import copyreg
+import functools
 import os
 import pickle
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import networkx as nx
 
 from repro.core.router import PreprocessArtifact
 from repro.metrics import MetricsRegistry
@@ -80,6 +87,29 @@ _UNSERVABLE_PICKLE_ERRORS = (
 )
 
 
+def _reduce_graph(graph: nx.Graph):
+    """Pickle a networkx graph without the views networkx caches on it.
+
+    ``graph.edges`` and ``graph.degree`` are ``cached_property`` views that
+    refer back to the graph; pickled along, they would make every loaded
+    copy a reference cycle.  A view is rebuilt on its first read.
+    """
+    cls = type(graph)
+    state = {
+        key: value
+        for key, value in vars(graph).items()
+        if not isinstance(getattr(cls, key, None), functools.cached_property)
+    }
+    return copyreg.__newobj__, (cls,), state
+
+
+class _ArtifactPickler(pickle.Pickler):
+    dispatch_table = {
+        **copyreg.dispatch_table,
+        **{cls: _reduce_graph for cls in (nx.Graph, nx.DiGraph, nx.MultiGraph, nx.MultiDiGraph)},
+    }
+
+
 def artifact_path(directory: str | os.PathLike, fingerprint: str) -> Path:
     """Where an artifact file for ``fingerprint`` lives in ``directory``."""
     return Path(directory) / f"{fingerprint}.pkl"
@@ -88,12 +118,14 @@ def artifact_path(directory: str | os.PathLike, fingerprint: str) -> Path:
 def write_artifact(path: str | os.PathLike, artifact: PreprocessArtifact) -> None:
     """Pickle ``artifact`` to ``path`` atomically (tmp file, then ``os.replace``).
 
-    The tmp name carries the pid and thread id, so concurrent writers of the
-    same path never interleave bytes; readers see the old file or the new one.
+    Graphs are written without networkx's cached views (:func:`_reduce_graph`),
+    so the file loads as acyclic as the artifact was built.  The tmp name
+    carries the pid and thread id, so concurrent writers of the same path
+    never interleave bytes; readers see the old file or the new one.
     """
     tmp = Path(path).with_suffix(f".{os.getpid()}.{threading.get_ident()}.tmp")
     with open(tmp, "wb") as handle:
-        pickle.dump(artifact, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        _ArtifactPickler(handle, protocol=pickle.HIGHEST_PROTOCOL).dump(artifact)
     os.replace(tmp, path)
 
 

@@ -11,6 +11,9 @@ rotation/pruning, the truncate-at-every-boundary invariants of
 satellite.
 """
 
+import gc
+import tempfile
+
 import pytest
 
 from repro.cluster import ClusterCoordinator, ClusterReport, OpenLoopLoadGenerator
@@ -521,6 +524,25 @@ def test_supervisor_crash_recover_cycle_survives_a_second_crash(tmp_path, graphs
         assert report.query_count == 4
         assert report.all_delivered
         assert coordinator.duplicate_results == 0
+
+
+def test_a_crashed_tcp_coordinator_leaves_no_socket_directory(tmp_path, monkeypatch, graphs):
+    # A crash drops the coordinator without close(); its socket directory
+    # goes when the dropped coordinator is collected.
+    temp = tmp_path / "tmp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    kwargs = _coordinator_kwargs(shard_count=1, transport="tcp")
+    supervisor = CoordinatorSupervisor(tmp_path / "journal", kwargs)
+    with supervisor:
+        supervisor.start().submit(
+            graphs[0], permutation_workload(graphs[0], shift=1), idempotency_key="k-0"
+        )
+        assert len(list(temp.glob("repro-net-*"))) == 1
+        report = supervisor.crash_coordinator().dispatch()
+        assert report.query_count == 1 and report.all_delivered
+    gc.collect()
+    assert list(temp.glob("repro-net-*")) == []
 
 
 # -- chaos: coordinator crash under open-loop load ---------------------------------

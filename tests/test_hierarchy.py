@@ -72,12 +72,10 @@ def test_hierarchy_virtual_graphs_are_connected_with_positive_gap(hierarchy):
 
 def test_hierarchy_embeddings_map_into_parent_virtual_graph(hierarchy):
     for node in hierarchy.all_nodes():
-        if node.parent is None:
-            continue
-        parent_graph = node.parent.virtual_graph
-        for (u, v), path in node.embedding_to_parent.mapping.items():
-            for a, b in zip(path.vertices, path.vertices[1:]):
-                assert parent_graph.has_edge(a, b)
+        for child in node.children:
+            for (u, v), path in child.embedding_to_parent.mapping.items():
+                for a, b in zip(path.vertices, path.vertices[1:]):
+                    assert node.virtual_graph.has_edge(a, b)
 
 
 def test_hierarchy_bad_vertices_are_matched_to_good(hierarchy):
@@ -100,10 +98,24 @@ def test_flatten_quality_grows_monotonically_with_depth(hierarchy):
 def test_flatten_embedding_paths_live_in_the_original_graph(hierarchy):
     # Check on one leaf: fully flattened virtual edges are paths of G.
     leaf = hierarchy.leaves()[0]
-    flattened = leaf.flatten_embedding()
+    flattened = hierarchy.flatten_embedding(leaf)
     for (u, v), path in list(flattened.mapping.items())[:20]:
         for a, b in zip(path.vertices, path.vertices[1:]):
             assert hierarchy.graph.has_edge(a, b)
+
+
+def test_flatten_embedding_walks_three_levels_and_rejects_foreign_nodes():
+    decomposition = build_hierarchy(random_regular_expander(256, degree=8, seed=0))
+    assert decomposition.levels() == 3
+    for node in decomposition.all_nodes():
+        flattened = decomposition.flatten_embedding(node)
+        if node is not decomposition.root:
+            assert set(flattened.mapping) == set(node.embedding_to_parent.mapping)
+        for path in list(flattened.mapping.values())[:10]:
+            for a, b in zip(path.vertices, path.vertices[1:]):
+                assert decomposition.graph.has_edge(a, b)
+    with pytest.raises(ValueError, match="not part of this decomposition"):
+        decomposition.flatten_embedding(build_hierarchy(decomposition.graph).leaves()[0])
 
 
 def test_best_vertices_cover_and_rho_best(hierarchy):

@@ -384,12 +384,17 @@ def _charged_diameter_oracle(graph: nx.Graph) -> int:
 
 
 def _check_recorded(decomposition) -> None:
-    """Every recorded quality equals its PathCollection recomputation, every diameter networkx's."""
+    """Every recorded quality equals its PathCollection recomputation, every diameter networkx's.
+
+    The decomposition is walked from each node to its children, the only
+    direction its nodes point.
+    """
     for node in decomposition.all_nodes():
         assert node.virtual_diameter() == _charged_diameter_oracle(node.virtual_graph)
-        recorded = []
-        if node.parent is not None:
-            recorded.append(node.embedding_to_parent)
+        recorded = [child.embedding_to_parent for child in node.children]
+        for child in node.children:
+            recomputed = max(1, child.embedding_to_parent.path_collection().quality)
+            assert child.flatten_quality() == node.flatten_quality() * recomputed
         if not node.is_leaf:
             recorded.append(node.part_matching_embedding)
         if node.shuffler is not None:
