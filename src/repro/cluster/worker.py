@@ -18,9 +18,10 @@ process-pool width) comes from a single default plan instead of the ``shard_para
 argument by argument.
 
 :class:`ShardQuery` is the coordinator→worker wire format: a fingerprinted,
-normalised routing instance that any shard could serve (the fingerprint is
-computed once by the coordinator and must agree with the worker's own — both
-derive from the same service parameters).
+normalised routing instance that any shard could serve.  The fingerprint is
+computed once, by the coordinator, from the same service parameters the
+shard's service holds, so the worker hands it to the service as the cache key
+and a graph is canonicalised once per cluster, not once per hop.
 """
 
 from __future__ import annotations
@@ -180,6 +181,7 @@ class ShardWorker:
                 backend_params=item.backend_params if item.plan is None else None,
                 workload=item.workload,
                 plan=item.plan,
+                fingerprint=item.fingerprint,
             )
         report = self.service.route_batch()
         self.batches_served += 1

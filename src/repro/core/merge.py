@@ -253,7 +253,25 @@ def solve_task3_many(
             f"token {int(token_ids[np.argmax(outside)])} is not located on a vertex of this node"
         )
 
-    # -- 1. disperse the real tokens: cells (query, part, mark), token order -
+    # -- 1. the dispersed dummies: the node's cached configurations ---------
+    # Looked up first: a dummy column (2L per vertex of its part) outgrows
+    # every real column (at most L per vertex of the part), so the
+    # shuffler's transfer-plan memo is sized once, for both dispersals.
+    if dummies_per_vertex is None:
+        per_vertex_dummies = 2 * np.maximum(1, loads)
+    else:
+        per_vertex_dummies = np.full(batch, dummies_per_vertex, dtype=np.int64)
+    used, config = np.unique(per_vertex_dummies, return_inverse=True)
+    configs = [dummy_cells(node, table, dummies) for dummies in used.tolist()]
+    offsets = np.cumsum([0] + [len(cells.vertex) for cells in configs[:-1]])
+    dummy_vertex = np.concatenate([cells.vertex for cells in configs])
+    dummy_start = np.stack([cells.start + offset for cells, offset in zip(configs, offsets)])
+    dummy_count = np.stack([cells.count for cells in configs])
+    dummy_stats = np.array(
+        [(c.rounds, c.peak, c.within_window, c.total_cells) for c in configs], dtype=np.int64
+    )[config]
+
+    # -- 2. disperse the real tokens: cells (query, part, mark), token order -
     cell = (query * t + origin) * t + mark
     order = np.argsort(cell, kind="stable")
     row_cell = cell[order]
@@ -271,25 +289,9 @@ def solve_task3_many(
         real_within = (dispersal.inside * own).sum(axis=1)
         real_cells = t * own.sum(axis=1)
         charges.append(("task3/real-disperse", np.array(dispersal.rounds, dtype=np.int64)))
+        charges.append(("task3/dummy-disperse", dummy_stats[:, 0]))
     else:
         counts = np.bincount(row_cell, minlength=batch * t * t).reshape(batch, t, t)
-
-    # -- 2. the dispersed dummies: the node's cached configurations ---------
-    if dummies_per_vertex is None:
-        per_vertex_dummies = 2 * np.maximum(1, loads)
-    else:
-        per_vertex_dummies = np.full(batch, dummies_per_vertex, dtype=np.int64)
-    used, config = np.unique(per_vertex_dummies, return_inverse=True)
-    configs = [dummy_cells(node, table, dummies) for dummies in used.tolist()]
-    offsets = np.cumsum([0] + [len(cells.vertex) for cells in configs[:-1]])
-    dummy_vertex = np.concatenate([cells.vertex for cells in configs])
-    dummy_start = np.stack([cells.start + offset for cells, offset in zip(configs, offsets)])
-    dummy_count = np.stack([cells.count for cells in configs])
-    dummy_stats = np.array(
-        [(c.rounds, c.peak, c.within_window, c.total_cells) for c in configs], dtype=np.int64
-    )[config]
-    if len(shuffler) > 0:
-        charges.append(("task3/dummy-disperse", dummy_stats[:, 0]))
 
     # -- 3. pair every real with the same-rank dummy of its (part, mark) cell
     flat_counts = counts.ravel()

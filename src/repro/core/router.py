@@ -25,8 +25,9 @@ Queries run on one of two paths with identical outcomes, chosen once per
   flat int arrays (query, token id, vertex number, destination marker, part
   mark) through the whole recursion, looks them up against per-node route
   tables (:mod:`repro.core.tables`), solves Task 3 for all queries at a node
-  in one :func:`~repro.core.merge.solve_task3_many` call, and keeps the
-  batch's final rows: each outcome builds its
+  in one :func:`~repro.core.merge.solve_task3_many` call, places the rows of
+  all of a node's leaf children in one pass, and keeps the batch's final
+  rows (the requests stay in input order): each outcome builds its
   :class:`~repro.core.tokens.Token` objects only when its ``tokens`` is read;
 * the reference kernel walks :class:`~repro.core.tokens.Token` objects
   through :meth:`ExpanderRouter._solve_task2`, the executable specification
@@ -44,6 +45,7 @@ Preprocessing and the reference kernel take no lock.
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 from collections import Counter
@@ -56,7 +58,7 @@ import numpy as np
 from repro.core.cost import CostLedger, send_round_cost, sort_round_cost
 from repro.core.leaf import route_in_leaf
 from repro.core.merge import Task3Batch, solve_task3, solve_task3_many
-from repro.core.tables import VertexIndex, node_table, vertex_index
+from repro.core.tables import LeafBlock, VertexIndex, node_table, vertex_index
 from repro.core.tasks import Task1Instance
 from repro.core.tokens import RoutingRequest, Token, tokens_from_requests
 from repro.cutmatching.game import CutMatchingGame
@@ -202,10 +204,12 @@ class PreprocessArtifact:
         format_version: bumped on incompatible layout changes so stale on-disk
             pickles can be rejected instead of mis-read.  Version 2 holds
             the hierarchy top-down only (no parent pointers), so an artifact
-            has no reference cycles.
+            has no reference cycles.  Version 3's node route tables hold
+            their leaf children as one block, and shufflers pickle without
+            their dispersal plans.
     """
 
-    FORMAT_VERSION: ClassVar[int] = 2
+    FORMAT_VERSION: ClassVar[int] = 3
 
     decomposition: HierarchicalDecomposition
     best_index: BestVertexIndex
@@ -525,7 +529,7 @@ class ExpanderRouter:
         reversal = np.flatnonzero(rows.vertex != batch.dst)
         if reversal.size:
             query = rows.query[reversal]
-            queries = np.unique(query)
+            queries = query[_first_of_runs(query)]
             most = _most_per_group(query, rows.vertex[reversal], len(loads))[queries]
             costs = [send_round_cost(count, index.reversal_quality) for count in most.tolist()]
             charges.append(("delegation-reversal", queries, np.array(costs, dtype=np.int64)))
@@ -549,6 +553,7 @@ class ExpanderRouter:
         """Every query's outcome; its tokens stay rows of the batch until read."""
         final = _FinalRows(
             batch.requests,
+            batch.order,
             rows.vertex,
             rows.marker,
             rows.mark,
@@ -560,27 +565,30 @@ class ExpanderRouter:
             batch.group[rows.vertex == batch.dst], minlength=len(loads)
         ).tolist()
         preprocessing_rounds = self.preprocess_ledger.total("preprocess")
-        outcomes = []
-        for query, (start, stop) in enumerate(batch.spans):
-            cells = int(rows.window_cells[query])
-            breakdown = breakdowns[query]
-            outcomes.append(
-                RoutingOutcome(
-                    delivered=delivered[query],
-                    total_tokens=stop - start,
-                    query_rounds=sum(breakdown.values()),
-                    preprocessing_rounds=preprocessing_rounds,
-                    load=loads[query],
-                    max_intermediate_part_load=int(rows.max_part_load[query]),
-                    dispersion_window_fraction=(
-                        int(rows.window_hits[query]) / cells if cells else 1.0
-                    ),
-                    fallback_assignments=int(rows.fallbacks[query]),
-                    breakdown=dict(sorted(breakdown.items())),
-                    tokens=_TokenSpan(final, start, stop),
+        return [
+            RoutingOutcome(
+                delivered=delivered[query],
+                total_tokens=stop - start,
+                query_rounds=sum(breakdown.values()),
+                preprocessing_rounds=preprocessing_rounds,
+                load=loads[query],
+                max_intermediate_part_load=peak,
+                dispersion_window_fraction=hits / cells if cells else 1.0,
+                fallback_assignments=fallbacks,
+                breakdown=dict(sorted(breakdown.items())),
+                tokens=_TokenSpan(final, start, stop),
+            )
+            for query, ((start, stop), breakdown, peak, hits, cells, fallbacks) in enumerate(
+                zip(
+                    batch.spans,
+                    breakdowns,
+                    rows.max_part_load.tolist(),
+                    rows.window_hits.tolist(),
+                    rows.window_cells.tolist(),
+                    rows.fallbacks.tolist(),
                 )
             )
-        return outcomes
+        ]
 
     def _task2_arrays(
         self,
@@ -597,26 +605,12 @@ class ExpanderRouter:
         """
         table = node_table(node, rows.index)
         query = rows.query[active]
-        queries = np.unique(query)
+        first = _first_of_runs(query)
+        queries = query[first]
         markers = rows.marker[active]
         if node.is_leaf:
-            # Lemma 6.5: the marker-th best vertex of the leaf.
-            best = table.leaf_best
-            stray = (markers < 0) | (markers >= len(best))
-            if stray.any():
-                row = active[np.argmax(stray)]
-                raise ValueError(
-                    f"token {int(rows.token_id[row])} carries marker {int(rows.marker[row])!r},"
-                    f" outside the leaf's best range [0, {len(best)})"
-                )
-            rows.vertex[active] = best[markers]
-            rows.events.append(("leaf", active))
-            level_loads = loads[queries].tolist()
-            costs = {
-                load: 3 * sort_round_cost(len(best), 2 * max(1, load), table.leaf_quality)
-                for load in set(level_loads)
-            }
-            return [("leaf", queries, np.array([costs[load] for load in level_loads]))]
+            costs = self._leaf_pass(table.leaves, active, np.zeros_like(active), markers, loads, rows)
+            return [("leaf", queries, costs[queries, 0])]
 
         # Rewrite destination markers into (part mark, next-level marker).
         part = np.searchsorted(table.best_ends, markers, side="right")
@@ -634,7 +628,7 @@ class ExpanderRouter:
         task3 = solve_task3_many(
             node,
             table,
-            np.searchsorted(queries, query),
+            np.cumsum(first) - 1,
             rows.vertex[active],
             part,
             loads[queries],
@@ -653,7 +647,8 @@ class ExpanderRouter:
                 movers = active[moved]
                 rows.vertex[movers] = table.mate[rows.vertex[movers]]
                 rows.events.append((f"bad-to-good-L{node.level}", movers))
-                moved_queries = np.unique(rows.query[movers])
+                moved_query = query[moved]
+                moved_queries = moved_query[_first_of_runs(moved_query)]
                 charges.append(
                     (
                         f"bad-to-good-L{node.level}",
@@ -665,19 +660,38 @@ class ExpanderRouter:
         # Recurse into every part's good child with the rewritten markers.
         # Children run on disjoint subgraphs, so per query the level costs its
         # slowest child (Theorem 6.8's single T2(6|X|/k, 4L) term).
-        by_part = np.argsort(part, kind="stable")
-        bounds = np.searchsorted(part[by_part], np.arange(len(node.parts) + 1))
+        child_loads = 4 * loads
         slowest = np.zeros(len(loads), dtype=np.int64)
         recursed = np.zeros(len(loads), dtype=bool)
-        for position, node_part in enumerate(node.parts):
+        slot = table.leaf_slot[part]
+        into_leaf = slot >= 0
+        if into_leaf.any():
+            # The leaf children all at once.
+            chosen = np.flatnonzero(into_leaf)
+            leaf_rows = active[chosen]
+            rows.marker[leaf_rows] = remainder[chosen]
+            costs = self._leaf_pass(
+                table.leaves, leaf_rows, slot[chosen], remainder[chosen], child_loads, rows
+            )
+            np.maximum(slowest, costs.max(axis=1), out=slowest)
+            recursed |= costs.any(axis=1)
+        internal = [
+            (position, node_part.child)
+            for position, node_part in enumerate(node.parts)
+            if node_part.child is not None and table.leaf_slot[position] < 0
+        ]
+        if internal:
+            by_part = np.argsort(part, kind="stable")
+            bounds = np.searchsorted(part[by_part], np.arange(len(node.parts) + 1))
+        for position, child in internal:
             chosen = by_part[bounds[position] : bounds[position + 1]]
-            if node_part.child is None or not chosen.size:
+            if not chosen.size:
                 continue
             child_rows = active[chosen]
             rows.marker[child_rows] = remainder[chosen]
             total = np.zeros(len(loads), dtype=np.int64)
             for _, child_queries, amounts in self._task2_arrays(
-                node_part.child, child_rows, 4 * loads, rows
+                child, child_rows, child_loads, rows
             ):
                 total[child_queries] += amounts
                 recursed[child_queries] = True
@@ -686,6 +700,41 @@ class ExpanderRouter:
             called = np.flatnonzero(recursed)
             charges.append((f"children-L{node.level + 1}", called, slowest[called]))
         return charges
+
+    @staticmethod
+    def _leaf_pass(
+        leaves: LeafBlock,
+        active: np.ndarray,
+        slot: np.ndarray,
+        markers: np.ndarray,
+        loads: np.ndarray,
+        rows: "_Rows",
+    ) -> np.ndarray:
+        """Lemma 6.5 for the ``active`` rows, row ``i`` in leaf ``slot[i]``, in one pass.
+
+        Each row moves to the ``markers[i]``-th best vertex of its leaf, and
+        the pass logs one ``"leaf"`` event.  Returns the ``(B, leaves)``
+        rounds of every query in every leaf: three sorting-network passes at
+        load ``2L``, 0 where the query has no row in the leaf.
+        """
+        size = leaves.size[slot]
+        stray = (markers < 0) | (markers >= size)
+        if stray.any():
+            # The first leaf with a stray row reports its first one.
+            wrong = np.flatnonzero(stray)
+            row = wrong[np.argmin(slot[wrong])]
+            raise ValueError(
+                f"token {int(rows.token_id[active[row]])} carries marker {int(markers[row])!r},"
+                f" outside the leaf's best range [0, {int(size[row])})"
+            )
+        rows.vertex[active] = leaves.best[leaves.start[slot] + markers]
+        rows.events.append(("leaf", active))
+        # sort_round_cost(|leaf|, 2L, quality) per (query, leaf), times three.
+        load = 2 * np.maximum(1, loads)
+        costs = 3 * np.maximum(1, 2 * load[:, None] * leaves.depth) * leaves.quality**2
+        present = np.zeros(costs.shape, dtype=bool)
+        present[rows.query[active], slot] = True
+        return np.where(present, costs, 0)
 
     # -- the object recursion (reference kernel) ----------------------------------
 
@@ -887,18 +936,28 @@ class _Batch:
         self, index: VertexIndex, request_groups: Sequence[Sequence[RoutingRequest]]
     ) -> None:
         n = len(index.vertices)
-        self.sizes = np.array([len(group) for group in request_groups], dtype=np.int64)
-        requests = [request for group in request_groups for request in group]
+        self.sizes = np.fromiter(map(len, request_groups), np.int64, len(request_groups))
+        requests = list(itertools.chain.from_iterable(request_groups))
         sources = [request.source for request in requests]
         destinations = [request.destination for request in requests]
-        number = index.index_of.get
-        src = np.array([number(vertex, n) for vertex in sources], dtype=np.int64)
-        dst = np.array([number(vertex, n) for vertex in destinations], dtype=np.int64)
+        try:
+            src = np.fromiter(map(index.index_of.__getitem__, sources), np.int64, len(requests))
+            dst = np.fromiter(
+                map(index.index_of.__getitem__, destinations), np.int64, len(requests)
+            )
+            inside = True
+        except KeyError:
+            # An endpoint outside the graph: such endpoints are numbered n.
+            number = index.index_of.get
+            src = np.array([number(vertex, n) for vertex in sources], dtype=np.int64)
+            dst = np.array([number(vertex, n) for vertex in destinations], dtype=np.int64)
+            inside = False
         group = np.repeat(np.arange(len(request_groups)), self.sizes)
-        inside = not requests or max(src.max(), dst.max()) < n
         types = {*map(type, sources), *map(type, destinations)}
         if inside and types <= {index.plain_type}:
-            order = np.lexsort((index.repr_rank[dst], index.repr_rank[src], group))
+            # One stable sort over (query, source rank, destination rank).
+            key = (group * n + index.repr_rank[src]) * n + index.repr_rank[dst]
+            order = np.argsort(key, kind="stable")
         else:
             keys = [(repr(s), repr(d)) for s, d in zip(sources, destinations)]
             groups = group.tolist()
@@ -906,42 +965,47 @@ class _Batch:
                 sorted(range(len(requests)), key=lambda row: (groups[row], keys[row])),
                 dtype=np.int64,
             )
-        self.requests = [requests[row] for row in order.tolist()]
+        #: the requests in input order; row ``r`` is ``requests[order[r]]``.
+        self.requests = requests
+        self.order = order
         self.group = group
         self.src, self.dst = src[order], dst[order]
         starts = np.cumsum(self.sizes) - self.sizes
         self.token_id = np.arange(len(requests)) - starts[group]
         #: ``(start, stop)`` rows of each query.
         self.spans = list(zip(starts.tolist(), (starts + self.sizes).tolist()))
-        self.vertex_count = n
+        #: per query, the first token destined outside the graph, if any.
+        self.stray: dict[int, int] = {}
         if inside:
-            self.most_sourced = _most_per_group(group, self.src, len(self.sizes))
-            self.most_destined = _most_per_group(group, self.dst, len(self.sizes))
+            self.most_sourced = _most_per_group(group, self.src, len(self.sizes)).tolist()
+            self.most_destined = _most_per_group(group, self.dst, len(self.sizes)).tolist()
         else:
             # Distinct outside endpoints share the number n; count objects.
+            # A query's rows and its input requests span the same positions.
             self.most_sourced, self.most_destined = [], []
             for start, stop in self.spans:
-                chunk = self.requests[start:stop]
+                chunk = requests[start:stop]
                 counts = Counter(request.source for request in chunk).values()
                 self.most_sourced.append(max(counts, default=0))
                 counts = Counter(request.destination for request in chunk).values()
                 self.most_destined.append(max(counts, default=0))
+            for row in np.flatnonzero(self.dst == n).tolist():
+                self.stray.setdefault(int(group[row]), int(self.token_id[row]))
 
     def validate(self, query: int, load: int | None) -> tuple[int, list[str]]:
         """The query's load (inferred when ``None``) and violated Task 1 preconditions."""
-        most_sourced = int(self.most_sourced[query])
-        most_destined = int(self.most_destined[query])
+        most_sourced = self.most_sourced[query]
+        most_destined = self.most_destined[query]
         if load is None:
             load = max(most_sourced, most_destined, 1)
         problems: list[str] = []
-        if self.sizes[query] and most_sourced > load:
-            problems.append(f"a vertex holds {most_sourced} tokens > load {load}")
-        if self.sizes[query] and most_destined > load:
-            problems.append(f"a vertex is the destination of {most_destined} tokens > load {load}")
         start, stop = self.spans[query]
-        stray = np.flatnonzero(self.dst[start:stop] == self.vertex_count)
-        if stray.size:
-            problems.append(f"token {int(stray[0])} destined outside the graph")
+        if stop > start and most_sourced > load:
+            problems.append(f"a vertex holds {most_sourced} tokens > load {load}")
+        if stop > start and most_destined > load:
+            problems.append(f"a vertex is the destination of {most_destined} tokens > load {load}")
+        if query in self.stray:
+            problems.append(f"token {self.stray[query]} destined outside the graph")
         return load, problems
 
 
@@ -974,7 +1038,9 @@ class _Rows:
 class _FinalRows:
     """One routed batch's final rows, shared by the lazy tokens of its outcomes."""
 
+    #: the requests in input order; row ``r`` is ``requests[order[r]]``.
     requests: list[RoutingRequest]
+    order: np.ndarray
     vertex: np.ndarray
     marker: np.ndarray
     mark: np.ndarray
@@ -996,7 +1062,7 @@ class _FinalRows:
                 traces[row - start].append(phase)
         vertices = self.vertices
         finals = [vertices[vertex] for vertex in self.vertex[start:stop].tolist()]
-        requests = self.requests[start:stop]
+        requests = [self.requests[row] for row in self.order[start:stop].tolist()]
         low, high = np.searchsorted(self.reversal, (start, stop)).tolist()
         for row in self.reversal[low:high].tolist():
             finals[row - start] = requests[row - start].destination
@@ -1032,9 +1098,15 @@ class _TokenSpan:
 
 def _most_per_group(group: np.ndarray, values: np.ndarray, groups: int) -> np.ndarray:
     """``(groups,)`` largest multiplicity of one value within each group (0 if none)."""
-    most = np.zeros(groups, dtype=np.int64)
-    if len(values):
-        width = int(values.max()) + 1
-        codes, counts = np.unique(group * width + values, return_counts=True)
-        np.maximum.at(most, codes // width, counts)
-    return most
+    if not len(values):
+        return np.zeros(groups, dtype=np.int64)
+    width = int(values.max()) + 1
+    counts = np.bincount(group * width + values, minlength=groups * width)
+    return counts.reshape(groups, width).max(axis=1)
+
+
+def _first_of_runs(values: np.ndarray) -> np.ndarray:
+    """Whether each entry of the ascending ``values`` is the first of its run."""
+    first = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return first

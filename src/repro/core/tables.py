@@ -5,8 +5,8 @@ vertex number (see :mod:`repro.core.router`).  Everything those arrays are
 looked up against is a pure function of the preprocessed artifact, so it is
 built on the first route that needs it, with numpy over the vertex numbers
 (no per-pair loops), and attached to the artifact's objects (pickled with
-it, like the dispersion pair tables).  The qualities the tables carry were
-recorded when preprocessing built the embeddings, so building a table
+it; the shufflers' dispersal plans are not).  The qualities the tables carry
+were recorded when preprocessing built the embeddings, so building a table
 recomputes none of them:
 
 * :class:`VertexIndex`, per decomposition: the vertex numbering (sorted
@@ -15,8 +15,11 @@ recomputes none of them:
   rank (Appendix D);
 * :class:`NodeTable`, per hierarchy node: vertex -> part, the cumulative
   best counts that rewrite markers (Section 4), the bad-vertex mates of
-  Property 3.1(3), the sorted part vertices, a leaf's best vertices, and the
-  node's dispersed dummy cells per dummies-per-vertex count (Section 6.3).
+  Property 3.1(3), the sorted part vertices, the node's dispersed dummy
+  cells per dummies-per-vertex count (Section 6.3), and a
+  :class:`LeafBlock` of the children that are leaves (a leaf's own table
+  holds the leaf alone), so one pass places the rows of all of them
+  (Lemma 6.5).
 
 Arrays indexed by vertex number have one extra trailing slot, ``n``, that
 stands for "not a vertex of the graph".
@@ -40,6 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "VertexIndex",
     "NodeTable",
+    "LeafBlock",
     "DummyCells",
     "vertex_index",
     "node_table",
@@ -96,6 +100,23 @@ class DummyCells:
     total_cells: int
 
 
+class LeafBlock:
+    """Leaves side by side: the arrays one pass over all of them reads (Lemma 6.5)."""
+
+    def __init__(self, leaves: "list[HierarchyNode]", index: VertexIndex) -> None:
+        number = index.index_of
+        best = [np.array([number[v] for v in sorted(leaf.vertices)], dtype=np.int64) for leaf in leaves]
+        #: ``(leaves,)`` how many best vertices each leaf has.
+        self.size = np.array([len(vertices) for vertices in best], dtype=np.int64)
+        #: every leaf's best rank -> vertex number, concatenated; leaf ``i``
+        #: starts at ``start[i]``.
+        self.best = np.concatenate(best) if best else np.zeros(0, dtype=np.int64)
+        self.start = np.cumsum(self.size) - self.size
+        #: ``(leaves,)`` the sorting network's depth and exchange quality.
+        self.depth = np.array([sorting_network_depth(size) for size in self.size.tolist()], dtype=np.int64)
+        self.quality = np.array([max(1, leaf.flatten_quality()) for leaf in leaves], dtype=np.int64)
+
+
 class NodeTable:
     """The arrays one hierarchy node's query step reads."""
 
@@ -105,9 +126,8 @@ class NodeTable:
         quality = max(1, node.flatten_quality())
         self.flatten_quality = node.flatten_quality()
         if node.is_leaf:
-            #: leaf: best rank -> vertex number.
-            self.leaf_best = np.array([number[v] for v in sorted(node.vertices)], dtype=np.int64)
-            self.leaf_quality = quality
+            #: a leaf: itself as a block of one.
+            self.leaves = LeafBlock([node], index)
             return
         parts = node.parts
         t = self.t = len(parts)
@@ -161,6 +181,13 @@ class NodeTable:
         #: quality of the bad-to-good matching paths (Property 3.1(3)).
         self.matching_quality = max(1, node.part_matching_embedding.quality) * quality
         self.dummies: dict[int, DummyCells] = {}
+        with_leaf = [j for j, part in enumerate(parts) if part.child is not None and part.child.is_leaf]
+        #: the children that are leaves, in part order.
+        self.leaves = LeafBlock([parts[j].child for j in with_leaf], index)
+        #: ``(t,)`` part -> its child's position in :attr:`leaves`, -1 if the
+        #: part has no child or an internal one.
+        self.leaf_slot = np.full(t, -1, dtype=np.int64)
+        self.leaf_slot[with_leaf] = np.arange(len(with_leaf))
 
 
 def vertex_index(

@@ -78,6 +78,13 @@ class Shuffler:
     final_potential: float = float("inf")
     build_rounds: int = 0
 
+    def __getstate__(self) -> dict:
+        # The array engine's dispersal plan is derived state whose memo grows
+        # with the loads served; a pickled shuffler leaves it behind.
+        state = dict(self.__dict__)
+        state.pop("_dispersal_plan", None)
+        return state
+
     def __iter__(self) -> Iterator[ShufflerMatching]:
         return iter(self.matchings)
 

@@ -28,6 +28,7 @@ from typing import Iterable
 import networkx as nx
 import numpy as np
 
+from repro.graphs.index import iter_edges, vertex_degree
 from repro.kernels import use_numpy
 
 __all__ = [
@@ -67,7 +68,7 @@ class CutReport:
 
 def volume(graph: nx.Graph, nodes: Iterable) -> int:
     """Return ``vol(S) = sum_{v in S} deg(v)``."""
-    return sum(graph.degree(v) for v in nodes)
+    return sum(vertex_degree(graph, v) for v in nodes)
 
 
 def cut_edges(graph: nx.Graph, side: Iterable) -> int:
@@ -212,6 +213,26 @@ def cheeger_bounds(graph: nx.Graph) -> tuple[float, float]:
     return gap / 2.0, math.sqrt(2.0 * gap)
 
 
+def _adjacency_matrix(graph: nx.Graph, nodes: list) -> np.ndarray:
+    """``nx.to_numpy_array(graph, nodelist=nodes)``, read without cached views.
+
+    Entries are edge ``weight`` attributes (default 1.0), summed over the
+    parallel edges of a multigraph.
+    """
+    position = {vertex: index for index, vertex in enumerate(nodes)}
+    weights: dict[tuple[int, int], float] = {}
+    for u, v, data in iter_edges(graph, data=True):
+        key = (position[u], position[v])
+        weights[key] = weights.get(key, 0) + data.get("weight", 1.0)
+    adjacency = np.zeros((len(nodes), len(nodes)))
+    if weights:
+        rows, columns = zip(*weights)
+        adjacency[rows, columns] = list(weights.values())
+        if not graph.is_directed():
+            adjacency[columns, rows] = list(weights.values())
+    return adjacency
+
+
 def sweep_cut(graph: nx.Graph) -> CutReport:
     """Return the best sweep cut along the Fiedler vector of the normalized Laplacian.
 
@@ -224,11 +245,11 @@ def sweep_cut(graph: nx.Graph) -> CutReport:
     n = len(nodes)
     if n < 2:
         return _cut_report(graph, nodes[:1])
-    adjacency = nx.to_numpy_array(graph, nodelist=nodes)
+    adjacency = _adjacency_matrix(graph, nodes)
     laplacian = normalized_laplacian(adjacency)
     eigenvalues, eigenvectors = np.linalg.eigh(laplacian)
     fiedler = eigenvectors[:, 1]
-    node_degrees = np.array([graph.degree(v) for v in nodes], dtype=np.int64)
+    node_degrees = np.array([vertex_degree(graph, v) for v in nodes], dtype=np.int64)
     scores = fiedler / np.sqrt(np.maximum(node_degrees, 1).astype(float))
     order = sorted(range(n), key=lambda i: (scores[i], nodes[i]))
     if use_numpy():

@@ -13,8 +13,9 @@ these paths run on integers instead:
 * :func:`component_labels` and :func:`diameter` — networkx's connected
   components and diameter on a dense boolean adjacency matrix, for the small
   virtual graphs of the hierarchy.
-* :func:`iter_edges` — a graph's edges in ``graph.edges()`` order, without the
-  view networkx would cache on the graph.
+* :func:`iter_edges` and :func:`vertex_degree` — a graph's edges in
+  ``graph.edges()`` order and a vertex's degree, without the views networkx
+  would cache on the graph.
 * :func:`path_quality` — the quality (congestion + dilation, Section 2) of a
   set of paths given as lists of :class:`GraphIndex` edge ids, which is how
   the matching embedder finds them.
@@ -29,7 +30,14 @@ from typing import Iterator
 import networkx as nx
 import numpy as np
 
-__all__ = ["GraphIndex", "component_labels", "diameter", "iter_edges", "path_quality"]
+__all__ = [
+    "GraphIndex",
+    "component_labels",
+    "diameter",
+    "iter_edges",
+    "path_quality",
+    "vertex_degree",
+]
 
 
 @dataclass(frozen=True)
@@ -81,20 +89,42 @@ class GraphIndex:
         return matrix
 
 
-def iter_edges(graph: nx.Graph) -> Iterator[tuple]:
-    """The edges of ``graph`` in the order of ``graph.edges()``.
+def iter_edges(graph: nx.Graph, data: bool = False) -> Iterator[tuple]:
+    """The edges of ``graph`` in the order of ``graph.edges(data=data)``.
 
     ``graph.edges`` caches an ``EdgeView`` on the graph that refers back to the
     graph, a reference cycle that only a full garbage collection frees.  The
-    preprocessing reads its own graphs through this function instead, so the
-    graphs an artifact holds stay acyclic.
+    library reads graphs through this function instead (``graph.adj`` caches
+    a view of the adjacency dicts only), so the graphs an artifact holds, and
+    the caller's, stay acyclic.  With ``data`` each edge comes with its
+    attribute dict; a multigraph yields one edge per key.
     """
+    multi = graph.is_multigraph()
+    undirected = not graph.is_directed()
     seen: set = set()
-    for u in graph:
-        for v in graph.neighbors(u):
-            if v not in seen:
-                yield u, v
-        seen.add(u)
+    for u, neighbors in graph.adj.items():
+        for v, datum in neighbors.items():
+            if v in seen:
+                continue
+            for attributes in datum.values() if multi else (datum,):
+                yield (u, v, attributes) if data else (u, v)
+        if undirected:
+            seen.add(u)
+
+
+def vertex_degree(graph: nx.Graph, vertex) -> int:
+    """``graph.degree(vertex)`` without the ``DegreeView`` networkx caches on the graph.
+
+    A self-loop counts twice, as in networkx.
+    """
+    if graph.is_directed():
+        sides = (graph.succ[vertex], graph.pred[vertex])
+    else:
+        neighbors = graph.adj[vertex]
+        sides = (neighbors, {vertex: neighbors[vertex]} if vertex in neighbors else {})
+    if graph.is_multigraph():
+        return sum(len(keys) for side in sides for keys in side.values())
+    return sum(map(len, sides))
 
 
 def component_labels(adjacency: np.ndarray) -> np.ndarray:

@@ -10,6 +10,8 @@ from typing import Iterable, Sequence
 
 import networkx as nx
 
+from repro.graphs.index import vertex_degree
+
 __all__ = [
     "require_connected",
     "require_integer_nodes",
@@ -43,7 +45,7 @@ def max_degree(graph: nx.Graph) -> int:
     """Maximum degree of the graph (0 for an empty graph)."""
     if graph.number_of_nodes() == 0:
         return 0
-    return max(degree for _, degree in graph.degree())
+    return max(vertex_degree(graph, vertex) for vertex in graph)
 
 
 def require_constant_degree(graph: nx.Graph, bound: int) -> None:

@@ -3,24 +3,29 @@
 * :func:`disperse_many_numpy` is the numpy dispersion kernel (Lemma 6.2) for
   ``B`` independent batch entries at once.  Its input is row arrays: one row
   per queued token, the row's cell ``(entry, part, mark column)`` flattened to
-  one int, rows sorted by cell and, within a cell, by queue position.  Per
-  shuffler matching, :func:`plan_transfers_batched` yields the transfer chunks
-  of every ``(origin, partner)`` pair at once.  Only the movers — the first
-  ``sent`` rows of each sending cell, typically a small share of all rows — are
-  touched: their chunks give their targets, a stable sort over the movers
-  alone orders them behind the stayers of their new cell, and the stayers
-  fill the remaining positions in their old order.  Peaks and portal loads
-  are taken once, after the last matching.  It returns the final row order,
-  cells and counts plus per-entry statistics and rounds.  This is exact
-  because a matching never pops more than the snapshot count of a cell, so
-  pops only ever take rows that were present when the iteration started, and
-  mark columns an entry does not use stay all-zero and never send: every
-  entry's queues, statistics, and charged rounds are identical to a solo run
-  of the reference loop.  The router's Task 3 step
-  (:func:`~repro.core.merge.solve_task3_many`) feeds it every query's reals
-  directly; :func:`~repro.core.dispersion.disperse` and
+  one int, rows sorted by cell and, within a cell, by queue position.  It
+  reads one :class:`DispersalPlan` per shuffler: every matching's partner
+  grid stacked into ``(matchings, t, D)`` arrays, built once by
+  :func:`dispersal_plan` with numpy over all matchings, plus the
+  transfer-plan memo that :func:`plan_transfers_batched` grows for all
+  matchings at once, so a warm call does no table work.  Per matching, only
+  the movers — the first ``sent`` rows of each sending cell, typically a
+  small share of all rows — are touched: their slots give their targets, a
+  stable sort over the movers alone orders them behind the stayers of their
+  new cell, and the stayers fill the remaining positions in their old order.
+  Peaks and portal loads are taken once, after the last matching.  It
+  returns the final row order, cells and counts plus per-entry statistics
+  and rounds.  This is exact because a matching never pops more than the
+  snapshot count of a cell, so pops only ever take rows that were present
+  when the iteration started, and mark columns an entry does not use stay
+  all-zero and never send: every entry's queues, statistics, and charged
+  rounds are identical to a solo run of the reference loop.  The router's
+  Task 3 step (:func:`~repro.core.merge.solve_task3_many`) feeds it every
+  query's reals directly; :func:`~repro.core.dispersion.disperse` and
   :func:`~repro.core.dispersion.disperse_many` adapt
   :class:`~repro.core.dispersion.DispersionState` queues to rows and back.
+  The plan is derived state: a pickled shuffler leaves it behind, and the
+  first dispersal after a load rebuilds it.
 * :func:`schedule_token_batches_numpy` resolves edge conflicts for ``B``
   independent scheduler instances in a single pending loop — per-batch edge
   codes are offset into disjoint ranges, so the one ``np.unique`` winner
@@ -42,8 +47,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cutmatching.shuffler import Shuffler, ShufflerMatching
 
 __all__ = [
-    "PairTable",
-    "pair_table",
+    "DispersalPlan",
+    "dispersal_plan",
     "plan_transfers_batched",
     "Dispersal",
     "disperse_many_numpy",
@@ -51,126 +56,155 @@ __all__ = [
 ]
 
 
-class PairTable:
-    """The partner grid of one shuffler matching, plus its transfer-plan memo.
+class DispersalPlan:
+    """One shuffler's matchings as stacked arrays, plus the transfer-plan memo.
 
-    Row ``origin`` holds that part's partners in ascending target order (the
-    emission order), padded with zero-value slots to the widest row ``D``.
+    Matching ``k``'s partner grid is slice ``k`` of every ``(matchings, t,
+    D)`` field: row ``origin`` holds that part's partners in ascending target
+    order (the emission order), padded with zero-value slots to ``D``, the
+    widest row over all matchings.  Zero-value slots never send, so the
+    padding is inert.
     """
 
-    def __init__(self, shuffler: "Shuffler", matching: "ShufflerMatching") -> None:
+    def __init__(self, shuffler: "Shuffler") -> None:
         t = shuffler.part_count
-        pairs = sorted(matching.fractional.items())
-        # Pair ``k = (u, v)`` gives ``u`` a partner ``v`` and ``v`` a partner
-        # ``u``, both worth ``value / 2``; ``k`` is the pair's sorted rank.
+        matchings = shuffler.matchings
+        count = len(matchings)
+        pairs = [item for matching in matchings for item in sorted(matching.fractional.items())]
+        sizes = np.array([len(matching.fractional) for matching in matchings], dtype=np.int64)
+        # Pair ``k = (u, v)`` of a matching gives ``u`` a partner ``v`` and
+        # ``v`` a partner ``u``, both worth ``value / 2``; ``k`` is the pair's
+        # sorted rank within its matching.
         ends = np.array([key for key, _ in pairs], dtype=np.int64).reshape(-1, 2)
         halves = np.array([value for _, value in pairs], dtype=np.float64) / 2.0
+        step = np.repeat(np.arange(count), sizes)
+        rank = np.arange(len(pairs)) - (np.cumsum(sizes) - sizes)[step]
         origin = ends.T.ravel()
         partner = ends[:, ::-1].T.ravel()
-        rank = np.arange(len(pairs)).repeat(2).reshape(-1, 2).T.ravel()
-        row_size = np.bincount(origin, minlength=t)
+        step, rank = np.tile(step, 2), np.tile(rank, 2)
+        row = step * t + origin  # one row per (matching, origin)
+        row_size = np.bincount(row, minlength=count * t)
         width = int(row_size.max(initial=0))
         row_start = np.cumsum(row_size) - row_size
 
         def place(order: np.ndarray) -> np.ndarray:
-            """Each entry's position within its origin's row when rows follow ``order``."""
-            where = np.empty_like(origin)
-            where[order] = np.arange(len(order)) - row_start[origin[order]]
+            """Each entry's position within its row when rows follow ``order``."""
+            where = np.empty_like(row)
+            where[order] = np.arange(len(order)) - row_start[row[order]]
             return where
 
-        slot = place(np.lexsort((partner, origin)))
-        #: ``(t, D)`` partner part per slot (0 on padding).
-        self.targets = np.zeros((t, width), dtype=np.int64)
-        self.targets[origin, slot] = partner
-        #: ``(t, D)`` ``value / 2`` per slot (0.0 on padding).
-        self.half_values = np.zeros((t, width))
-        self.half_values[origin, slot] = np.concatenate([halves, halves])
-        #: ``(D, t)`` slot of each origin's ``j``-th partner in sorted-pair
-        #: order, the order the reference sums amounts in (padding last).
-        self.sum_slots = np.arange(width).repeat(t).reshape(width, t)
-        self.sum_slots[place(np.lexsort((rank, origin))), origin] = slot
-        # Portal pairs per (origin, target), both directions of a cross-part
-        # pair; pairs with an endpoint outside the parts do not count.
-        edges = matching.matching_edges
+        slot = place(np.lexsort((partner, row)))
+        #: ``(matchings, t, D)`` partner part per slot (0 on padding).
+        self.targets = np.zeros((count, t, width), dtype=np.int64)
+        self.targets[step, origin, slot] = partner
+        #: ``(matchings, t, D)`` ``value / 2`` per slot (0.0 on padding).
+        self.half_values = np.zeros((count, t, width))
+        self.half_values[step, origin, slot] = np.tile(halves, 2)
+        #: ``(matchings, D, t)`` slot of each origin's ``j``-th partner in
+        #: sorted-pair order, the order the reference sums amounts in
+        #: (padding last).
+        self.sum_slots = np.broadcast_to(np.arange(width)[:, None], (count, width, t)).copy()
+        self.sum_slots[step, place(np.lexsort((rank, row))), origin] = slot
+        #: ``(matchings, t, D)`` how many parts a row sent over a slot moves.
+        self.part_shift = self.targets - np.arange(t)[:, None]
+        # Portal pairs per (matching, origin, target), both directions of a
+        # cross-part pair; pairs with an endpoint outside the parts do not
+        # count.
+        edges = [edge for matching in matchings for edge in matching.matching_edges]
+        edge_step = np.repeat(np.arange(count), [len(m.matching_edges) for m in matchings])
         parts = np.fromiter(
             map(shuffler.part_of.get, itertools.chain.from_iterable(edges), itertools.repeat(-1)),
             np.int64,
             2 * len(edges),
         ).reshape(-1, 2)
-        pa, pb = parts[(parts >= 0).all(axis=1)].T
-        codes = np.concatenate([pa * t + pb, (pb * t + pa)[pa != pb]])
-        #: ``(t, t)`` ``max(1, portal-pair count)`` per (origin, target).
-        self.portal_pairs = np.maximum(np.bincount(codes, minlength=t * t), 1).reshape(t, t)
-        #: the matching's embedding quality.
-        self.quality = matching.quality
-        #: ``(t, C, D)`` memo of :func:`plan_transfers_batched`.
-        self.chunk_ends = np.zeros((t, 0, width), dtype=np.int32)
+        inside = (parts >= 0).all(axis=1)
+        (pa, pb), base = parts[inside].T, edge_step[inside] * t
+        codes = np.concatenate([(base + pa) * t + pb, ((base + pb) * t + pa)[pa != pb]])
+        #: ``(matchings, t, t)`` ``max(1, portal-pair count)`` per (origin, target).
+        self.portal_pairs = np.maximum(np.bincount(codes, minlength=count * t * t), 1).reshape(
+            count, t, t
+        )
+        #: ``(matchings,)`` each matching's embedding quality.
+        self.quality = np.array([matching.quality for matching in matchings], dtype=np.int64)
+        #: ``(matchings, t, C, D)`` memo of :func:`plan_transfers_batched`:
+        #: rows a cell of ``origin`` holding ``count`` rows sends per slot.
+        self.amounts = np.zeros((count, t, 0, width), dtype=np.int64)
+        #: ``(matchings, t, C)`` the memo's total per (origin, count).
+        self.sent = np.zeros((count, t, 0), dtype=np.int64)
 
 
-def pair_table(shuffler: "Shuffler", matching: "ShufflerMatching") -> PairTable:
-    """The :class:`PairTable` of ``matching`` (a matching of ``shuffler``).
+def dispersal_plan(shuffler: "Shuffler") -> DispersalPlan:
+    """The shuffler's :class:`DispersalPlan`, built on first use.
 
-    Built once and attached lazily to the matching, so artifacts pickled
-    without it still load and rebuild it on first use.
+    It is derived state: attached to the shuffler, never pickled with it
+    (:meth:`~repro.cutmatching.shuffler.Shuffler.__getstate__`), and rebuilt
+    by the first dispersal after a load.
     """
-    cached = getattr(matching, "_pair_table", None)
+    cached = getattr(shuffler, "_dispersal_plan", None)
     if cached is None:
-        cached = matching._pair_table = PairTable(shuffler, matching)
+        cached = shuffler._dispersal_plan = DispersalPlan(shuffler)
     return cached
 
 
-def plan_transfers_batched(counts: np.ndarray, table: PairTable) -> np.ndarray:
-    """One matching's transfer plan, covering every cell of every batch entry.
+def plan_transfers_batched(
+    counts: np.ndarray, plan: DispersalPlan
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every matching's transfer plan, for every count a replay of ``counts`` reaches.
 
     The reference rounding rule makes a cell's transfers a function of its
-    origin and its token count alone, so the plan is a table over ``(origin,
-    count)``, memoized on ``table`` and grown by doubling.
+    origin and its token count alone, so per matching the plan is a table
+    over ``(origin, count)``, memoized on ``plan`` for all matchings at once
+    and grown by doubling.  A cell only ever holds rows of its own (entry,
+    mark column), so the largest column total bounds every count the replay
+    can reach, and one check per replay suffices.
 
     Args:
         counts: int64 array of shape ``(B, t, m)`` — per batch entry, the
-            per-(part, mark column) token counts snapshot.
-        table: the matching's :class:`PairTable`.
+            per-(part, mark column) token counts before the first matching.
+        plan: the shuffler's :class:`DispersalPlan`.
 
     Returns:
-        The ``(t, C, D)`` cumulative chunk ends, ``C > counts.max()``: a cell
-        of ``origin`` holding ``count`` tokens sends its queue positions
-        ``[ends[slot - 1], ends[slot])`` to ``table.targets[origin, slot]``.
+        ``plan.amounts`` and ``plan.sent``, of shapes ``(matchings, t, C, D)``
+        and ``(matchings, t, C)`` with ``C`` above every column total: in
+        matching ``k`` a cell of ``origin`` holding ``count`` rows sends the
+        first ``sent[k, origin, count]`` of them, ``amounts[k, origin, count,
+        slot]`` to ``plan.targets[k, origin, slot]``, slots in order.
     """
-    limit = int(counts.max(initial=0))
-    ends = table.chunk_ends
-    if ends.shape[1] <= limit:
-        ends = table.chunk_ends = np.cumsum(_allocate(table, 2 * limit + 1), axis=2, dtype=np.int32)
-    return ends
+    limit = int(counts.sum(axis=1).max(initial=0))
+    if plan.sent.shape[2] <= limit:
+        plan.amounts = _allocate(plan, 2 * limit + 1)
+        plan.sent = plan.amounts.sum(axis=3, dtype=np.int64)
+    return plan.amounts, plan.sent
 
 
-def _allocate(table: PairTable, size: int) -> np.ndarray:
-    """``(t, size, D)`` transfer amounts per origin and count ``0 .. size - 1``.
+def _allocate(plan: DispersalPlan, size: int) -> np.ndarray:
+    """``(matchings, t, size, D)`` transfer amounts per origin and count ``0 .. size - 1``.
 
     Amounts are ``(value / 2) * count``, floored; the budget left over per
-    ``(origin, count)`` goes one unit each to the largest remainders, ties
-    broken by target.
+    ``(matching, origin, count)`` goes one unit each to the largest
+    remainders, ties broken by target.
     """
-    t, width = table.targets.shape
-    amounts = table.half_values[:, None, :] * np.arange(size)[None, :, None]
+    count, t, width = plan.targets.shape
+    amounts = plan.half_values[:, :, None, :] * np.arange(size)[:, None]
     floors = np.floor(amounts)
     allocation = floors.astype(np.int64)
     # Sequential accumulation in sorted-pair order matches the reference's
     # builtins.sum bit for bit (padding slots add +0.0, which is exact).
-    origins = np.arange(t)
-    totals = np.zeros((t, size))
-    for slots in table.sum_slots:
-        totals += amounts[origins, :, slots]
+    steps, origins = np.arange(count)[:, None], np.arange(t)
+    totals = np.zeros((count, t, size))
+    for j in range(width):
+        totals += amounts[steps, origins, :, plan.sum_slots[:, j]]
     budget = np.minimum(np.arange(size), np.floor(totals).astype(np.int64))
-    remaining = budget - allocation.sum(axis=2)
+    remaining = budget - allocation.sum(axis=3)
     # A slot's bump rank is the number of peers ahead of it under
     # (-fraction, target): its position in a stable sort by -fraction, as
     # slots are in target order (a tie goes to the lower slot).  Bumps only
     # ever reach positive fractions (there are fewer leftover units than
     # those), so zero-value padding is inert.
-    by_fraction = np.argsort(floors - amounts, axis=2, kind="stable")
+    by_fraction = np.argsort(floors - amounts, axis=3, kind="stable")
     rank = np.empty_like(by_fraction)
-    np.put_along_axis(rank, by_fraction, np.arange(width), axis=2)
-    allocation += rank < remaining[:, :, None]
+    np.put_along_axis(rank, by_fraction, np.arange(width), axis=3)
+    allocation += rank < remaining[..., None]
     return allocation
 
 
@@ -218,53 +252,55 @@ def disperse_many_numpy(
     alone.  Mark columns an entry does not use stay all-zero and never send.
 
     A matching's work is proportional to its movers, not to all ``R`` rows:
-    a cell sends the first ``sent`` rows of its queue (``sent`` is the last
-    chunk end of its ``(origin, count)`` plan), each mover's target comes
-    from its chunk, and the movers land, in (origin, rank) order, behind the
-    stayers of their new cell.  Only the reordering of ``order`` itself
-    touches every row.
+    a cell sends the first ``sent`` rows of its queue, each mover's target
+    comes from its slot, and the movers land, in (origin, rank) order,
+    behind the stayers of their new cell.  Only the reordering of ``order``
+    itself touches every row.
     """
-    from repro.core.cost import send_round_cost, sort_round_cost
+    from repro.core.cost import sorting_network_depth
 
     batch, t, m = shape
     cells = batch * t * m
     total = len(row_cell)
-    rows = np.arange(total)
+    plan = dispersal_plan(shuffler)
+    iterations, _, width = plan.targets.shape
     counts = np.bincount(np.asarray(row_cell, dtype=np.int64), minlength=cells)
-    cell_ids = np.arange(cells)
-    cell_origin = cell_ids // m % t
+    amounts_memo, sent_memo = plan_transfers_batched(counts.reshape(shape), plan)
+    size = sent_memo.shape[2]
+    # Per matching, one plan row per (origin, count), and per origin and
+    # slot how far a sent row moves in cell numbers.
+    amounts_memo = amounts_memo.reshape(iterations, t * size, width)
+    sent_memo = sent_memo.reshape(iterations, t * size)
+    shift = plan.part_shift * m
+    cell_origin = np.arange(cells) // m % t
+    origin_row = cell_origin * size
 
-    tables = [pair_table(shuffler, matching) for matching in shuffler.matchings]
-    # Per matching, (t, D): how far a row sent from its origin over a slot
-    # moves in cell numbers.
-    shift = [(table.targets - np.arange(t)[:, None]) * m for table in tables]
-    history = [counts]  # the counts at the start and after every matching
-    # Per matching that moves rows: its index, and each mover's cell before
-    # and after it.
+    rows = np.arange(total)
+    ordinals = np.arange(total)
+    # The counts at the start and after every matching.
+    seen = np.empty((iterations + 1, cells), dtype=np.int64)
+    seen[0] = counts
+    # Per matching that moves rows: its index, its sending cells and what
+    # each sends per slot.
     moves: list[tuple[int, np.ndarray, np.ndarray]] = []
-    for index, table in enumerate(tables):
-        chunk_ends = plan_transfers_batched(counts.reshape(shape), table)
-        _, size, width = chunk_ends.shape
+    for index in range(iterations):
         # A cell sends the first ``sent`` rows of its queue, its chunks in
         # slot order; the rest stay.
-        row_base = (cell_origin * size + counts) * width
-        sent = chunk_ends.take(row_base + (width - 1)) if width else np.zeros_like(counts)
+        plan_row = origin_row + counts
+        sent = sent_memo[index].take(plan_row)
         active = np.flatnonzero(sent)
         if not active.size:
-            history.append(counts)
+            seen[index + 1] = counts
             continue
-        origin = cell_origin[active]
-        ends = chunk_ends.take(row_base[active][:, None] + np.arange(width))
-        amounts = ends.copy()
-        amounts[:, 1:] -= ends[:, :-1]
-        amounts = amounts.ravel()
+        amounts = amounts_memo[index].take(plan_row[active], axis=0)
         # The movers in (cell, rank) order, which is (cell, slot) order.
         source = np.repeat(active, sent[active])
-        into = source + np.repeat(shift[index][origin], amounts)
+        into = source + np.repeat(shift[index].take(cell_origin[active], axis=0), amounts.ravel())
         moves.append((index, source, into))
 
         staying = counts - sent
-        counts = staying + np.bincount(into, minlength=cells)
+        counts = seen[index + 1]
+        np.add(staying, np.bincount(into, minlength=cells), out=counts)
         # Each new cell holds its stayers, in queue order, then its movers in
         # (origin, rank) order — the reference's push_back order.  Stayers
         # keep their relative order across cells, so they fill every
@@ -272,51 +308,50 @@ def disperse_many_numpy(
         # mover, in old or in new order, sits behind the stayers of every
         # cell up to its own.
         stayers_through = staying.cumsum()
-        ordinal = np.arange(len(into))
+        ordinal = ordinals[: len(into)]
         mover = (stayers_through - staying)[source] + ordinal
         order = np.argsort(into, kind="stable")
         landing = stayers_through[into[order]] + ordinal
-        leaving = np.zeros(total, dtype=bool)
-        leaving[mover] = True
-        landed = np.zeros(total, dtype=bool)
-        landed[landing] = True
+        stays = np.ones(total, dtype=bool)
+        stays[mover] = False
+        filled = np.ones(total, dtype=bool)
+        filled[landing] = False
         reordered = np.empty_like(rows)
         reordered[landing] = rows[mover[order]]
-        reordered[~landed] = rows[~leaving]
+        reordered[filled] = rows[stays]
         rows = reordered
-        history.append(counts)
-    row_cell = np.repeat(cell_ids, counts)
+    row_cell = np.repeat(np.arange(cells), counts)
 
     # -- peaks and portal loads of every matching, at once ---------------------
-    iterations = len(shuffler.matchings)
-    seen = np.stack(history)
     held = seen.any(axis=0)
-    loads = seen[1:].reshape(iterations, batch, t, m).sum(axis=3).max(axis=2, initial=0)
+    # Rows per part as one product: a sum over the short last axis is slower.
+    part_rows = seen[1:].reshape(-1, m) @ np.ones(m, dtype=np.int64)
+    loads = part_rows.reshape(iterations, batch, t).max(axis=2, initial=0)
     # Per (matching, entry): the most rows one portal path carries between
-    # two parts, at least 1.
-    portal_tokens = np.ones(iterations * batch, dtype=np.int64)
+    # two parts, at least 1: the largest of outgoing rows over portal pairs
+    # per (origin, target), rounded up (float division is exact here).
+    portal_tokens = np.ones((iterations, batch), dtype=np.int64)
     if moves:
         steps, sources, intos = zip(*moves)
-        iteration = np.repeat(steps, [len(source) for source in sources])
+        step = np.repeat(np.array(steps) * (batch * t), [len(source) for source in sources])
         source, into = np.concatenate(sources), np.concatenate(intos)
-        outgoing = np.bincount(((iteration * batch * t + source // m) * t) + into // m % t)
-        code = np.flatnonzero(outgoing)
-        portal_pairs = np.stack([table.portal_pairs.ravel() for table in tables])
-        pair = code // (batch * t * t) * (t * t) + code % (t * t)
-        per_portal = -(-outgoing[code] // portal_pairs.take(pair))
-        np.maximum.at(portal_tokens, code // (t * t), per_portal)
-    portal_tokens_rows = portal_tokens.reshape(iterations, batch)
+        code = (step + source // m) * t + cell_origin[into]
+        outgoing = np.bincount(code, minlength=iterations * batch * t * t)
+        per_pair = outgoing.reshape(iterations, batch, t * t) / plan.portal_pairs.reshape(
+            iterations, 1, t * t
+        )
+        portal_tokens = np.maximum(1, np.ceil(per_pair.max(axis=2)).astype(np.int64))
     counts = counts.reshape(shape)
 
     # -- round accounting (Lemma 6.7) -----------------------------------------
+    # Per matching a portal sort (sort_round_cost at the part load) and a
+    # send (send_round_cost at the portal load), vectorised.
     max_part_size = max(part_sizes) if len(part_sizes) else 1
-    part_loads = np.maximum(1, -(-loads // max(1, max_part_size))).ravel()
-    used, which = np.unique(part_loads, return_inverse=True)
-    sort_costs = [sort_round_cost(max_part_size, load, flatten_quality) for load in used.tolist()]
-    # A send costs its tokens per path (here at least 1) times the cost of one.
-    per_token = [send_round_cost(1, table.quality * max(1, flatten_quality)) for table in tables]
-    charged = np.array(sort_costs, dtype=np.int64)[which].reshape(iterations, batch)
-    charged += portal_tokens_rows * np.array(per_token, dtype=np.int64).reshape(iterations, 1)
+    part_loads = np.maximum(1, -(-loads // max(1, max_part_size)))
+    quality = max(1, flatten_quality)
+    charged = np.maximum(1, 2 * part_loads * sorting_network_depth(max_part_size)) * quality**2
+    per_token = np.maximum(1, plan.quality * quality) ** 2
+    charged += portal_tokens * per_token[:, None]
     rounds = charged.sum(axis=0).tolist()
 
     # -- Definition 6.1 window check per (entry, mark column) ------------------

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
@@ -159,7 +160,12 @@ class ExecutionPlan:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     def describe(self) -> str:
-        """One-line rendering for reports and EXPLAIN output."""
+        """One-line rendering for reports and EXPLAIN output.
+
+        Interned: every query's result carries its plan, and equal plans
+        render to one shared string, so a caller that keeps a description
+        per served query holds one copy per distinct plan.
+        """
         bits = [f"backend={self.backend}"]
         if self.canonical_params:
             bits.append(
@@ -174,4 +180,4 @@ class ExecutionPlan:
         if self.shard_hint is not None:
             bits.append(f"shard={self.shard_hint}")
         bits.append(f"policy={self.policy}")
-        return " ".join(bits)
+        return sys.intern(" ".join(bits))

@@ -21,6 +21,8 @@ from typing import Any, Mapping
 
 import networkx as nx
 
+from repro.graphs.index import iter_edges
+
 __all__ = ["canonical_graph_payload", "graph_payload", "graph_fingerprint"]
 
 
@@ -50,7 +52,7 @@ def graph_payload(graph: nx.Graph) -> str:
     lines = ["v1", f"n={len(nodes)}"]
     lines.extend(f"node {node!r}" for node in nodes)
     edges = []
-    for u, v, data in graph.edges(data=True):
+    for u, v, data in iter_edges(graph, data=True):
         a, b = sorted((u, v), key=repr)
         edges.append((repr(a), repr(b), _canonical_value(dict(data))))
     edges.sort()

@@ -841,6 +841,7 @@ class RoutingService:
         backend_params: Mapping[str, Any] | None,
         workload: str = "",
         plan: ExecutionPlan | None = None,
+        fingerprint: str | None = None,
     ) -> RoutingQuery:
         workload_name = workload
         if isinstance(requests, Workload):
@@ -855,8 +856,12 @@ class RoutingService:
             )
         query = RoutingQuery(
             query_id=self._next_query_id,
-            fingerprint=self.fingerprint(
-                graph, backend=plan.backend, backend_params=plan.backend_params
+            fingerprint=(
+                fingerprint
+                if fingerprint is not None
+                else self.fingerprint(
+                    graph, backend=plan.backend, backend_params=plan.backend_params
+                )
             ),
             graph=graph,
             requests=requests,
@@ -879,6 +884,7 @@ class RoutingService:
         backend_params: Mapping[str, Any] | None = None,
         workload: str = "",
         plan: ExecutionPlan | None = None,
+        fingerprint: str | None = None,
     ) -> int:
         """Queue one routing query for the next batch; returns its query id.
 
@@ -891,9 +897,20 @@ class RoutingService:
         wins outright; a named ``backend`` pins a fixed plan; otherwise the
         service's planner (when attached) chooses, falling back to the
         default backend under the service's own execution defaults.
+
+        ``fingerprint`` is the query's cache key when the caller already
+        holds it (a cluster shard gets it from the coordinator, which keys
+        with the same parameters); the service computes it when omitted.
         """
         query = self._make_query(
-            graph, requests, load, backend, backend_params, workload=workload, plan=plan
+            graph,
+            requests,
+            load,
+            backend,
+            backend_params,
+            workload=workload,
+            plan=plan,
+            fingerprint=fingerprint,
         )
         self._pending.append(query)
         return query.query_id

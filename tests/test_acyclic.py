@@ -66,9 +66,10 @@ def test_a_dropped_loaded_artifact_leaves_no_cyclic_garbage(tmp_path):
     router = ExpanderRouter(graph)
     expected = router.route(requests).query_rounds
     path = artifact_path(tmp_path, "f" * 64)
-    # The graph the artifact holds is the caller's, and networkx's own
-    # functions cache views on it; the file must not carry them.
-    assert "edges" in vars(graph)
+    # The graph the artifact holds is the caller's, and a caller's own
+    # networkx reads cache views on it; the file must not carry them.
+    graph.edges, graph.degree
+    assert {"edges", "degree"} <= set(vars(graph))
     write_artifact(path, router.export_artifact(fingerprint="f" * 64))
 
     def load_route_drop():
@@ -78,6 +79,17 @@ def test_a_dropped_loaded_artifact_leaves_no_cyclic_garbage(tmp_path):
         assert loaded.route(requests).query_rounds == expected
 
     assert _cyclic_garbage(load_route_drop) == {}
+
+
+def test_routing_and_fingerprinting_cache_no_views_on_the_callers_graph():
+    graph = random_regular_expander(128, degree=8, seed=0)
+    router = ExpanderRouter(graph)
+    assert router.route(_requests(graph)).all_delivered
+    with RoutingService(metrics=MetricsRegistry()) as service:
+        service.fingerprint(graph)
+        assert service.route(graph, _requests(graph)).all_delivered
+    assert "edges" not in vars(graph)
+    assert "degree" not in vars(graph)
 
 
 def test_a_churning_service_makes_no_cyclic_garbage_per_query():

@@ -11,6 +11,7 @@ from repro.cluster import (
 from repro.graphs.generators import circulant_expander, random_regular_expander
 from repro.metrics import MetricsRegistry
 from repro.planner import ExecutionPlan
+from repro.service import service as service_module
 from repro.workloads import permutation_workload
 
 
@@ -186,6 +187,46 @@ def test_artifact_locality_one_fingerprint_one_shard_cache(graphs):
     for fingerprint in fingerprints:
         owner = coordinator.ring.assign(fingerprint)
         assert fingerprint in coordinator.workers[owner].service.cache
+
+
+@pytest.mark.parametrize(
+    "policy, backend",
+    [(None, None), ("cost", None), (None, "randomized-gks")],
+    ids=["fixed", "planner", "backend-override"],
+)
+def test_a_local_cluster_canonicalises_each_graph_once(graphs, monkeypatch, policy, backend):
+    """Shards key with the coordinator's fingerprint instead of recomputing it."""
+    canonicalised = []
+    real_payload = service_module.graph_payload
+
+    def counting_payload(graph):
+        canonicalised.append(graph)
+        return real_payload(graph)
+
+    monkeypatch.setattr(service_module, "graph_payload", counting_payload)
+    coordinator = _coordinator(shard_count=2, policy=policy)
+    for graph in graphs:
+        for shift in (1, 2):
+            workload = permutation_workload(graph, shift=shift)
+            assert coordinator.submit(graph, workload, backend=backend).accepted
+    report = coordinator.dispatch()
+    assert report.all_delivered and report.query_count == 2 * len(graphs)
+    assert sorted(map(id, canonicalised)) == sorted(map(id, graphs))
+    keyed = set()
+    for shard in report.shard_reports.values():
+        for result in shard.results:
+            plan = result.plan
+            if backend is not None:
+                assert plan.backend == backend
+            keys = {
+                coordinator.fingerprint(
+                    graph, backend=plan.backend, backend_params=plan.backend_params
+                ): index
+                for index, graph in enumerate(graphs)
+            }
+            keyed.add(keys[result.fingerprint])
+    assert keyed == set(range(len(graphs)))
+    assert len(canonicalised) == len(graphs)
 
 
 def test_same_config_same_submissions_identical_cluster_reports(graphs):

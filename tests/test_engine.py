@@ -33,11 +33,12 @@ from repro.core import router as router_module
 from repro.core.router import ExpanderRouter
 from repro.core.tables import NodeTable, node_table, vertex_index
 from repro.core.tokens import RoutingRequest, Token, tokens_from_requests
-from repro.cutmatching.shuffler import ShufflerMatching
+from repro.cutmatching.shuffler import Shuffler, ShufflerMatching
 from repro.graphs.generators import random_regular_expander, skewed_degree_expander
 from repro.hierarchy.best import best_counts_per_part, build_best_index
 from repro.kernels import kernel
-from repro.kernels.batched import PairTable
+from repro.kernels import batched
+from repro.kernels.batched import DispersalPlan
 from repro.workloads import make_workload
 
 
@@ -272,7 +273,7 @@ def test_task3_fallbacks_match_reference_on_an_eleven_part_node(wide_router):
 
 
 def _oracle_pair_table(shuffler, matching):
-    """A matching's PairTable fields, built with per-pair loops."""
+    """One matching's partner grid and portal counts, built with per-pair loops."""
     t = shuffler.part_count
     partners = [[] for _ in range(t)]
     for (u, v), value in sorted(matching.fractional.items()):
@@ -303,8 +304,29 @@ def _oracle_pair_table(shuffler, matching):
         "sum_slots": sum_slots,
         "portal_pairs": portal_pairs,
         "quality": matching.quality,
-        "chunk_ends": np.zeros((t, 0, width), dtype=np.int32),
     }
+
+
+def _same_slice(plan, k, expected: dict) -> None:
+    """Matching ``k``'s slice of a stacked plan equals its loop-built grid.
+
+    Slots past the matching's own widest row are zero-value padding (target
+    0, sum slot in place).
+    """
+    count, t, width = plan.targets.shape
+    own = expected["targets"].shape[1]
+    for name in ("targets", "half_values"):
+        got = getattr(plan, name)[k]
+        assert got.dtype == expected[name].dtype, name
+        assert np.array_equal(got[:, :own], expected[name]), name
+        assert not got[:, own:].any(), name
+    sum_slots = plan.sum_slots[k]
+    assert np.array_equal(sum_slots[:own], expected["sum_slots"])
+    assert np.array_equal(sum_slots[own:], np.tile(np.arange(own, width)[:, None], (1, t)))
+    assert np.array_equal(plan.part_shift[k], plan.targets[k] - np.arange(t)[:, None])
+    assert plan.portal_pairs.dtype == np.int64
+    assert np.array_equal(plan.portal_pairs[k], expected["portal_pairs"])
+    assert int(plan.quality[k]) == expected["quality"]
 
 
 def _oracle_node_table(node, index):
@@ -328,6 +350,10 @@ def _oracle_node_table(node, index):
     counts = np.array(best_counts_per_part(node), dtype=np.int64)
     part_size = np.array([len(vertices) for vertices in parts], dtype=np.int64)
     shuffler = node.shuffler
+    leaves = [
+        part.child for part in node.parts if part.child is not None and part.child.is_leaf
+    ]
+    slot_of = {id(leaf): slot for slot, leaf in enumerate(leaves)}
     return {
         "flatten_quality": node.flatten_quality(),
         "t": t,
@@ -349,6 +375,24 @@ def _oracle_node_table(node, index):
         "walk_quality": (shuffler.quality if shuffler is not None else 0) * quality,
         "matching_quality": max(1, node.part_matching_embedding.quality) * quality,
         "dummies": {},
+        "leaves": _oracle_leaf_block(leaves, index),
+        "leaf_slot": np.array(
+            [slot_of.get(id(part.child), -1) for part in node.parts],
+            dtype=np.int64,
+        ),
+    }
+
+
+def _oracle_leaf_block(leaves, index):
+    """A LeafBlock's fields over ``leaves``, built with per-leaf loops."""
+    best = [[index.index_of[v] for v in sorted(leaf.vertices)] for leaf in leaves]
+    size = np.array([len(vertices) for vertices in best], dtype=np.int64)
+    return {
+        "size": size,
+        "best": np.array([v for vertices in best for v in vertices], dtype=np.int64),
+        "start": np.cumsum(size) - size,
+        "depth": np.array([sorting_network_depth(len(v)) for v in best], dtype=np.int64),
+        "quality": np.array([max(1, leaf.flatten_quality()) for leaf in leaves], dtype=np.int64),
     }
 
 
@@ -361,6 +405,8 @@ def _same_fields(actual, expected: dict) -> None:
         if isinstance(value, np.ndarray):
             assert got.dtype == value.dtype and got.shape == value.shape, name
             assert np.array_equal(got, value), name
+        elif name == "leaves":
+            _same_fields(got, value)
         else:
             assert type(got) is type(value) and got == value, name
 
@@ -380,13 +426,19 @@ def _check_tables(router, extra_matchings=()):
             expected = _oracle_node_table(node, index)
         _same_fields(NodeTable(node, index), expected)
         shuffler = node.shuffler
-        matchings = list(shuffler) if shuffler is not None else []
+        if shuffler is None:
+            continue
         if node is router.decomposition.root:
-            matchings += list(extra_matchings)
-        for matching in matchings:
+            shuffler = Shuffler(
+                shuffler.part_count, shuffler.part_of, [*shuffler.matchings, *extra_matchings]
+            )
+        plan = DispersalPlan(shuffler)
+        assert plan.targets.shape[0] == len(shuffler)
+        assert plan.amounts.shape[2] == plan.sent.shape[2] == 0
+        for k, matching in enumerate(shuffler):
             with kernel("reference"):
                 expected = _oracle_pair_table(shuffler, matching)
-            _same_fields(PairTable(shuffler, matching), expected)
+            _same_slice(plan, k, expected)
             checked += 1
     assert checked > 0
 
@@ -404,6 +456,49 @@ def test_route_tables_match_the_loop_built_oracles_on_an_eleven_part_node(wide_r
     )
     assert part_of[same_part[0]] == part_of[same_part[1]]
     _check_tables(wide_router, extra_matchings=[odd])
+
+
+def test_a_first_route_builds_one_dispersal_plan_per_shuffler(monkeypatch):
+    """One stacked plan per shuffler, not one table per matching, and one memo growth.
+
+    Task 3 looks its dummies up before it disperses the reals, and a dummy
+    column outgrows every real one, so the memo is sized once per shuffler.
+    """
+    built, grown = [], []
+    real_plan, real_allocate = batched.DispersalPlan, batched._allocate
+
+    def counting_plan(shuffler):
+        built.append(shuffler)
+        return real_plan(shuffler)
+
+    def counting_allocate(plan, size):
+        grown.append(plan)
+        return real_allocate(plan, size)
+
+    monkeypatch.setattr(batched, "DispersalPlan", counting_plan)
+    monkeypatch.setattr(batched, "_allocate", counting_allocate)
+    router = ExpanderRouter(random_regular_expander(256, degree=8, seed=0), epsilon=0.5)
+    router.preprocess()
+    shufflers = [
+        node.shuffler
+        for node in router.decomposition.all_nodes()
+        if node.shuffler is not None and len(node.shuffler) > 0
+    ]
+    matchings = sum(len(shuffler) for shuffler in shufflers)
+    assert len(shufflers) > 1 and matchings > 10 * len(shufflers)
+    requests = make_workload("permutation", router.graph, shift=5).requests
+    with kernel("numpy"):
+        first = router.route(requests)
+    assert sorted(map(id, built)) == sorted(map(id, shufflers))
+    assert len(grown) == len(shufflers)
+    for shuffler in shufflers:
+        assert shuffler._dispersal_plan.targets.shape[0] == len(shuffler)
+    built.clear(), grown.clear()
+    with kernel("numpy"):
+        assert _facts(router.route(requests)) == _facts(first)
+    assert built == [] and grown == []
+    # The plan is derived state: a pickled shuffler leaves it behind.
+    assert "_dispersal_plan" not in vars(pickle.loads(pickle.dumps(shufflers[0])))
 
 
 def test_route_tables_match_the_loop_built_oracles_with_bad_vertices(bad_router):

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import DEFAULT_WORKLOAD_MIX
 from repro.congest.scheduler import (
     ScheduledToken,
     schedule_token_batches,
@@ -28,6 +29,7 @@ from repro.core.dispersion import DispersionState, disperse, disperse_many
 from repro.core.router import ExpanderRouter
 from repro.core.tokens import RoutingRequest
 from repro.graphs.generators import random_regular_expander
+from repro.hierarchy.best import build_best_index
 from repro.kernels import kernel, set_kernel
 from repro.kernels.batched import disperse_many_numpy
 from repro.metrics import MetricsRegistry
@@ -120,6 +122,69 @@ def test_route_many_matches_reference_kernel(router, data):
     finally:
         set_kernel(None)
     assert [_outcome_facts(o) for o in fused] == [_outcome_facts(o) for o in reference]
+
+
+def _warm_fused_batch(graph, per_shape, seed):
+    """Queries drawn as the warm-fused benchmark draws them: ``per_shape`` per mix entry.
+
+    The mix's hotspot and multi-token shapes have load 2, so the batch
+    carries loads 1 and 2 (4 dummies per vertex at the root).
+    """
+    rng = random.Random(seed)
+    workloads = []
+    for name, params in DEFAULT_WORKLOAD_MIX:
+        for _ in range(per_shape):
+            varied = dict(params)
+            if name == "permutation":
+                varied["shift"] = rng.randrange(1, len(graph))
+            elif name == "hotspot":
+                varied["seed"] = rng.randrange(1 << 30)
+            workloads.append(make_workload(name, graph, **varied))
+    return [list(w.requests) for w in workloads], [w.load for w in workloads]
+
+
+def _assert_fused_solo_reference_agree(router, groups, loads):
+    with kernel("numpy"):
+        fused = router.route_many(groups, loads)
+        solo = [router.route(group, load) for group, load in zip(groups, loads)]
+    with kernel("reference"):
+        reference = [router.route(group, load) for group, load in zip(groups, loads)]
+    facts = [_outcome_facts(outcome) for outcome in fused]
+    assert facts == [_outcome_facts(outcome) for outcome in solo]
+    assert facts == [_outcome_facts(outcome) for outcome in reference]
+
+
+def test_route_many_at_warm_fused_shapes_matches_solo_and_reference():
+    """16 mixed queries on an n=128 8-regular expander: the benchmark's fused batch."""
+    router = ExpanderRouter(random_regular_expander(128, degree=8, seed=3), epsilon=0.5)
+    router.preprocess()
+    assert len(router.decomposition.root.parts) >= 11
+    groups, loads = _warm_fused_batch(router.graph, per_shape=4, seed=5)
+    assert len(groups) == 16 and max(loads) > 1
+    _assert_fused_solo_reference_agree(router, groups, loads)
+
+
+def test_route_many_on_mixed_depth_leaves_matches_solo_and_reference():
+    """A 3-level n=256 hierarchy with leaves at depths 1 and 2 and childless parts.
+
+    The builder gives every part a child at one depth, so a copy is rewired:
+    every third level-1 node becomes a leaf, and the last part of every other
+    level-1 node loses its child (and with it its best vertices).
+    """
+    router = ExpanderRouter(random_regular_expander(256, degree=8, seed=0), epsilon=0.5)
+    router.preprocess()
+    decomposition = router.decomposition
+    assert decomposition.levels() == 3
+    for position, part in enumerate(decomposition.root.parts):
+        child = part.child
+        if position % 3 == 0:
+            child.is_leaf, child.parts, child.shuffler = True, [], None
+        else:
+            child.parts[-1].child = None
+    router.best_index = router.artifact.best_index = build_best_index(decomposition)
+    assert {leaf.level for leaf in decomposition.leaves()} == {1, 2}
+    groups, loads = _warm_fused_batch(router.graph, per_shape=2, seed=9)
+    _assert_fused_solo_reference_agree(router, groups, loads)
 
 
 @pytest.fixture(scope="module")
