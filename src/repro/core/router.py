@@ -609,7 +609,9 @@ class ExpanderRouter:
         queries = query[first]
         markers = rows.marker[active]
         if node.is_leaf:
-            costs = self._leaf_pass(table.leaves, active, np.zeros_like(active), markers, loads, rows)
+            costs = self._leaf_pass(
+                table.leaves, active, np.zeros_like(active), markers, loads, rows
+            )
             return [("leaf", queries, costs[queries, 0])]
 
         # Rewrite destination markers into (part mark, next-level marker).

@@ -105,7 +105,10 @@ class LeafBlock:
 
     def __init__(self, leaves: "list[HierarchyNode]", index: VertexIndex) -> None:
         number = index.index_of
-        best = [np.array([number[v] for v in sorted(leaf.vertices)], dtype=np.int64) for leaf in leaves]
+        best = [
+            np.array([number[v] for v in sorted(leaf.vertices)], dtype=np.int64)
+            for leaf in leaves
+        ]
         #: ``(leaves,)`` how many best vertices each leaf has.
         self.size = np.array([len(vertices) for vertices in best], dtype=np.int64)
         #: every leaf's best rank -> vertex number, concatenated; leaf ``i``
@@ -113,8 +116,12 @@ class LeafBlock:
         self.best = np.concatenate(best) if best else np.zeros(0, dtype=np.int64)
         self.start = np.cumsum(self.size) - self.size
         #: ``(leaves,)`` the sorting network's depth and exchange quality.
-        self.depth = np.array([sorting_network_depth(size) for size in self.size.tolist()], dtype=np.int64)
-        self.quality = np.array([max(1, leaf.flatten_quality()) for leaf in leaves], dtype=np.int64)
+        self.depth = np.array(
+            [sorting_network_depth(size) for size in self.size.tolist()], dtype=np.int64
+        )
+        self.quality = np.array(
+            [max(1, leaf.flatten_quality()) for leaf in leaves], dtype=np.int64
+        )
 
 
 class NodeTable:
@@ -181,7 +188,9 @@ class NodeTable:
         #: quality of the bad-to-good matching paths (Property 3.1(3)).
         self.matching_quality = max(1, node.part_matching_embedding.quality) * quality
         self.dummies: dict[int, DummyCells] = {}
-        with_leaf = [j for j, part in enumerate(parts) if part.child is not None and part.child.is_leaf]
+        with_leaf = [
+            j for j, part in enumerate(parts) if part.child is not None and part.child.is_leaf
+        ]
         #: the children that are leaves, in part order.
         self.leaves = LeafBlock([parts[j].child for j in with_leaf], index)
         #: ``(t,)`` part -> its child's position in :attr:`leaves`, -1 if the

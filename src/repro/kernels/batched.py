@@ -153,10 +153,11 @@ def plan_transfers_batched(
 
     The reference rounding rule makes a cell's transfers a function of its
     origin and its token count alone, so per matching the plan is a table
-    over ``(origin, count)``, memoized on ``plan`` for all matchings at once
-    and grown by doubling.  A cell only ever holds rows of its own (entry,
-    mark column), so the largest column total bounds every count the replay
-    can reach, and one check per replay suffices.
+    over ``(origin, count)``, memoized on ``plan`` for all matchings at once.
+    A cell only ever holds rows of its own (entry, mark column), so the
+    largest column total bounds every count the replay can reach, and one
+    check per replay suffices.  The memo grows to that bound, and at least
+    doubles when it grows.
 
     Args:
         counts: int64 array of shape ``(B, t, m)`` — per batch entry, the
@@ -171,14 +172,14 @@ def plan_transfers_batched(
         slot]`` to ``plan.targets[k, origin, slot]``, slots in order.
     """
     limit = int(counts.sum(axis=1).max(initial=0))
-    if plan.sent.shape[2] <= limit:
-        plan.amounts = _allocate(plan, 2 * limit + 1)
-        plan.sent = plan.amounts.sum(axis=3, dtype=np.int64)
+    size = plan.sent.shape[2]
+    if size <= limit:
+        plan.amounts, plan.sent = _allocate(plan, max(2 * size, limit + 1))
     return plan.amounts, plan.sent
 
 
-def _allocate(plan: DispersalPlan, size: int) -> np.ndarray:
-    """``(matchings, t, size, D)`` transfer amounts per origin and count ``0 .. size - 1``.
+def _allocate(plan: DispersalPlan, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Transfer amounts per matching, origin and count ``0 .. size - 1``, and their totals.
 
     Amounts are ``(value / 2) * count``, floored; the budget left over per
     ``(matching, origin, count)`` goes one unit each to the largest
@@ -188,6 +189,8 @@ def _allocate(plan: DispersalPlan, size: int) -> np.ndarray:
     amounts = plan.half_values[:, :, None, :] * np.arange(size)[:, None]
     floors = np.floor(amounts)
     allocation = floors.astype(np.int64)
+    # A sum over the short slot axis as a product (exact: small integers).
+    floor_sums = (floors @ np.ones(width)).astype(np.int64)
     # Sequential accumulation in sorted-pair order matches the reference's
     # builtins.sum bit for bit (padding slots add +0.0, which is exact).
     steps, origins = np.arange(count)[:, None], np.arange(t)
@@ -195,7 +198,7 @@ def _allocate(plan: DispersalPlan, size: int) -> np.ndarray:
     for j in range(width):
         totals += amounts[steps, origins, :, plan.sum_slots[:, j]]
     budget = np.minimum(np.arange(size), np.floor(totals).astype(np.int64))
-    remaining = budget - allocation.sum(axis=3)
+    remaining = budget - floor_sums
     # A slot's bump rank is the number of peers ahead of it under
     # (-fraction, target): its position in a stable sort by -fraction, as
     # slots are in target order (a tie goes to the lower slot).  Bumps only
@@ -205,7 +208,8 @@ def _allocate(plan: DispersalPlan, size: int) -> np.ndarray:
     rank = np.empty_like(by_fraction)
     np.put_along_axis(rank, by_fraction, np.arange(width), axis=3)
     allocation += rank < remaining[..., None]
-    return allocation
+    # Ranks are 0 .. width - 1, so a row gains min(width, remaining) bumps.
+    return allocation, floor_sums + np.clip(remaining, 0, width)
 
 
 class Dispersal(NamedTuple):

@@ -66,9 +66,10 @@ def test_a_dropped_loaded_artifact_leaves_no_cyclic_garbage(tmp_path):
     router = ExpanderRouter(graph)
     expected = router.route(requests).query_rounds
     path = artifact_path(tmp_path, "f" * 64)
-    # The graph the artifact holds is the caller's, and a caller's own
-    # networkx reads cache views on it; the file must not carry them.
-    graph.edges, graph.degree
+    # The graph the artifact holds is the caller's, and the caller's own
+    # networkx reads cache views on it (first access to ``graph.edges`` and
+    # ``graph.degree``); the file must not carry them.
+    assert graph.edges is graph.edges and graph.degree is graph.degree
     assert {"edges", "degree"} <= set(vars(graph))
     write_artifact(path, router.export_artifact(fingerprint="f" * 64))
 

@@ -493,7 +493,8 @@ def test_a_first_route_builds_one_dispersal_plan_per_shuffler(monkeypatch):
     assert len(grown) == len(shufflers)
     for shuffler in shufflers:
         assert shuffler._dispersal_plan.targets.shape[0] == len(shuffler)
-    built.clear(), grown.clear()
+    built.clear()
+    grown.clear()
     with kernel("numpy"):
         assert _facts(router.route(requests)) == _facts(first)
     assert built == [] and grown == []
