@@ -106,8 +106,7 @@ class LeafBlock:
     def __init__(self, leaves: "list[HierarchyNode]", index: VertexIndex) -> None:
         number = index.index_of
         best = [
-            np.array([number[v] for v in sorted(leaf.vertices)], dtype=np.int64)
-            for leaf in leaves
+            np.array([number[v] for v in sorted(leaf.vertices)], dtype=np.int64) for leaf in leaves
         ]
         #: ``(leaves,)`` how many best vertices each leaf has.
         self.size = np.array([len(vertices) for vertices in best], dtype=np.int64)
@@ -119,9 +118,7 @@ class LeafBlock:
         self.depth = np.array(
             [sorting_network_depth(size) for size in self.size.tolist()], dtype=np.int64
         )
-        self.quality = np.array(
-            [max(1, leaf.flatten_quality()) for leaf in leaves], dtype=np.int64
-        )
+        self.quality = np.array([max(1, leaf.flatten_quality()) for leaf in leaves], dtype=np.int64)
 
 
 class NodeTable:

@@ -350,9 +350,7 @@ def _oracle_node_table(node, index):
     counts = np.array(best_counts_per_part(node), dtype=np.int64)
     part_size = np.array([len(vertices) for vertices in parts], dtype=np.int64)
     shuffler = node.shuffler
-    leaves = [
-        part.child for part in node.parts if part.child is not None and part.child.is_leaf
-    ]
+    leaves = [part.child for part in node.parts if part.child is not None and part.child.is_leaf]
     slot_of = {id(leaf): slot for slot, leaf in enumerate(leaves)}
     return {
         "flatten_quality": node.flatten_quality(),
