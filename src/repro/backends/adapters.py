@@ -49,24 +49,43 @@ __all__ = [
 ]
 
 
-def _observe_route(name: str, result: RouteResult, started: float) -> RouteResult:
-    """Record one route() call into the default metrics registry.
+def _route_metrics(name: str):
+    """``name``'s children of the two ``repro_backend_route_*`` families.
 
     Adapters are constructed by registry factories with no injection point,
     so the ``repro_backend_*`` families always land in the *process-wide*
     registry (:func:`repro.metrics.default_registry`) — swap it with
-    :func:`repro.metrics.set_default_registry` to isolate them.  Per-service
+    :func:`repro.metrics.set_default_registry` to isolate them.  The lookup
+    runs once per call, so a swap takes effect on the next call.  Per-service
     and per-cluster registries carry the ``repro_service_*`` /
     ``repro_cluster_*`` views of the same traffic.
     """
     registry = default_registry()
-    registry.histogram(
+    seconds = registry.histogram(
         "repro_backend_route_seconds", "Wall-clock per backend route() call.", labels=("backend",)
-    ).labels(backend=name).observe(time.perf_counter() - started)
-    registry.counter(
+    ).labels(backend=name)
+    rounds = registry.counter(
         "repro_backend_route_rounds_total", "Query rounds charged per backend.", labels=("backend",)
-    ).labels(backend=name).inc(result.query_rounds)
+    ).labels(backend=name)
+    return seconds, rounds
+
+
+def _observe_route(name: str, result: RouteResult, started: float) -> RouteResult:
+    """Record one route() call into the default metrics registry."""
+    seconds, rounds = _route_metrics(name)
+    seconds.observe(time.perf_counter() - started)
+    rounds.inc(result.query_rounds)
     return result
+
+
+def _observe_route_many(name: str, results: list[RouteResult], per_query: float) -> None:
+    """Record a fused call's results, ``per_query`` seconds each, with one lookup."""
+    if not results:
+        return
+    seconds, rounds = _route_metrics(name)
+    for result in results:
+        seconds.observe(per_query)
+        rounds.inc(result.query_rounds)
 
 
 def _observe_preprocess(info: PreprocessInfo) -> PreprocessInfo:
@@ -165,12 +184,8 @@ class DeterministicBackend:
         started = time.perf_counter()
         outcomes = self.router.route_many(request_groups, loads)
         elapsed = time.perf_counter() - started
-        results = []
-        # Wall-clock is a batch-level measurement; attribute an equal share
-        # per query so the per-backend histograms stay comparable.
-        per_query = elapsed / max(1, len(outcomes))
-        for outcome in outcomes:
-            result = RouteResult(
+        results = [
+            RouteResult(
                 backend=self.name,
                 delivered=outcome.delivered,
                 total_tokens=outcome.total_tokens,
@@ -184,9 +199,11 @@ class DeterministicBackend:
                 },
                 raw=outcome,
             )
-            results.append(
-                _observe_route(self.name, result, time.perf_counter() - per_query)
-            )
+            for outcome in outcomes
+        ]
+        # Wall-clock is a batch-level measurement; attribute an equal share
+        # per query so the per-backend histograms stay comparable.
+        _observe_route_many(self.name, results, elapsed / max(1, len(outcomes)))
         return results
 
     # -- artifact capability (detected by the serving layer) ------------------
@@ -310,9 +327,8 @@ class DirectBackend:
         started = time.perf_counter()
         outcomes = route_directly_many(self.graph, request_groups)
         per_query = (time.perf_counter() - started) / max(1, len(outcomes))
-        results = []
-        for requests, load, outcome in zip(request_groups, loads, outcomes):
-            result = RouteResult(
+        results = [
+            RouteResult(
                 backend=self.name,
                 delivered=outcome.delivered,
                 total_tokens=len(requests),
@@ -322,9 +338,9 @@ class DirectBackend:
                 extra={"congestion": outcome.congestion, "dilation": outcome.dilation},
                 raw=outcome,
             )
-            results.append(
-                _observe_route(self.name, result, time.perf_counter() - per_query)
-            )
+            for requests, load, outcome in zip(request_groups, loads, outcomes)
+        ]
+        _observe_route_many(self.name, results, per_query)
         return results
 
 

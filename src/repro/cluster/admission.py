@@ -133,22 +133,37 @@ class AdmissionController:
             )
         else:
             self._m_decisions = self._m_depth = None
+        # Metric children, resolved on first use per (shard, decision) and
+        # per shard.
+        self._decision_children: dict[tuple[str, str], Any] = {}
+        self._depth_children: dict[str, Any] = {}
 
     def _record(self, shard_id: str, decision: str, amount: int = 1) -> None:
         if self._m_decisions is not None:
-            self._m_decisions.labels(shard=shard_id, decision=decision).inc(amount)
+            child = self._decision_children.get((shard_id, decision))
+            if child is None:
+                child = self._m_decisions.labels(shard=shard_id, decision=decision)
+                self._decision_children[shard_id, decision] = child
+            child.inc(amount)
 
     def _record_depth(self, shard_id: str, depth: int) -> None:
         if self._m_depth is not None:
-            self._m_depth.labels(shard=shard_id).set(depth)
+            child = self._depth_children.get(shard_id)
+            if child is None:
+                child = self._depth_children[shard_id] = self._m_depth.labels(shard=shard_id)
+            child.set(depth)
 
     # -- the queue protocol ----------------------------------------------------
 
     def offer(self, shard_id: str, item: Any) -> AdmissionDecision:
         """Offer ``item`` to ``shard_id``'s queue; returns what happened."""
         with self._lock:
-            queue = self._queues.setdefault(shard_id, deque())
-            stats = self._stats.setdefault(shard_id, AdmissionStats())
+            queue = self._queues.get(shard_id)
+            if queue is None:
+                queue = self._queues[shard_id] = deque()
+            stats = self._stats.get(shard_id)
+            if stats is None:
+                stats = self._stats[shard_id] = AdmissionStats()
             stats.offered += 1
             shed: tuple[Any, ...] = ()
             if self.capacity is not None and len(queue) >= self.capacity:

@@ -553,6 +553,7 @@ class ClusterCoordinator:
         stranded = self.admission.drain(shard_id)
         self.ring.remove_shard(shard_id)
         departing = self.workers.pop(shard_id)
+        self._placed_plans.pop(shard_id, None)
         # The departing shard's warm artifacts migrate to their new owners
         # before it closes.
         self._migrate_warm(before, departed={shard_id: departing})
@@ -660,6 +661,7 @@ class ClusterCoordinator:
         stranded = self.admission.drain(shard_id)
         self.ring.remove_shard(shard_id)
         self.workers.pop(shard_id)
+        self._placed_plans.pop(shard_id, None)
         self.failovers += 1
         self._m_failovers.labels(shard=shard_id).inc()
         try:
@@ -714,6 +716,28 @@ class ClusterCoordinator:
         """The placement (and cache) key for ``graph`` under ``backend``."""
         return self._keyer.fingerprint(graph, backend=backend, backend_params=backend_params)
 
+    @property
+    def default_plan(self) -> ExecutionPlan:
+        """The cluster's execution defaults (reassigning it takes effect on the next submit)."""
+        return self._default_plan
+
+    @default_plan.setter
+    def default_plan(self, plan: ExecutionPlan) -> None:
+        self._default_plan = plan
+        # What plan() returns for a submission with no backend kwargs, and
+        # its placed copy per shard: every such submission shares them.
+        self._template_plan = replace(plan, reason="cluster default plan")
+        self._placed_plans: dict[str, ExecutionPlan] = {}
+
+    def _placed(self, plan: ExecutionPlan, shard_id: str) -> ExecutionPlan:
+        """``plan`` placed on ``shard_id``; one shared copy per shard for the template."""
+        if plan is not self._template_plan:
+            return plan.with_shard(shard_id)
+        placed = self._placed_plans.get(shard_id)
+        if placed is None:
+            placed = self._placed_plans[shard_id] = plan.with_shard(shard_id)
+        return placed
+
     def plan(
         self,
         graph: nx.Graph,
@@ -747,7 +771,7 @@ class ClusterCoordinator:
             )
         if backend is None and backend_params is None:
             # The template verbatim — including its configured backend_params.
-            return replace(self.default_plan, reason="cluster default plan")
+            return self._template_plan
         if backend is None:
             # Params override on the default backend; the template's own
             # params still back-fill anything the caller left unset.
@@ -854,7 +878,7 @@ class ClusterCoordinator:
             backend=plan.backend,
             backend_params=dict(plan.backend_params),
             workload=workload,
-            plan=plan.with_shard(shard_id),
+            plan=self._placed(plan, shard_id),
             idempotency_key=key or "",
         )
         decision = self.admission.offer(shard_id, item)

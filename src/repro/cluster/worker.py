@@ -29,6 +29,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Mapping, Sequence
 
 import networkx as nx
@@ -186,10 +187,21 @@ class ShardWorker:
         report = self.service.route_batch()
         self.batches_served += 1
         self.queries_served += len(report.results)
-        self._m_queries.labels(shard=self.shard_id).inc(len(report.results))
-        for result in report.results:
-            self._m_seconds.labels(shard=self.shard_id).observe(result.seconds)
+        self._queries_counter.inc(len(report.results))
+        if report.results:
+            observe = self._seconds_histogram.observe
+            for result in report.results:
+                observe(result.seconds)
         return report
+
+    # This shard's metric children, resolved on first use.
+    @cached_property
+    def _queries_counter(self):
+        return self._m_queries.labels(shard=self.shard_id)
+
+    @cached_property
+    def _seconds_histogram(self):
+        return self._m_seconds.labels(shard=self.shard_id)
 
     # -- warm-key handoff ------------------------------------------------------
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.core.cost import CostLedger, send_round_cost, sort_round_cost
 from repro.core.dispersion import DispersionState, DispersionStats, disperse
-from repro.core.tables import NodeTable, dummy_cells
+from repro.core.tables import NodeTable, dummy_stack
 from repro.core.tokens import Token
 from repro.cutmatching.shuffler import Shuffler
 from repro.hierarchy.node import HierarchyNode
@@ -261,19 +261,12 @@ def solve_task3_many(
         per_vertex_dummies = 2 * np.maximum(1, loads)
     else:
         per_vertex_dummies = np.full(batch, dummies_per_vertex, dtype=np.int64)
-    used, config = np.unique(per_vertex_dummies, return_inverse=True)
-    configs = [dummy_cells(node, table, dummies) for dummies in used.tolist()]
-    offsets = np.cumsum([0] + [len(cells.vertex) for cells in configs[:-1]])
-    dummy_vertex = np.concatenate([cells.vertex for cells in configs])
-    dummy_start = np.stack([cells.start + offset for cells, offset in zip(configs, offsets)])
-    dummy_count = np.stack([cells.count for cells in configs])
-    dummy_stats = np.array(
-        [(c.rounds, c.peak, c.within_window, c.total_cells) for c in configs], dtype=np.int64
-    )[config]
+    dummies, config = dummy_stack(node, table, per_vertex_dummies)
+    dummy_stats = dummies.stats[config]
 
     # -- 2. disperse the real tokens: cells (query, part, mark), token order -
     cell = (query * t + origin) * t + mark
-    order = np.argsort(cell, kind="stable")
+    order = _stable_order(cell, batch * t * t)
     row_cell = cell[order]
     charges: list[tuple[str, np.ndarray]] = []
     real_peak = real_within = real_cells = zeros
@@ -296,17 +289,20 @@ def solve_task3_many(
     # -- 3. pair every real with the same-rank dummy of its (part, mark) cell
     flat_counts = counts.ravel()
     rank = np.arange(len(row_cell)) - (np.cumsum(flat_counts) - flat_counts)[row_cell]
-    row_query = row_cell // (t * t)
-    dummy_cell = row_cell % (t * t)
-    row_config = config[row_query]
-    paired = rank < dummy_count[row_config, dummy_cell]
-    placed = np.empty(len(row_cell), dtype=np.int64)
-    placed[paired] = dummy_vertex[(dummy_start[row_config, dummy_cell] + rank)[paired]]
-    # Rounding left some cells short of dummies: place those reals round-robin
-    # over their marked part, in the reference order per query (parts
-    # ascending, marks in repr order, queue position).
+    row_query, dummy_cell = np.divmod(row_cell, t * t)
+    # The real's cell in its query's dummy configuration.
+    slot = config[row_query] * (t * t) + dummy_cell
+    paired = rank < dummies.count.ravel()[slot]
+    source = dummies.start.ravel()[slot] + rank
     fallbacks = zeros
-    if not paired.all():
+    if paired.all():
+        placed = dummies.vertex[source]
+    else:
+        placed = np.empty(len(row_cell), dtype=np.int64)
+        placed[paired] = dummies.vertex[source[paired]]
+        # Rounding left some cells short of dummies: place those reals
+        # round-robin over their marked part, in the reference order per
+        # query (parts ascending, marks in repr order, queue position).
         short = np.flatnonzero(~paired)
         parts, marks = dummy_cell[short] // t, dummy_cell[short] % t
         short = short[
@@ -320,7 +316,7 @@ def solve_task3_many(
     # Merge cost: one expander sort per part at its combined load (parts run
     # in parallel), then the walk back along the dummies' dispersion routes.
     quality = max(1, table.flatten_quality)
-    part_load = counts.sum(axis=2) + np.stack([cells.part_load for cells in configs])[config]
+    part_load = counts.sum(axis=2) + dummies.part_load[config]
     per_vertex = np.maximum(1, -(-part_load // np.maximum(1, table.part_size)))
     sorts = np.maximum(1, 2 * per_vertex * table.part_depth) * quality * quality
     walk_back = np.maximum(1, 2 * loads) * max(1, table.walk_quality) ** 2
@@ -337,3 +333,13 @@ def solve_task3_many(
         within_window=real_within + dummy_stats[:, 2],
         total_cells=real_cells + dummy_stats[:, 3],
     )
+
+
+def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` of keys in ``[0, bound)``.
+
+    Keys that fit 16 bits are sorted as such, which numpy does by radix sort.
+    """
+    if bound <= 1 << 16:
+        keys = keys.astype(np.uint16)
+    return np.argsort(keys, kind="stable")

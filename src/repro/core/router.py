@@ -45,12 +45,13 @@ Preprocessing and the reference kernel take no lock.
 
 from __future__ import annotations
 
-import itertools
+import operator
 import os
+import struct
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import ClassVar, Hashable, Sequence
+from typing import ClassVar, Hashable, NamedTuple, Sequence
 
 import networkx as nx
 import numpy as np
@@ -512,32 +513,43 @@ class ExpanderRouter:
 
         rows = _Rows(index, batch)
         root = self.decomposition.root
-        breakdowns: list[dict[str, int]] = []
-        for load in resolved:
-            # Task 1 -> Task 1': destination IDs to ranks (one expander sort
-            # over the root, Lemma D.1); the rows already carry the markers of
-            # their delegated best vertices (Task 1' -> Task 2).
-            cost = sort_round_cost(root.size, load, root.flatten_quality())
-            breakdowns.append({"query/id-translation": cost})
-        charges: list[_Charge] = []
-        if batch.requests:
-            charges = self._task2_arrays(
-                root, np.arange(len(batch.requests)), np.array(resolved, dtype=np.int64), rows
+        queries = len(loads)
+        # Task 1 -> Task 1': destination IDs to ranks (one expander sort over
+        # the root per query, Lemma D.1, priced once per distinct load); the
+        # rows already carry the markers of their delegated best vertices
+        # (Task 1' -> Task 2).
+        translation = {
+            load: sort_round_cost(root.size, load, root.flatten_quality()) for load in set(resolved)
+        }
+        charges: list[_Charge] = [
+            (
+                "id-translation",
+                np.arange(queries),
+                np.array([translation[load] for load in resolved], dtype=np.int64),
+            )
+        ]
+        if batch.count:
+            charges += self._task2_arrays(
+                root, np.arange(batch.count), np.array(resolved, dtype=np.int64), rows
             )
         # Final leg (Appendix D): walk the tokens off the delegated best
         # vertices along the reversed all-to-best routes.
         reversal = np.flatnonzero(rows.vertex != batch.dst)
         if reversal.size:
             query = rows.query[reversal]
-            queries = query[_first_of_runs(query)]
-            most = _most_per_group(query, rows.vertex[reversal], len(loads))[queries]
+            reversed_queries = query[_first_of_runs(query)]
+            most = _most_per_group(query, rows.vertex[reversal], queries)[reversed_queries]
             costs = [send_round_cost(count, index.reversal_quality) for count in most.tolist()]
-            charges.append(("delegation-reversal", queries, np.array(costs, dtype=np.int64)))
+            charges.append(
+                ("delegation-reversal", reversed_queries, np.array(costs, dtype=np.int64))
+            )
             rows.vertex[reversal] = batch.dst[reversal]
             rows.events.append(("delegation-reversal", reversal))
-        for phase, queries, amounts in charges:
+        # Charges in phase order, so every breakdown fills in label order.
+        breakdowns: list[dict[str, int]] = [{} for _ in range(queries)]
+        for phase, charged, rounds in sorted(charges, key=lambda charge: charge[0]):
             label = "query/" + phase
-            for query, amount in zip(queries.tolist(), amounts.tolist()):
+            for query, amount in zip(charged.tolist(), rounds.tolist()):
                 breakdown = breakdowns[query]
                 breakdown[label] = breakdown.get(label, 0) + amount
         return self._outcomes(batch, rows, reversal, resolved, breakdowns)
@@ -552,7 +564,7 @@ class ExpanderRouter:
     ) -> list[RoutingOutcome]:
         """Every query's outcome; its tokens stay rows of the batch until read."""
         final = _FinalRows(
-            batch.requests,
+            batch.groups,
             batch.order,
             rows.vertex,
             rows.marker,
@@ -569,19 +581,18 @@ class ExpanderRouter:
             RoutingOutcome(
                 delivered=delivered[query],
                 total_tokens=stop - start,
-                query_rounds=sum(breakdown.values()),
+                query_rounds=sum(breakdowns[query].values()),
                 preprocessing_rounds=preprocessing_rounds,
                 load=loads[query],
                 max_intermediate_part_load=peak,
                 dispersion_window_fraction=hits / cells if cells else 1.0,
                 fallback_assignments=fallbacks,
-                breakdown=dict(sorted(breakdown.items())),
-                tokens=_TokenSpan(final, start, stop),
+                breakdown=breakdowns[query],
+                tokens=_TokenSpan(final, query, start, stop),
             )
-            for query, ((start, stop), breakdown, peak, hits, cells, fallbacks) in enumerate(
+            for query, ((start, stop), peak, hits, cells, fallbacks) in enumerate(
                 zip(
                     batch.spans,
-                    breakdowns,
                     rows.max_part_load.tolist(),
                     rows.window_hits.tolist(),
                     rows.window_cells.tolist(),
@@ -938,58 +949,63 @@ class _Batch:
         self, index: VertexIndex, request_groups: Sequence[Sequence[RoutingRequest]]
     ) -> None:
         n = len(index.vertices)
-        self.sizes = np.fromiter(map(len, request_groups), np.int64, len(request_groups))
-        requests = list(itertools.chain.from_iterable(request_groups))
-        sources = [request.source for request in requests]
-        destinations = [request.destination for request in requests]
+        queries = len(request_groups)
+        #: each query's requests in input order.
+        self.groups = [tuple(requests) for requests in request_groups]
+        self.sizes = np.fromiter(map(len, self.groups), np.int64, queries)
+        self.count = count = int(self.sizes.sum())
+        # Every source, then every destination: one lookup pass over both.
+        endpoints = [request.source for requests in self.groups for request in requests]
+        endpoints += [request.destination for requests in self.groups for request in requests]
         try:
-            src = np.fromiter(map(index.index_of.__getitem__, sources), np.int64, len(requests))
-            dst = np.fromiter(
-                map(index.index_of.__getitem__, destinations), np.int64, len(requests)
-            )
+            # itemgetter over many keys returns a tuple (there are 0 or >= 2),
+            # and packing it is the cheapest way into an int64 array.
+            numbers = operator.itemgetter(*endpoints)(index.index_of) if count else ()
+            numbers = np.frombuffer(struct.pack(f"{2 * count}q", *numbers), np.int64)
             inside = True
         except KeyError:
             # An endpoint outside the graph: such endpoints are numbered n.
             number = index.index_of.get
-            src = np.array([number(vertex, n) for vertex in sources], dtype=np.int64)
-            dst = np.array([number(vertex, n) for vertex in destinations], dtype=np.int64)
+            numbers = np.array([number(vertex, n) for vertex in endpoints], dtype=np.int64)
             inside = False
-        group = np.repeat(np.arange(len(request_groups)), self.sizes)
-        types = {*map(type, sources), *map(type, destinations)}
-        if inside and types <= {index.plain_type}:
+        src, dst = numbers[:count], numbers[count:]
+        group = np.repeat(np.arange(queries), self.sizes)
+        if inside and _all_of_type(endpoints, index.plain_type):
             # One stable sort over (query, source rank, destination rank).
-            key = (group * n + index.repr_rank[src]) * n + index.repr_rank[dst]
+            ranks = index.repr_rank[numbers]
+            key = (group * n + ranks[:count]) * n + ranks[count:]
             order = np.argsort(key, kind="stable")
         else:
-            keys = [(repr(s), repr(d)) for s, d in zip(sources, destinations)]
+            keys = [(repr(s), repr(d)) for s, d in zip(endpoints[:count], endpoints[count:])]
             groups = group.tolist()
             order = np.array(
-                sorted(range(len(requests)), key=lambda row: (groups[row], keys[row])),
+                sorted(range(count), key=lambda row: (groups[row], keys[row])),
                 dtype=np.int64,
             )
-        #: the requests in input order; row ``r`` is ``requests[order[r]]``.
-        self.requests = requests
+        starts = np.cumsum(self.sizes) - self.sizes
+        #: row ``r`` of query ``q`` is ``groups[q][order[r] - starts[q]]``.
         self.order = order
         self.group = group
         self.src, self.dst = src[order], dst[order]
-        starts = np.cumsum(self.sizes) - self.sizes
-        self.token_id = np.arange(len(requests)) - starts[group]
+        self.token_id = np.arange(count) - starts[group]
         #: ``(start, stop)`` rows of each query.
         self.spans = list(zip(starts.tolist(), (starts + self.sizes).tolist()))
         #: per query, the first token destined outside the graph, if any.
         self.stray: dict[int, int] = {}
         if inside:
-            self.most_sourced = _most_per_group(group, self.src, len(self.sizes)).tolist()
-            self.most_destined = _most_per_group(group, self.dst, len(self.sizes)).tolist()
+            # Sources count in groups 0 .. B - 1, destinations in B .. 2B - 1.
+            most = _most_per_group(
+                np.concatenate((group, group + queries)), numbers, 2 * queries, n
+            )
+            self.most_sourced = most[:queries].tolist()
+            self.most_destined = most[queries:].tolist()
         else:
             # Distinct outside endpoints share the number n; count objects.
-            # A query's rows and its input requests span the same positions.
             self.most_sourced, self.most_destined = [], []
-            for start, stop in self.spans:
-                chunk = requests[start:stop]
-                counts = Counter(request.source for request in chunk).values()
+            for requests in self.groups:
+                counts = Counter(request.source for request in requests).values()
                 self.most_sourced.append(max(counts, default=0))
-                counts = Counter(request.destination for request in chunk).values()
+                counts = Counter(request.destination for request in requests).values()
                 self.most_destined.append(max(counts, default=0))
             for row in np.flatnonzero(self.dst == n).tolist():
                 self.stray.setdefault(int(group[row]), int(self.token_id[row]))
@@ -1021,7 +1037,7 @@ class _Rows:
         self.token_id = batch.token_id
         self.vertex = batch.src.copy()
         self.marker = index.marker[batch.dst]
-        self.mark = np.full(len(batch.requests), -1, dtype=np.int64)
+        self.mark = np.full(batch.count, -1, dtype=np.int64)
         #: ``(phase, rows)`` in the order the rows passed through the phase.
         self.events: list[tuple[str, np.ndarray]] = []
         self.max_part_load = np.zeros(queries, dtype=np.int64)
@@ -1040,8 +1056,10 @@ class _Rows:
 class _FinalRows:
     """One routed batch's final rows, shared by the lazy tokens of its outcomes."""
 
-    #: the requests in input order; row ``r`` is ``requests[order[r]]``.
-    requests: list[RoutingRequest]
+    #: each query's requests in input order.
+    groups: list[tuple[RoutingRequest, ...]]
+    #: row ``r`` of a query starting at row ``start`` holds its request
+    #: ``order[r] - start``.
     order: np.ndarray
     vertex: np.ndarray
     marker: np.ndarray
@@ -1053,8 +1071,8 @@ class _FinalRows:
     #: vertex number -> vertex.
     vertices: list[Hashable]
 
-    def tokens(self, start: int, stop: int) -> list[Token]:
-        """Rows ``start:stop`` (one query) as :class:`Token` objects, traces in event order."""
+    def tokens(self, query: int, start: int, stop: int) -> list[Token]:
+        """Query ``query``'s rows ``start:stop`` as :class:`Token` objects, traces in order."""
         traces: list[list[str]] = [[] for _ in range(start, stop)]
         for phase, moved in self.events:
             # Event rows are ascending: every event is (a subset of) an
@@ -1064,7 +1082,8 @@ class _FinalRows:
                 traces[row - start].append(phase)
         vertices = self.vertices
         finals = [vertices[vertex] for vertex in self.vertex[start:stop].tolist()]
-        requests = [self.requests[row] for row in self.order[start:stop].tolist()]
+        group = self.groups[query]
+        requests = [group[position] for position in (self.order[start:stop] - start).tolist()]
         low, high = np.searchsorted(self.reversal, (start, stop)).tolist()
         for row in self.reversal[low:high].tolist():
             finals[row - start] = requests[row - start].destination
@@ -1086,25 +1105,37 @@ class _FinalRows:
         ]
 
 
-@dataclass(frozen=True, eq=False)
-class _TokenSpan:
+class _TokenSpan(NamedTuple):
     """One query's rows ``start:stop`` of a batch's :class:`_FinalRows`."""
 
     rows: _FinalRows
+    query: int
     start: int
     stop: int
 
     def build(self) -> list[Token]:
-        return self.rows.tokens(self.start, self.stop)
+        return self.rows.tokens(self.query, self.start, self.stop)
 
 
-def _most_per_group(group: np.ndarray, values: np.ndarray, groups: int) -> np.ndarray:
-    """``(groups,)`` largest multiplicity of one value within each group (0 if none)."""
+def _most_per_group(
+    group: np.ndarray, values: np.ndarray, groups: int, width: int | None = None
+) -> np.ndarray:
+    """``(groups,)`` largest multiplicity of one value within each group (0 if none).
+
+    ``width`` bounds the values from above (default: their maximum plus one).
+    """
     if not len(values):
         return np.zeros(groups, dtype=np.int64)
-    width = int(values.max()) + 1
+    if width is None:
+        width = int(values.max()) + 1
     counts = np.bincount(group * width + values, minlength=groups * width)
     return counts.reshape(groups, width).max(axis=1)
+
+
+def _all_of_type(values: list, kind: type | None) -> bool:
+    """Whether every entry of ``values`` is exactly of type ``kind``."""
+    kinds = list(map(type, values))
+    return kinds.count(kind) == len(kinds)
 
 
 def _first_of_runs(values: np.ndarray) -> np.ndarray:

@@ -16,7 +16,8 @@ recomputes none of them:
 * :class:`NodeTable`, per hierarchy node: vertex -> part, the cumulative
   best counts that rewrite markers (Section 4), the bad-vertex mates of
   Property 3.1(3), the sorted part vertices, the node's dispersed dummy
-  cells per dummies-per-vertex count (Section 6.3), and a
+  cells per dummies-per-vertex count (Section 6.3; stacked by
+  :func:`dummy_stack` for the batch engine, and not pickled), and a
   :class:`LeafBlock` of the children that are leaves (a leaf's own table
   holds the leaf alone), so one pass places the rows of all of them
   (Lemma 6.5).
@@ -45,9 +46,11 @@ __all__ = [
     "NodeTable",
     "LeafBlock",
     "DummyCells",
+    "DummyStack",
     "vertex_index",
     "node_table",
     "dummy_cells",
+    "dummy_stack",
 ]
 
 
@@ -98,6 +101,28 @@ class DummyCells:
     peak: int
     within_window: int
     total_cells: int
+
+
+@dataclass
+class DummyStack:
+    """Every dispersed dummy configuration of one node so far, stacked by count.
+
+    Row ``k`` is the configuration of ``counts[k]`` dummies per vertex: the
+    dummies of its cell ``c = part * t + mark`` are
+    ``vertex[start[k, c] : start[k, c] + count[k, c]]``, in queue order.
+    """
+
+    #: ``(K,)`` dummies-per-vertex counts, ascending.
+    counts: np.ndarray
+    vertex: np.ndarray
+    #: ``(K, t * t)``.
+    start: np.ndarray
+    #: ``(K, t * t)``.
+    count: np.ndarray
+    #: ``(K, t)`` dummies per part.
+    part_load: np.ndarray
+    #: ``(K, 4)`` rounds, peak, cells inside the window, cells checked.
+    stats: np.ndarray
 
 
 class LeafBlock:
@@ -195,6 +220,12 @@ class NodeTable:
         self.leaf_slot = np.full(t, -1, dtype=np.int64)
         self.leaf_slot[with_leaf] = np.arange(len(with_leaf))
 
+    def __getstate__(self) -> dict:
+        # The stacked dummies are rebuilt from ``dummies`` on first use.
+        state = dict(vars(self))
+        state.pop("_dummy_stack", None)
+        return state
+
 
 def vertex_index(
     decomposition: "HierarchicalDecomposition", best_index: "BestVertexIndex"
@@ -251,3 +282,35 @@ def dummy_cells(node: "HierarchyNode", table: NodeTable, dummies_per_vertex: int
         total_cells=cells,
     )
     return cached
+
+
+def dummy_stack(
+    node: "HierarchyNode", table: NodeTable, dummies_per_vertex: np.ndarray
+) -> tuple[DummyStack, np.ndarray]:
+    """The node's dummy configurations stacked, and each entry's row in the stack.
+
+    ``dummies_per_vertex`` holds one count per batch entry.  The stack holds
+    every count the node has dispersed (:func:`dummy_cells`); it is kept on
+    the table and rebuilt only when an entry asks for a new count.
+    """
+    stack = getattr(table, "_dummy_stack", None)
+    if stack is not None:
+        row = np.searchsorted(stack.counts, dummies_per_vertex)
+        if (row < len(stack.counts)).all() and (stack.counts[row] == dummies_per_vertex).all():
+            return stack, row
+    for dummies in sorted(set(dummies_per_vertex.tolist())):
+        dummy_cells(node, table, dummies)
+    counts = sorted(table.dummies)
+    configs = [table.dummies[dummies] for dummies in counts]
+    offsets = np.cumsum([0] + [len(cells.vertex) for cells in configs[:-1]])
+    stack = table._dummy_stack = DummyStack(
+        counts=np.array(counts, dtype=np.int64),
+        vertex=np.concatenate([cells.vertex for cells in configs]),
+        start=np.stack([cells.start + offset for cells, offset in zip(configs, offsets)]),
+        count=np.stack([cells.count for cells in configs]),
+        part_load=np.stack([cells.part_load for cells in configs]),
+        stats=np.array(
+            [(c.rounds, c.peak, c.within_window, c.total_cells) for c in configs], dtype=np.int64
+        ),
+    )
+    return stack, np.searchsorted(stack.counts, dummies_per_vertex)

@@ -45,6 +45,14 @@ name                                            kind       labels
 Histograms expose p50/p95/p99 via :meth:`Histogram.summary`;
 :meth:`MetricsRegistry.render_text` produces the Prometheus-style text
 exposition shown in the README.
+
+The hot-path rule: instrumentation on a per-query path resolves each label
+child outside the per-query loop (``MetricFamily.labels`` validates and
+locks on every call), and looks up a default-registry family once per call,
+not once per query and not at construction, so that
+:func:`set_default_registry` still takes effect on the next call.  Children
+are resolved on first use, never eagerly, so a snapshot lists exactly the
+label sets that were recorded.
 """
 
 from repro.metrics.registry import (

@@ -76,7 +76,7 @@ from repro.core.router import PreprocessArtifact
 from repro.core.tokens import RoutingRequest
 from repro.hierarchy.builder import HierarchyParameters
 from repro.kernels import active_kernel
-from repro.metrics import MetricsRegistry, default_registry
+from repro.metrics import MetricFamily, MetricsRegistry, default_registry
 from repro.metrics import quantile as _quantile
 from repro.planner import ExecutionPlan, QueryPlanner
 from repro.service.cache import ArtifactCache, artifact_path, write_artifact
@@ -549,6 +549,9 @@ class RoutingService:
             "Same-fingerprint query groups routed through one fused kernel pass.",
             labels=("mode",),
         )
+        # Per-backend children of the per-query families, resolved on first
+        # use (see _backend_child).
+        self._backend_children: dict[tuple[str, str], Any] = {}
         self._pool: ProcessPoolExecutor | None = None
         self._pool_finalizer: weakref.finalize | None = None
         self._spill_dir: Path | None = None
@@ -872,8 +875,15 @@ class RoutingService:
             plan=plan,
         )
         self._next_query_id += 1
-        self._m_queries.labels(backend=plan.backend).inc()
+        self._backend_child(self._m_queries, plan.backend).inc()
         return query
+
+    def _backend_child(self, family: MetricFamily, backend: str):
+        """``family``'s child for ``backend``, resolved once per (family, backend)."""
+        child = self._backend_children.get((family.name, backend))
+        if child is None:
+            child = self._backend_children[family.name, backend] = family.labels(backend=backend)
+        return child
 
     def submit(
         self,
@@ -1119,8 +1129,10 @@ class RoutingService:
                 self._m_fused_batches.labels(mode="threads").inc()
             else:
                 routed = [self._route_one(runner, query) for query in group]
+            # One fingerprint, one backend: the group shares a histogram child.
+            observe = self._backend_child(self._m_query_seconds, group[0].backend).observe
             for query, (outcome, seconds) in zip(group, routed):
-                self._m_query_seconds.labels(backend=query.backend).observe(seconds)
+                observe(seconds)
                 self._record_query(query, seconds)
                 report.results.append(
                     QueryResult(
@@ -1254,7 +1266,7 @@ class RoutingService:
         )
 
         def record(query: RoutingQuery, outcome: RouteResult, seconds: float) -> None:
-            self._m_query_seconds.labels(backend=query.backend).observe(seconds)
+            self._backend_child(self._m_query_seconds, query.backend).observe(seconds)
             self._record_query(query, seconds)
             report.results.append(
                 QueryResult(
@@ -1348,7 +1360,7 @@ class RoutingService:
         attributed an equal share so per-query latency series stay
         comparable with the sequential path.
         """
-        request_groups = [list(query.requests) for query in group]
+        request_groups = [query.requests for query in group]
         loads = [query.load for query in group]
         start = time.perf_counter()
         outcomes = runner.route_many(request_groups, loads)  # type: ignore[attr-defined]

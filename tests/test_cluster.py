@@ -229,6 +229,87 @@ def test_a_local_cluster_canonicalises_each_graph_once(graphs, monkeypatch, poli
     assert len(canonicalised) == len(graphs)
 
 
+def test_same_shard_submissions_share_one_placed_default_plan(graphs):
+    coordinator = _coordinator(shard_count=2)
+    for graph in graphs:
+        for shift in (1, 2, 3):
+            assert coordinator.submit(graph, permutation_workload(graph, shift=shift)).accepted
+    slices = coordinator.drain_slices()
+    assert slices
+    for shard_id, items in slices.items():
+        plan = items[0].plan
+        assert all(item.plan is plan for item in items)
+        assert plan.shard_hint == shard_id
+        assert plan.reason == "cluster default plan"
+        assert plan.backend == coordinator.default_plan.backend
+    coordinator.close()
+
+
+def test_reassigning_the_default_plan_takes_effect_on_the_next_submit(graphs):
+    coordinator = _coordinator(shard_count=2)
+    graph = graphs[0]
+    coordinator.submit(graph, permutation_workload(graph, shift=1))
+    coordinator.default_plan = ExecutionPlan(backend="deterministic", fused=True)
+    coordinator.submit(graph, permutation_workload(graph, shift=2))
+    [items] = coordinator.drain_slices().values()
+    assert [item.plan.fused for item in items] == [False, True]
+    assert items[1].plan.shard_hint == items[0].plan.shard_hint
+    assert coordinator.plan(graph, permutation_workload(graph)).fused
+    report = coordinator.route_batch(graph, [permutation_workload(graph, shift=3)])
+    assert report.all_delivered
+    coordinator.close()
+
+
+def test_a_planner_still_plans_every_submission(graphs, monkeypatch):
+    coordinator = _coordinator(shard_count=2, policy="cost")
+    planned = []
+    real_plan = coordinator.planner.plan
+
+    def counting_plan(*args, **kwargs):
+        planned.append(real_plan(*args, **kwargs))
+        return planned[-1]
+
+    monkeypatch.setattr(coordinator.planner, "plan", counting_plan)
+    for graph in graphs:
+        assert coordinator.submit(graph, permutation_workload(graph)).accepted
+    assert len(planned) == len(graphs)
+    items = [item for items in coordinator.drain_slices().values() for item in items]
+    for item, plan in zip(sorted(items, key=lambda item: graphs.index(item.graph)), planned):
+        assert item.plan == plan.with_shard(item.plan.shard_hint)
+    coordinator.close()
+
+
+def test_journaled_admits_recover_to_the_submitted_placed_plans(tmp_path, graphs):
+    from repro.durability import CoordinatorJournal, recover
+
+    kwargs = dict(
+        shard_count=2,
+        cache_capacity=4,
+        default_plan=ExecutionPlan(backend="deterministic", max_workers=2),
+        metrics=MetricsRegistry(),
+    )
+    journal = CoordinatorJournal(tmp_path, metrics=MetricsRegistry())
+    coordinator = ClusterCoordinator(**kwargs, journal=journal)
+    submitted = {}
+    for index, graph in enumerate(graphs):
+        for shift in (1, 2):
+            key = f"key-{index}-{shift}"
+            workload = permutation_workload(graph, shift=shift)
+            decision = coordinator.submit(graph, workload, idempotency_key=key)
+            submitted[key] = coordinator.plan(graph, workload).with_shard(decision.shard_id)
+    # Crash: abandon the journal and drop the coordinator unclosed.
+    journal.abandon()
+    for worker in coordinator.workers.values():
+        worker.close()
+
+    recovered, _ = recover(tmp_path, kwargs, rewarm=False)
+    try:
+        items = [item for items in recovered.drain_slices().values() for item in items]
+        assert {item.idempotency_key: item.plan for item in items} == submitted
+    finally:
+        recovered.close()
+
+
 def test_same_config_same_submissions_identical_cluster_reports(graphs):
     signatures = []
     for _ in range(2):

@@ -549,6 +549,29 @@ def test_token_order_matches_tokens_from_requests(small_router, relabel):
         assert _facts(router.route(requests)) == _facts(outcome)
 
 
+@pytest.mark.parametrize("stand_in", [True, 1.0], ids=["bool", "float"])
+def test_an_equal_endpoint_of_another_type_sorts_by_its_own_repr(small_router, stand_in):
+    """``True`` or ``1.0`` for vertex 1 finds the vertex but orders as its own repr."""
+
+    def swap(vertex):
+        return stand_in if vertex == 1 else vertex
+
+    requests = [
+        RoutingRequest(swap(request.source), swap(request.destination), request.payload)
+        for request in _tie_heavy_requests(small_router.graph, seed=5)
+    ]
+    assert any(type(request.source) is not int for request in requests)
+    with kernel("numpy"):
+        outcome = small_router.route(requests)
+    got = sorted(outcome.tokens, key=lambda token: token.token_id)
+    assert [(t.token_id, repr(t.source), repr(t.destination), t.payload) for t in got] == [
+        (t.token_id, repr(t.source), repr(t.destination), t.payload)
+        for t in tokens_from_requests(requests)
+    ]
+    with kernel("reference"):
+        assert _facts(small_router.route(requests)) == _facts(outcome)
+
+
 def _error(call):
     with pytest.raises(Exception) as caught:
         call()

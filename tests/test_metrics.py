@@ -215,6 +215,95 @@ def test_backend_adapters_record_into_default_registry():
         set_default_registry(previous)
 
 
+def _series_total(registry, name, **labels):
+    """A family's value (counters) or observation count (histograms), summed over
+    the children whose labels include ``labels``."""
+    family = registry.get(name)
+    if family is None:
+        return 0
+    total = 0
+    for key, child in family.children():
+        bound = dict(zip(family.label_names, key))
+        if all(bound[label] == value for label, value in labels.items()):
+            total += child.count if family.kind == "histogram" else child.value
+    return total
+
+
+def test_a_fused_cluster_run_records_one_observation_per_query_in_every_layer():
+    """Per-query metric families stay exact across layers and a default-registry swap."""
+    import random
+
+    from repro.cluster import ClusterCoordinator
+    from repro.graphs.generators import random_regular_expander
+    from repro.planner import ExecutionPlan
+    from repro.workloads import permutation_workload
+
+    rng = random.Random(3201)
+    graphs = [random_regular_expander(48, degree=6, seed=seed) for seed in (1, 2)]
+    cluster_registry = MetricsRegistry()
+    before_swap, after_swap = MetricsRegistry(), MetricsRegistry()
+    previous = set_default_registry(before_swap)
+    coordinator = ClusterCoordinator(
+        shard_count=2,
+        cache_capacity=4,
+        default_plan=ExecutionPlan(backend="deterministic", fused=True),
+        metrics=cluster_registry,
+    )
+    served_before_swap = submitted = 0
+    served_rounds = []
+    try:
+        for dispatch in range(3):
+            if dispatch == 2:
+                set_default_registry(after_swap)
+                served_before_swap = len(served_rounds)
+            for graph in graphs:
+                for _ in range(3):
+                    workload = permutation_workload(graph, shift=rng.randrange(1, len(graph)))
+                    assert coordinator.submit(graph, workload).accepted
+                    submitted += 1
+            report = coordinator.dispatch()
+            assert report.all_delivered
+            served_rounds += [
+                result.outcome.query_rounds
+                for shard in report.shard_reports.values()
+                for result in shard.results
+            ]
+    finally:
+        set_default_registry(previous)
+        coordinator.close()
+
+    served = len(served_rounds)
+    assert served == submitted == 18
+    assert _series_total(cluster_registry, "repro_cluster_queries_total") == served
+    assert _series_total(cluster_registry, "repro_cluster_query_seconds") == served
+    assert (
+        _series_total(cluster_registry, "repro_service_query_seconds", backend="deterministic")
+        == served
+    )
+    assert (
+        _series_total(cluster_registry, "repro_cluster_admission_total", decision="accepted")
+        == submitted
+    )
+    # Every dispatch fused each graph's three queries.
+    assert _series_total(cluster_registry, "repro_service_fused_batches_total") == 6
+    depths = cluster_registry.get("repro_cluster_queue_depth").children()
+    assert depths and all(child.value == 0 for _, child in depths)
+    # The backend families follow the default registry, call by call.
+    for registry, rounds in (
+        (before_swap, served_rounds[:served_before_swap]),
+        (after_swap, served_rounds[served_before_swap:]),
+    ):
+        assert rounds
+        assert (
+            _series_total(registry, "repro_backend_route_seconds", backend="deterministic")
+            == len(rounds)
+        )
+        assert (
+            _series_total(registry, "repro_backend_route_rounds_total", backend="deterministic")
+            == sum(rounds)
+        )
+
+
 def test_histogram_bucket_counts_are_cumulative(registry):
     histogram = registry.histogram("lat", "Latency.", buckets=(1.0, 2.0))
     for value in (0.5, 1.5, 3.0):
