@@ -40,7 +40,7 @@ RESULTS_PATH = Path(__file__).resolve().parent.parent / "bench-backends.json"
 def test_backend_workload_matrix(benchmark):
     graph = random_regular_expander(BENCH_N, degree=8, seed=1)
     workloads = [make_workload(name, graph, **params) for name, params in WORKLOAD_SPECS]
-    service = RoutingService(epsilon=0.5, max_workers=4)
+    service = RoutingService(epsilon=0.5)
 
     def compare():
         return service.compare_batch(graph, workloads)

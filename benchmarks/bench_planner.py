@@ -96,13 +96,13 @@ def test_adaptive_policy_vs_fixed_backends():
         # biasing whichever block ran first.
         services = {
             f"fixed:{backend}": (
-                RoutingService(epsilon=0.5, max_workers=4, metrics=MetricsRegistry()),
+                RoutingService(epsilon=0.5, metrics=MetricsRegistry()),
                 backend,
             )
             for backend in backends
         }
         adaptive_service = RoutingService(
-            epsilon=0.5, max_workers=4, policy="adaptive", metrics=MetricsRegistry()
+            epsilon=0.5, policy="adaptive", metrics=MetricsRegistry()
         )
         services["adaptive"] = (adaptive_service, None)
         try:

@@ -47,7 +47,7 @@ def test_service_warm_batch_amortizes_preprocessing(benchmark, bench_graph):
     cold_seconds = time.perf_counter() - cold_start
 
     # Warm service: the artifact is cached once, then the batch reuses it.
-    service = RoutingService(epsilon=0.5, max_workers=4)
+    service = RoutingService(epsilon=0.5)
     service.route(bench_graph, workloads[0])
     assert service.cache.stats.misses == 1
 

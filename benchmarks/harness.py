@@ -1,19 +1,14 @@
 #!/usr/bin/env python
 """Unified perf-regression harness: one run, one ``bench-suite.json``, one verdict.
 
-Runs every benchmark scenario three ways —
+Runs every benchmark scenario two ways —
 
-* ``reference``  — ``REPRO_KERNEL=reference``, in-process (``"threads"``
-  mode): the faithful pre-kernel (PR 3) hot paths, i.e. the baseline the
-  speedups are against;
-* ``numpy``      — vectorized kernels + memoized fast paths, in-process;
-* ``processes``  — numpy kernels + the service's process pool (service and
-  cluster scenarios only)
+* ``reference``  — ``REPRO_KERNEL=reference``: the faithful pre-kernel (PR 3)
+  hot paths, i.e. the baseline the speedups are against;
+* ``numpy``      — vectorized kernels + memoized fast paths
 
 — and writes one ``bench-suite.json`` with per-bench wall times and speedups.
-The headline ``speedup`` column is the *optimized* configuration (numpy
-kernels in whichever mode, threads or processes, measured faster in this run,
-labelled ``optimized_mode``) against the reference.
+The headline ``speedup`` column is reference over numpy.
 
 Regression gate: the run is compared against the checked-in
 ``benchmarks/baseline.json``.  The gated quantity is ``numpy_speedup``
@@ -21,8 +16,6 @@ Regression gate: the run is compared against the checked-in
 across machine speeds; a bench regresses when its speedup falls more than
 ``--tolerance`` (default 25%) below the blessed value.  Absolute wall-clock
 can additionally be gated with ``--wall-tolerance`` for same-machine use.
-Process-pool numbers are recorded but never gated — their ratio depends on
-the core count of the machine running the harness.
 
 Usage:
     python benchmarks/harness.py                 # full suite, gate vs baseline
@@ -56,8 +49,6 @@ NETWORK_PATH = REPO_ROOT / "bench-network.json"
 PR6_TCP_QPS_RATIO = 66.449 / 118.745  # tcp ran at 0.56x local throughput
 PR6_TCP_RTT_RATIO = 0.36181 / 0.16180  # tcp rtt_p99 was 2.24x local
 
-#: Scenarios whose optimized configuration includes the process pool.
-POOLED = ("bench_service", "bench_cluster")
 #: Scenarios asserted to hit the ISSUE's >=2x bar in full mode.
 HEADLINE = ("bench_service", "bench_cluster")
 
@@ -89,12 +80,12 @@ def _best_seconds(fn, repeats: int = 5, inner: int = 1) -> float:
 
 # -- scenarios ---------------------------------------------------------------------------
 #
-# Every scenario takes (kernel_name, parallelism) and returns measured wall
+# Every scenario takes a kernel name and returns measured wall
 # seconds for its hot phase (setup/warmup excluded).  Fresh MetricsRegistry
 # instances keep harness runs out of the process-default registry.
 
 
-def bench_service(kernel_name: str, parallelism: str) -> float:
+def bench_service(kernel_name: str) -> float:
     """The E5 serving scenario: one fully warm batch on the bench expander."""
     from repro.graphs.generators import random_regular_expander
     from repro.kernels import kernel
@@ -106,13 +97,8 @@ def bench_service(kernel_name: str, parallelism: str) -> float:
     graph = random_regular_expander(n, degree=8, seed=1)
     workloads = [permutation_workload(graph, shift=shift) for shift in range(1, batch + 1)]
     with kernel(kernel_name):
-        with RoutingService(
-            epsilon=0.5,
-            max_workers=4,
-            parallelism=parallelism,
-            metrics=MetricsRegistry(),
-        ) as service:
-            # Warm the artifact, the pool, and (process mode) the workers.
+        with RoutingService(epsilon=0.5, metrics=MetricsRegistry()) as service:
+            # Warm the artifact.
             service.route(graph, workloads[0])
             start = time.perf_counter()
             for workload in workloads:
@@ -123,7 +109,7 @@ def bench_service(kernel_name: str, parallelism: str) -> float:
     return elapsed
 
 
-def bench_cluster(kernel_name: str, parallelism: str) -> float:
+def bench_cluster(kernel_name: str) -> float:
     """The E7 cluster scenario: warm measured passes over a 4-shard cluster."""
     from repro.cluster import ClusterCoordinator
     from repro.graphs.generators import random_regular_expander
@@ -141,7 +127,6 @@ def bench_cluster(kernel_name: str, parallelism: str) -> float:
             default_plan=ExecutionPlan(
                 backend="deterministic",
                 kernel=kernel_name,
-                parallelism=parallelism,
                 max_workers=2,
             ),
             metrics=MetricsRegistry(),
@@ -160,7 +145,7 @@ def bench_cluster(kernel_name: str, parallelism: str) -> float:
     return elapsed
 
 
-def bench_route_query(kernel_name: str, parallelism: str) -> float:
+def bench_route_query(kernel_name: str) -> float:
     """One warm routing query (dispersion + merge + leaf hot path)."""
     import networkx as nx  # noqa: F401  (dependency sanity for the kernels)
 
@@ -217,7 +202,7 @@ def run_fused_gate() -> dict:
     }
 
 
-def bench_kernel_scheduler(kernel_name: str, parallelism: str) -> float:
+def bench_kernel_scheduler(kernel_name: str) -> float:
     """Fact 2.2 token scheduling over shortest paths on an expander."""
     import networkx as nx
 
@@ -241,7 +226,7 @@ def bench_kernel_scheduler(kernel_name: str, parallelism: str) -> float:
         return _best_seconds(lambda: schedule_tokens_along_paths(tokens))
 
 
-def bench_kernel_conductance(kernel_name: str, parallelism: str) -> float:
+def bench_kernel_conductance(kernel_name: str) -> float:
     """Exact brute-force conductance plus the Fiedler sweep estimator."""
     import networkx as nx
 
@@ -260,7 +245,7 @@ def bench_kernel_conductance(kernel_name: str, parallelism: str) -> float:
         return _best_seconds(run, inner=3)
 
 
-def bench_kernel_sort(kernel_name: str, parallelism: str) -> float:
+def bench_kernel_sort(kernel_name: str) -> float:
     """The comparator merge-split simulation over a full Batcher network."""
     import random
 
@@ -288,7 +273,7 @@ def bench_kernel_sort(kernel_name: str, parallelism: str) -> float:
         )
 
 
-def bench_kernel_walk_matrix(kernel_name: str, parallelism: str) -> float:
+def bench_kernel_walk_matrix(kernel_name: str) -> float:
     """Building cut-matching walk matrices (Definition 5.2) on a large cluster graph.
 
     Times the matrix *construction* only — the subsequent ``R_i`` product is a
@@ -659,31 +644,16 @@ def run_suite() -> dict:
     benches: dict[str, dict] = {}
     for name, scenario in SCENARIOS.items():
         print(f"[harness] {name}: reference ...", flush=True)
-        reference_seconds = scenario("reference", "threads")
+        reference_seconds = scenario("reference")
         print(f"[harness] {name}: numpy ...", flush=True)
-        numpy_seconds = scenario("numpy", "threads")
+        numpy_seconds = scenario("numpy")
         row = {
             "reference_seconds": reference_seconds,
             "numpy_seconds": numpy_seconds,
             "numpy_speedup": reference_seconds / numpy_seconds,
+            "optimized_seconds": numpy_seconds,
+            "speedup": reference_seconds / numpy_seconds,
         }
-        if name in POOLED:
-            print(f"[harness] {name}: processes ...", flush=True)
-            processes_seconds = scenario("numpy", "processes")
-            row["processes_seconds"] = processes_seconds
-            row["process_speedup_vs_threads"] = numpy_seconds / processes_seconds
-            # Optimized means the faster of the two measured pool modes,
-            # labelled with the mode that actually ran.
-            if processes_seconds < numpy_seconds:
-                row["optimized_mode"] = "numpy+processes"
-                row["optimized_seconds"] = processes_seconds
-            else:
-                row["optimized_mode"] = "numpy+threads"
-                row["optimized_seconds"] = numpy_seconds
-        else:
-            row["optimized_mode"] = "numpy"
-            row["optimized_seconds"] = numpy_seconds
-        row["speedup"] = reference_seconds / row["optimized_seconds"]
         if name == "bench_route_query":
             print(f"[harness] {name}: fused gate ...", flush=True)
             fused = run_fused_gate()
@@ -696,7 +666,7 @@ def run_suite() -> dict:
         benches[name] = row
         print(
             f"[harness] {name}: reference {reference_seconds:.3f}s"
-            f"  optimized {row['optimized_seconds']:.3f}s ({row['optimized_mode']})"
+            f"  numpy {numpy_seconds:.3f}s"
             f"  speedup {row['speedup']:.2f}x",
             flush=True,
         )
@@ -836,17 +806,6 @@ def main(argv: list[str] | None = None) -> int:
             f"below the 5x acceptance bar"
         )
         print(f"[harness] acceptance: fused batch routing {fused_speedup:.2f}x >= 5x ✓")
-        # Process-beats-threads needs real parallelism to be observable; on a
-        # single-core runner the process pool can only lose, so the bar is
-        # gated on the core count.
-        if (os.cpu_count() or 1) >= 2:
-            for name in POOLED:
-                ratio = suite["benches"][name]["process_speedup_vs_threads"]
-                assert ratio >= 1.0, (
-                    f"{name}: process pool at {ratio:.2f}x of threads "
-                    f"(acceptance bar 1.0x)"
-                )
-            print("[harness] acceptance: processes >= threads ✓")
 
     # Planner gate: the policy must converge and stay near the best fixed
     # backend.  The ceilings are deliberately loose: at the gate's sizes the

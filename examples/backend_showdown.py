@@ -27,7 +27,7 @@ def main() -> None:
     n = 96
     graph = random_regular_expander(n, degree=8, seed=7)
     workloads = [make_workload(name, graph, **params) for name, params in WORKLOAD_SPECS]
-    service = RoutingService(epsilon=0.5, max_workers=4)
+    service = RoutingService(epsilon=0.5)
 
     print(f"== cold comparison: {', '.join(available_backends())} on n={n} ==")
     cold = service.compare_batch(graph, workloads)

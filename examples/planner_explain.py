@@ -4,7 +4,7 @@ The planner tour, end to end:
 
 1. a 4-shard :class:`~repro.cluster.ClusterCoordinator` with
    ``policy="adaptive"`` plans every query centrally — backend, kernel,
-   parallelism, fusion, and the shard placement hint all land in one
+   fusion, and the shard placement hint all land in one
    :class:`~repro.planner.ExecutionPlan` shipped with the query;
 2. the adaptive policy first *explores* (every candidate backend is probed
    per workload class), feeding observed timings into one cluster-wide

@@ -1,10 +1,10 @@
-"""Serving-layer tour: fingerprinted artifact cache + batched parallel routing.
+"""Serving-layer tour: fingerprinted artifact cache + batched routing.
 
 The paper's headline tradeoff — expensive one-time preprocessing, cheap
 queries — only pays off when the preprocessing is reused.  The
 :class:`repro.service.RoutingService` makes that reuse operational:
 
-1. a cold batch preprocesses each distinct expander once (concurrently) and
+1. a cold batch preprocesses each distinct expander once and
    caches the resulting artifact by canonical graph fingerprint;
 2. a warm batch routes entirely from the cache — zero preprocessing rounds;
 3. artifacts can persist on disk and be picked up by a later process;
@@ -30,7 +30,6 @@ def main() -> None:
         service = RoutingService(
             epsilon=0.5,
             cache=ArtifactCache(capacity=4, disk_dir=store),
-            max_workers=4,
         )
 
         print("== cold batch: 3 queries on one expander + 1 on another ==")

@@ -208,7 +208,7 @@ class ClusterReport:
                 "preprocess_rounds_incurred": report.preprocess_rounds_incurred,
                 "preprocess_rounds_reused": report.preprocess_rounds_reused,
                 # Semantic plan identities only: stable across kernels and
-                # pool modes, like BatchReport.signature().
+                # fusion, like BatchReport.signature().
                 "plans": sorted({res.plan_semantic_id for res in report.results}),
             }
             for shard_id, report in sorted(self.shard_reports.items())
@@ -270,11 +270,8 @@ class ClusterCoordinator:
             unbounded).
         admission_policy: ``"reject"`` or ``"shed-oldest"``.
         default_plan: the cluster's execution defaults as **one**
-            :class:`~repro.planner.ExecutionPlan` — execution mode (and
-            process-pool width) for every shard service, and the template fixed submissions execute
-            under.  (The deprecated ``shard_parallelism`` /
-            ``shard_max_workers`` property shims are gone as of this
-            release; read the plan.)
+            :class:`~repro.planner.ExecutionPlan` — the template fixed
+            submissions execute under.
         policy: central planning policy — ``"fixed"`` (default) executes the
             default plan / explicit kwargs, ``"cost"`` / ``"adaptive"``
             attach a :class:`~repro.planner.QueryPlanner` whose cost model
@@ -292,9 +289,9 @@ class ClusterCoordinator:
         net_family: listener family for ``transport="tcp"`` — ``"unix"``
             (default, CI-safe) or ``"inet"`` (real TCP on loopback).
 
-    Shard services may keep long-lived process pools (and, under
-    ``transport="tcp"``, server processes); :meth:`close` (or using the
-    coordinator as a context manager) releases all of them, idempotently.
+    Under ``transport="tcp"`` every shard is a server process; :meth:`close`
+    (or using the coordinator as a context manager) releases the shards,
+    idempotently.
     """
 
     def __init__(
@@ -343,13 +340,7 @@ class ClusterCoordinator:
             )
         self.default_plan = default_plan
         if planner is None and policy is not None and policy != "fixed":
-            planner = QueryPlanner(
-                policy=policy,
-                epsilon=epsilon,
-                parallelism=default_plan.parallelism,
-                max_workers=default_plan.max_workers,
-                metrics=self.metrics,
-            )
+            planner = QueryPlanner(policy=policy, epsilon=epsilon, metrics=self.metrics)
         self.planner = planner
         self.ring = ConsistentHashRing(vnodes=vnodes)
         self.admission = AdmissionController(

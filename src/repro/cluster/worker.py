@@ -12,10 +12,9 @@ coordination (measured by ``benchmarks/bench_cluster.py``).
 
 Execution knobs arrive as **one** :class:`~repro.planner.ExecutionPlan`: the
 coordinator plans centrally (policy + cost model) and ships the plan inside
-each :class:`ShardQuery`, and the worker's service shape (execution mode,
-process-pool width) comes from a single default plan instead of the ``shard_parallelism`` /
-``shard_max_workers`` pass-through pairs the pre-planner cluster re-forwarded
-argument by argument.
+each :class:`ShardQuery`.  Every shard serves its slice in-process on the
+caller's thread; multi-core serving comes from running shards as separate
+server processes (:mod:`repro.net.shard_server`).
 
 :class:`ShardQuery` is the coordinator→worker wire format: a fingerprinted,
 normalised routing instance that any shard could serve.  The fingerprint is
@@ -99,11 +98,8 @@ class ShardWorker:
         cache_capacity: in-memory artifact slots for *this shard's* partition
             of the working set.
         disk_dir / disk_capacity: optional per-shard disk tier.
-        default_plan: the execution defaults this shard's service takes its
-            shape from: ``parallelism`` (``"threads"`` serves each slice
-            in-process on the caller's thread) and ``max_workers`` (the
-            process-pool width, ``"processes"`` only); per-query plans
-            shipped in :class:`ShardQuery` override it query by query.
+        default_plan: the shard's execution defaults, kept for inspection;
+            per-query plans ship in each :class:`ShardQuery`.
         planner: the cluster's shared :class:`~repro.planner.QueryPlanner`
             (if any) — attaching it feeds the shard's observed timings back
             into the shared cost model, which is what makes the cluster-wide
@@ -112,9 +108,9 @@ class ShardWorker:
             labeled ``shard=<shard_id>``).
         service: inject a preconfigured service instead (tests).
 
-    :meth:`process` serves a slice on the calling thread (in-process) or
-    through the service's long-lived process pool; :meth:`close` releases
-    that pool (the coordinator closes every shard it owns).
+    :meth:`process` serves a slice in-process on the calling thread;
+    :meth:`close` closes the shard's service (the coordinator closes every
+    shard it owns).
     """
 
     def __init__(
@@ -146,8 +142,6 @@ class ShardWorker:
                 psi=psi,
                 hierarchy_params=hierarchy_params,
                 cache=cache,
-                max_workers=default_plan.max_workers if default_plan else None,
-                parallelism=default_plan.parallelism if default_plan else "threads",
                 planner=planner,
                 metrics=self.metrics,
             )
@@ -231,7 +225,7 @@ class ShardWorker:
         return True
 
     def close(self) -> None:
-        """Release the shard service (and its process pool); idempotent by design so
+        """Close the shard service; idempotent by design so
         server shutdown paths can call it unconditionally."""
         if self._closed:
             return

@@ -229,8 +229,14 @@ class Dispersal(NamedTuple):
     #: ``(B, m)`` number of parts whose count of the mark column lies inside
     #: the Definition 6.1 window.
     inside: np.ndarray
-    #: ``(B * t * m,)`` cells that held a row at any point of the replay.
-    held: np.ndarray
+    #: ``(matchings + 1, B * t * m)`` cell counts at the start and after
+    #: every matching.
+    seen: np.ndarray
+
+    @property
+    def held(self) -> np.ndarray:
+        """``(B * t * m,)`` cells that held a row at any point of the replay."""
+        return self.seen.any(axis=0)
 
 
 def disperse_many_numpy(
@@ -327,7 +333,6 @@ def disperse_many_numpy(
     row_cell = np.repeat(np.arange(cells), counts)
 
     # -- peaks and portal loads of every matching, at once ---------------------
-    held = seen.any(axis=0)
     # Rows per part as one product: a sum over the short last axis is slower.
     part_rows = seen[1:].reshape(-1, m) @ np.ones(m, dtype=np.int64)
     loads = part_rows.reshape(iterations, batch, t).max(axis=2, initial=0)
@@ -372,7 +377,7 @@ def disperse_many_numpy(
         peaks=loads.max(axis=0, initial=0).tolist(),
         rounds=rounds,
         inside=inside.sum(axis=1),
-        held=held,
+        seen=seen,
     )
 
 

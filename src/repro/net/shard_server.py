@@ -23,8 +23,7 @@ Three pieces:
 Remote limitations, by design: the cluster's shared
 :class:`~repro.planner.QueryPlanner` does not cross the process boundary
 (plans ship inside each query; the ``adaptive`` policy's timing feedback only
-calibrates from local shards), and remote shards must execute with thread
-parallelism (a daemonic server process cannot fork process pools).
+calibrates from local shards).
 """
 
 from __future__ import annotations
@@ -140,11 +139,6 @@ class ShardServerConfig:
             raise ValueError(f"unknown family {self.family!r}; use one of {net_address.FAMILIES}")
         if self.family == "unix" and not self.socket_path:
             raise ValueError("a unix shard server needs socket_path")
-        if self.default_plan is not None and self.default_plan.parallelism == "processes":
-            raise ValueError(
-                "remote shards run as daemonic server processes and cannot fork "
-                "process pools; use parallelism='threads' in the default plan"
-            )
 
 
 async def serve_shard(config: ShardServerConfig, ready=None) -> None:

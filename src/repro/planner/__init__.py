@@ -1,8 +1,8 @@
 """Cost-model-driven query planning: one decision point for every execution knob.
 
-``repro.planner`` unifies the four execution choices that previously lived in
-scattered kwargs — routing backend, compute kernel, thread/process
-parallelism, and shard placement — behind a single
+``repro.planner`` unifies the execution choices that previously lived in
+scattered kwargs — routing backend, compute kernel, fusion, and shard
+placement — behind a single
 :class:`ExecutionPlan` produced by a :class:`QueryPlanner`:
 
 * :class:`ExecutionPlan` — the immutable decision record the serving layers
@@ -19,7 +19,7 @@ for a tour.
 """
 
 from repro.planner.cost import CostEstimate, CostModel, size_bucket
-from repro.planner.plan import EXECUTION_MODES, ExecutionPlan
+from repro.planner.plan import ExecutionPlan
 from repro.planner.planner import (
     PLAN_POLICIES,
     PlanExplanation,
@@ -31,7 +31,6 @@ __all__ = [
     "CostEstimate",
     "CostModel",
     "size_bucket",
-    "EXECUTION_MODES",
     "ExecutionPlan",
     "PLAN_POLICIES",
     "PlanExplanation",

@@ -1,23 +1,20 @@
 """The :class:`ExecutionPlan`: one object owning every execution knob.
 
-Before the planner existed the repo had four independent execution knobs —
-routing backend (PR 2), shard placement (PR 3), compute kernel and
-thread/process parallelism (PR 4) — each chosen ad hoc by whoever called the
-serving layer.  An :class:`ExecutionPlan` collapses them into one immutable,
-hashable-by-content decision record that the service, the cluster tier, and
-the benchmarks all consume:
+An :class:`ExecutionPlan` is one immutable, hashable-by-content decision
+record — routing backend, compute kernel, fusion and shard placement — that
+the service, the cluster tier, and the benchmarks all consume:
 
 * **semantic fields** — ``backend`` + ``backend_params`` determine *what* is
   computed (delivered tokens, rounds, load); they feed the artifact-cache
   fingerprint and :attr:`semantic_id`, which is what
   :meth:`~repro.service.BatchReport.signature` records (so signatures stay
-  byte-identical across thread/process execution of the same plan);
-* **physical fields** — ``kernel``, ``parallelism``, ``max_workers``,
-  ``fused`` determine *how fast* it is computed; results
-  are identical by construction (the kernels are equivalence-tested), only
-  wall-clock changes.  How an artifact reaches process workers is not a
-  plan dimension: the service always spills it once to a pickle directory
-  (see :mod:`repro.service.pool`);
+  byte-identical across kernels and fusion of the same plan);
+* **physical fields** — ``kernel`` and ``fused`` determine *how fast* it is
+  computed; results are identical by construction (the kernels are
+  equivalence-tested), only wall-clock changes.  ``parallelism`` (always
+  ``"threads"``) and ``max_workers`` (no effect) remain only so plans keep
+  their identities and wire bytes: every batch routes inline on the caller's
+  thread;
 * **placement** — ``shard_hint`` annotates which shard the cluster
   coordinator assigned; it is excluded from :attr:`plan_id` so the same
   decision keeps one identity wherever it lands.
@@ -37,10 +34,7 @@ from typing import Any, Mapping
 
 from repro.backends.base import canonical_backend_params
 
-__all__ = ["EXECUTION_MODES", "ExecutionPlan"]
-
-#: The execution modes a plan may select for a batch.
-EXECUTION_MODES = ("threads", "processes")
+__all__ = ["ExecutionPlan"]
 
 
 @dataclass(frozen=True)
@@ -54,16 +48,12 @@ class ExecutionPlan:
         kernel: compute kernel recorded for this plan (``reference`` or
             ``numpy``).  Kernel selection is process-global
             (:mod:`repro.kernels`); the plan records the kernel in effect at
-            planning time and worker-process tasks are pinned to it.
-        parallelism: execution mode.  ``"threads"`` runs the batch
-            in-process on the caller's thread (the engine is serialized per
-            process anyway, so a thread fan-out adds only hand-offs);
-            ``"processes"`` ships builds and routes to a worker-process pool.
-        max_workers: process-pool width (``None`` = executor default);
-            ignored by ``"threads"``.  Consumed where services are *built* —
-            the cluster sizes each shard service from its ``default_plan``
-            — and advisory on per-query plans: an existing service keeps one
-            long-lived process pool sized by its own ``max_workers``.
+            planning time.
+        parallelism: must be ``"threads"``: every batch routes in-process
+            on the caller's thread.  Kept so that plan identities and wire
+            bytes stay stable.
+        max_workers: has no effect; kept, like ``parallelism``, for plan
+            identity.
         fused: route same-fingerprint query groups through the backend's
             fused batch kernel (``route_many``) when it has one.  Physical:
             fused results are identical to sequential by construction
@@ -88,10 +78,9 @@ class ExecutionPlan:
     reason: str = ""
 
     def __post_init__(self) -> None:
-        if self.parallelism not in EXECUTION_MODES:
+        if self.parallelism != "threads":
             raise ValueError(
-                f"unknown parallelism {self.parallelism!r}; "
-                f"expected one of {', '.join(EXECUTION_MODES)}"
+                f"unknown parallelism {self.parallelism!r}; expected 'threads'"
             )
 
     # -- identities ----------------------------------------------------------
@@ -106,8 +95,8 @@ class ExecutionPlan:
         """Hash of the *result-affecting* fields only (backend + params).
 
         Two plans with the same semantic id produce byte-identical routing
-        outcomes (deliveries, rounds, loads) regardless of kernel, execution
-        mode or fusion — this is the identity batch signatures record.
+        outcomes (deliveries, rounds, loads) regardless of kernel or fusion —
+        this is the identity batch signatures record.
         """
         payload = json.dumps(
             {"backend": self.backend, "params": self.canonical_params},

@@ -27,7 +27,6 @@ the planner determinism tests assert.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
@@ -37,16 +36,12 @@ from repro.backends.base import available_backends, backend_factory, supports_fu
 from repro.kernels import active_kernel
 from repro.metrics import MetricsRegistry, default_registry
 from repro.planner.cost import CostEstimate, CostModel, size_bucket
-from repro.planner.plan import EXECUTION_MODES, ExecutionPlan
+from repro.planner.plan import ExecutionPlan
 
 __all__ = ["PLAN_POLICIES", "workload_signature", "PlanExplanation", "QueryPlanner"]
 
 #: The recognised planning policies.
 PLAN_POLICIES = ("fixed", "cost", "adaptive")
-
-#: Calibrated per-query cost above which ``parallelism="auto"`` ships the
-#: batch to worker processes (below it, pickling dominates the win).
-PROCESS_THRESHOLD_SECONDS = 5e-3
 
 
 def workload_signature(
@@ -130,13 +125,6 @@ class QueryPlanner:
         default_backend: the backend ``fixed`` plans fall back to when the
             caller names none.
         epsilon: tradeoff parameter recorded for the cost model default.
-        parallelism: execution mode planned batches run under — one of
-            ``"threads"`` (in-process, on the caller's thread),
-            ``"processes"``, or ``"auto"`` (processes exactly when the
-            calibrated per-query cost clears ``PROCESS_THRESHOLD_SECONDS``
-            and the machine has >1 core).
-        max_workers: process-pool width stamped onto every plan (``None`` =
-            default).
         plan_cache_capacity: bound on memoized decisions (LRU).
         replan_interval: how many cost-model observations a *converged*
             decision stays cached for before it is re-derived (exploration
@@ -161,8 +149,6 @@ class QueryPlanner:
         candidates: Sequence[str] | None = None,
         default_backend: str = "deterministic",
         epsilon: float = 0.5,
-        parallelism: str = "threads",
-        max_workers: int | None = None,
         plan_cache_capacity: int = 1024,
         replan_interval: int = 64,
         explore_probes: int = 2,
@@ -172,11 +158,6 @@ class QueryPlanner:
             raise ValueError(
                 f"unknown policy {policy!r}; expected one of {', '.join(PLAN_POLICIES)}"
             )
-        if parallelism not in (*EXECUTION_MODES, "auto"):
-            raise ValueError(
-                f"unknown parallelism {parallelism!r}; expected "
-                f"{', '.join(EXECUTION_MODES)} or 'auto'"
-            )
         if plan_cache_capacity < 1:
             raise ValueError("plan_cache_capacity must be at least 1")
         if replan_interval < 1:
@@ -185,8 +166,6 @@ class QueryPlanner:
         self.cost_model = cost_model if cost_model is not None else CostModel(epsilon=epsilon)
         self._candidates = tuple(sorted(candidates)) if candidates is not None else None
         self.default_backend = default_backend
-        self.parallelism = parallelism
-        self.max_workers = max_workers
         self.plan_cache_capacity = plan_cache_capacity
         self.replan_interval = replan_interval
         self.explore_probes = max(1, explore_probes)
@@ -267,8 +246,7 @@ class QueryPlanner:
         signature = workload_signature(workload, load, request_count, n)
         params_key = tuple(sorted((str(k), repr(v)) for k, v in (backend_params or {}).items()))
         # The active kernel is part of the key: flipping REPRO_KERNEL (or the
-        # kernel() context manager) must re-derive plans, both so the plan's
-        # recorded kernel pins worker processes correctly and so calibration
+        # kernel() context manager) must re-derive plans, so calibration
         # observations file under the kernel that actually ran.
         kernel = active_kernel()
         key = (graph_key, signature, backend, params_key, kernel)
@@ -347,20 +325,11 @@ class QueryPlanner:
                     reason += f" (runner-up {runner_up.backend} at {runner_up.cost:.3e}s)"
             chosen_name = chosen.backend
 
-        chosen_estimate = next(
-            (e for e in estimates if e.backend == chosen_name),
-            self.cost_model.estimate(
-                chosen_name, kernel, n, phase="query", load=effective_load, workload=workload
-            ),
-        )
-        parallelism = self._pick_parallelism(chosen_estimate, notes)
         fused = self._pick_fused(chosen_name, notes)
         plan = ExecutionPlan(
             backend=chosen_name,
             backend_params=dict(backend_params or {}),
             kernel=kernel,
-            parallelism=parallelism,
-            max_workers=self.max_workers,
             fused=fused,
             policy=policy,
             reason=reason,
@@ -376,24 +345,6 @@ class QueryPlanner:
             notes=notes,
         )
         return plan, explanation
-
-    def _pick_parallelism(self, estimate: CostEstimate, notes: list[str]) -> str:
-        if self.parallelism in EXECUTION_MODES:
-            return self.parallelism
-        # "auto": worker processes only pay off when each query carries real
-        # compute and the machine has real cores.
-        cores = os.cpu_count() or 1
-        if (
-            cores > 1
-            and estimate.calibrated is not None
-            and estimate.calibrated >= PROCESS_THRESHOLD_SECONDS
-        ):
-            notes.append(
-                f"auto parallelism: calibrated {estimate.calibrated:.3e}s/query "
-                f">= {PROCESS_THRESHOLD_SECONDS:.0e}s on {cores} cores -> processes"
-            )
-            return "processes"
-        return "threads"
 
     def _pick_fused(self, backend: str, notes: list[str]) -> bool:
         """Fuse same-fingerprint batches whenever the backend has a batch kernel.

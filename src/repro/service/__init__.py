@@ -3,8 +3,8 @@
 ``repro.service`` operationalises the paper's preprocessing/query tradeoff:
 preprocess each expander once per backend, cache the resulting
 :class:`~repro.core.router.PreprocessArtifact` by canonical graph fingerprint
-(in memory and optionally on disk), and serve batches of routing queries in
-parallel off the shared artifacts — through any backend of the
+(in memory and optionally on disk), and serve batches of routing queries off
+the shared artifacts — through any backend of the
 :mod:`repro.backends` registry.  See :class:`RoutingService` for the entry
 point, :meth:`RoutingService.compare_batch` for the side-by-side backend
 comparison, and ``examples/serving_demo.py`` /

@@ -21,8 +21,8 @@ cache is where they survive:
   first, counted in :attr:`CacheStats.evictions_disk`.
 
 :func:`write_artifact` and :func:`read_artifact` are that tier's file format,
-and the only one: the cluster's warm handoff and the process-mode spill
-directory write and load artifact files through the same two functions.  An
+and the only one: the cluster's warm handoff writes and loads artifact files
+through the same two functions.  An
 artifact is a plain tree (no reference cycles), and the file keeps it one:
 graphs are written without the views networkx caches on them, so a loaded
 copy is freed by reference counting like a freshly built one.

@@ -23,8 +23,8 @@ routing.
    built, then every same-fingerprint group routes (fused through
    ``route_many`` when its plan asks), in-process on the caller's thread.
    The engine is serialized per process, so a thread fan-out would add only
-   hand-offs; ``parallelism="processes"`` ships the same work to a
-   worker-process pool instead.
+   hand-offs; multi-core serving comes from shards (the cluster tier's
+   shard-server processes).
 4. **Report** — each batch returns a :class:`BatchReport`; the multi-backend
    entry point :meth:`RoutingService.compare_batch` routes the same workloads
    through several backends and returns a side-by-side
@@ -33,7 +33,7 @@ routing.
 
 Since PR 5 every query executes through an
 :class:`~repro.planner.ExecutionPlan` — one object owning the backend,
-backend parameters, kernel, parallelism, and fusion decision.  Callers may
+backend parameters, kernel, and fusion decision.  Callers may
 pass a plan explicitly, attach a :class:`~repro.planner.QueryPlanner`
 (``policy="cost"`` / ``"adaptive"``) and let the cost model choose, or keep
 using the legacy kwargs, which the service turns into ``fixed`` plans with
@@ -49,14 +49,10 @@ from __future__ import annotations
 
 import inspect
 import json
-import shutil
-import tempfile
 import time
 import weakref
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Hashable, Mapping, Sequence
 
 import networkx as nx
@@ -79,16 +75,8 @@ from repro.kernels import active_kernel
 from repro.metrics import MetricFamily, MetricsRegistry, default_registry
 from repro.metrics import quantile as _quantile
 from repro.planner import ExecutionPlan, QueryPlanner
-from repro.service.cache import ArtifactCache, artifact_path, write_artifact
+from repro.service.cache import ArtifactCache
 from repro.service.fingerprint import graph_fingerprint, graph_payload
-from repro.service.pool import (
-    BuildTask,
-    FusedRouteTask,
-    RouteTask,
-    build_in_worker,
-    route_group_in_worker,
-    route_in_worker,
-)
 from repro.workloads import Workload
 
 __all__ = [
@@ -102,11 +90,6 @@ __all__ = [
 
 #: The default backend a query routes through when none is named.
 DEFAULT_BACKEND = "deterministic"
-
-
-def _shutdown_executor(pool: ProcessPoolExecutor) -> None:
-    """Finalizer target: release a dropped service's process pool without blocking."""
-    pool.shutdown(wait=False)
 
 
 @dataclass(frozen=True)
@@ -293,12 +276,10 @@ class BatchReport:
         """The deterministic shape of the batch as one canonical JSON string.
 
         Covers every count and round total but no wall-clock, so two batches
-        over the same submissions agree byte for byte regardless of timing —
-        and regardless of whether they were routed in-process or by the
-        process pool (the determinism tests compare exactly this).  Plan
-        identity is recorded as the *semantic* id (backend + parameters
-        only), which is invariant across kernels, execution modes, and
-        fusion of the same plan.
+        over the same submissions agree byte for byte regardless of timing
+        (the determinism tests compare exactly this).  Plan identity is
+        recorded as the *semantic* id (backend + parameters only), which is
+        invariant across kernels and fusion of the same plan.
         """
         payload = {
             "queries": [
@@ -446,17 +427,6 @@ class RoutingService:
             given, its fields join the cache key.
         cache: the artifact cache to use (fresh default-sized
             :class:`ArtifactCache` when omitted).
-        max_workers: process-pool size (``None`` = executor default); the
-            ``"threads"`` mode starts no workers.
-        parallelism: the *default* execution mode for fixed plans —
-            ``"threads"`` (default) builds and routes in-process on the
-            calling thread, while ``"processes"`` ships preprocessing and
-            routing to worker processes (artifacts spilled to disk once,
-            loaded at most once per worker; see :mod:`repro.service.pool`).
-            Results are byte-identical either way
-            (:meth:`BatchReport.signature`).  A query's
-            :class:`~repro.planner.ExecutionPlan` may override the mode per
-            batch slice.
         metrics: registry the service records ``repro_service_*`` metrics
             into (default: the process-wide :func:`default_registry`).  A
             default-constructed cache inherits the same registry.
@@ -464,14 +434,12 @@ class RoutingService:
             for queries submitted without an explicit backend; observed
             timings are recorded back into its cost model.
         policy: convenience — build a planner with this policy (``"fixed"``,
-            ``"cost"``, or ``"adaptive"``) inheriting the service's epsilon,
-            parallelism, worker count, and metrics.  Ignored when ``planner``
-            is given.
+            ``"cost"``, or ``"adaptive"``) inheriting the service's epsilon
+            and metrics.  Ignored when ``planner`` is given.
 
-    The process pool is created lazily on the first process-mode batch and
-    reused across batches for the life of the service; call :meth:`close` —
-    or use the service as a context manager — to release it and the artifact
-    spill directory.
+    Every batch builds and routes in-process on the calling thread.
+    :meth:`close` (or leaving the service's ``with`` block) stops it from
+    routing further batches.
     """
 
     def __init__(
@@ -480,31 +448,17 @@ class RoutingService:
         psi: float | None = None,
         hierarchy_params: HierarchyParameters | None = None,
         cache: ArtifactCache | None = None,
-        max_workers: int | None = None,
-        parallelism: str = "threads",
         metrics: MetricsRegistry | None = None,
         planner: QueryPlanner | None = None,
         policy: str | None = None,
     ) -> None:
-        if parallelism not in ("threads", "processes"):
-            raise ValueError(
-                f"unknown parallelism {parallelism!r}; expected 'threads' or 'processes'"
-            )
         self.epsilon = epsilon
         self.psi = psi
         self.hierarchy_params = hierarchy_params
-        self.parallelism = parallelism
         self.metrics = metrics if metrics is not None else default_registry()
         self.cache = cache if cache is not None else ArtifactCache(metrics=self.metrics)
-        self.max_workers = max_workers
         if planner is None and policy is not None:
-            planner = QueryPlanner(
-                policy=policy,
-                epsilon=epsilon,
-                parallelism=parallelism,
-                max_workers=max_workers,
-                metrics=self.metrics,
-            )
+            planner = QueryPlanner(policy=policy, epsilon=epsilon, metrics=self.metrics)
         self.planner = planner
         self._m_queries = self.metrics.counter(
             "repro_service_queries_total", "Queries created by the service.", labels=("backend",)
@@ -526,24 +480,6 @@ class RoutingService:
             "CONGEST preprocessing rounds, incurred vs reused.",
             labels=("kind",),
         )
-        self._m_pool_created = self.metrics.counter(
-            "repro_service_pool_created_total",
-            "Process pools created by the service (1 per service lifetime).",
-            labels=("kind",),
-        )
-        self._m_pool_workers = self.metrics.gauge(
-            "repro_service_pool_workers", "Configured worker count of the service's process pool."
-        )
-        self._m_pool_tasks = self.metrics.counter(
-            "repro_service_pool_tasks_total",
-            "Tasks submitted to the service's process pool.",
-            labels=("kind",),
-        )
-        self._m_pool_runner_loads = self.metrics.counter(
-            "repro_service_pool_runner_loads_total",
-            "Worker-process runner resolutions (warm cache hit vs cold load).",
-            labels=("state",),
-        )
         self._m_fused_batches = self.metrics.counter(
             "repro_service_fused_batches_total",
             "Same-fingerprint query groups routed through one fused kernel pass.",
@@ -552,12 +488,6 @@ class RoutingService:
         # Per-backend children of the per-query families, resolved on first
         # use (see _backend_child).
         self._backend_children: dict[tuple[str, str], Any] = {}
-        self._pool: ProcessPoolExecutor | None = None
-        self._pool_finalizer: weakref.finalize | None = None
-        self._spill_dir: Path | None = None
-        # Insertion-ordered so the oldest spilled artifacts trim first.
-        self._spilled: dict[str, None] = {}
-        self._spill_finalizer: weakref.finalize | None = None
         self._closed = False
         self._pending: list[RoutingQuery] = []
         self._next_query_id = 0
@@ -577,93 +507,29 @@ class RoutingService:
         self._key_memo: "weakref.WeakKeyDictionary[nx.Graph, dict[tuple, str]]" = (
             weakref.WeakKeyDictionary()
         )
-        # Query-ready runners memoized per fingerprint for the in-process path
-        # (the process path has its per-worker equivalent in service/pool.py).
-        # Rebuilding a backend from its artifact every warm batch costs more
-        # than the routing itself for cheap queries; the fingerprint already
-        # guarantees the runner matches the (graph, backend, params) content.
-        # Batch accounting (cache hits, incurred/reused rounds) is computed
-        # from the artifact cache exactly as before — the memo only skips
-        # redundant reconstruction work, never changes what is reported.
-        # An artifact-backed runner (info None) is kept only while the cache
-        # holds its artifact, so the memo never serves what the cache evicted
-        # or refused to admit; a runner without an artifact keeps the
-        # PreprocessInfo a rebuild would report.
+        # Query-ready runners memoized per fingerprint. Rebuilding a backend from
+        # its artifact every warm batch costs more than the routing itself for cheap
+        # queries; the fingerprint already guarantees the runner matches the (graph,
+        # backend, params) content. Batch accounting (cache hits, incurred/reused
+        # rounds) is computed from the artifact cache exactly as before — the memo
+        # only skips redundant reconstruction work, never changes what is reported.
+        # An artifact-backed runner (info None) is kept only while the cache holds
+        # its artifact, so the memo never serves what the cache evicted or refused
+        # to admit; a runner without an artifact keeps the PreprocessInfo a rebuild
+        # would report.
         self._runner_memo: OrderedDict[
             str, tuple[RoutingBackend, PreprocessInfo | None]
         ] = OrderedDict()
 
     # -- lifecycle -----------------------------------------------------------
 
-    def _ensure_process_pool(self) -> ProcessPoolExecutor:
-        """The service's long-lived process pool, created on first use.
-
-        Sized by the *service's* ``max_workers`` (per-query
-        ``plan.max_workers`` is advisory — see
-        :class:`~repro.planner.ExecutionPlan`) and reused for the service's
-        lifetime.
-        """
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
-            # Services dropped without close() (loops over short-lived
-            # services) must not strand their workers until process exit.
-            self._pool_finalizer = weakref.finalize(self, _shutdown_executor, self._pool)
-            self._m_pool_created.labels(kind="processes").inc()
-            self._m_pool_workers.set(self._pool._max_workers)
-        return self._pool
-
-    def _ensure_spill_dir(self) -> Path:
-        if self._spill_dir is None:
-            self._spill_dir = Path(tempfile.mkdtemp(prefix="repro-service-spill-"))
-            self._spill_finalizer = weakref.finalize(
-                self, shutil.rmtree, str(self._spill_dir), True
-            )
-        return self._spill_dir
-
-    def _spill_artifact(self, fingerprint: str, artifact: PreprocessArtifact) -> None:
-        """Write ``artifact`` to the spill directory once, for worker processes."""
-        if fingerprint in self._spilled:
-            return
-        write_artifact(artifact_path(self._ensure_spill_dir(), fingerprint), artifact)
-        self._spilled[fingerprint] = None
-
-    def _trim_spill_dir(self, keep: set[str]) -> None:
-        """Bound the spill directory, never evicting the current batch's keys.
-
-        The cap mirrors the artifact cache (4x its in-memory capacity, at
-        least 16): the spill tier exists so each *worker* loads an artifact at
-        most once, not as a second unbounded store.  Evicted fingerprints are
-        simply re-spilled from the cache-of-record on their next warm batch.
-        """
-        cap = max(16, 4 * getattr(self.cache, "capacity", 4), len(keep))
-        if len(self._spilled) <= cap or self._spill_dir is None:
-            return
-        for fingerprint in list(self._spilled):
-            if len(self._spilled) <= cap:
-                break
-            if fingerprint in keep:
-                continue
-            del self._spilled[fingerprint]
-            artifact_path(self._spill_dir, fingerprint).unlink(missing_ok=True)
-
     def close(self) -> None:
-        """Shut the process pool down and remove the artifact spill directory.
+        """Reject every later batch.
 
-        Idempotent; afterwards the service rejects new batches.  Pending
-        (unrouted) submissions are left queued so callers can inspect them.
+        Idempotent.  Pending (unrouted) submissions are left queued so
+        callers can inspect them.
         """
-        if self._closed:
-            return
         self._closed = True
-        if self._pool is not None:
-            self._pool_finalizer.detach()
-            self._pool.shutdown(wait=True)
-            self._pool = self._pool_finalizer = None
-        if self._spill_finalizer is not None:
-            self._spill_finalizer()
-            self._spill_finalizer = None
-        self._spill_dir = None
-        self._spilled.clear()
 
     def __enter__(self) -> "RoutingService":
         return self
@@ -798,8 +664,6 @@ class RoutingService:
             backend=backend if backend is not None else DEFAULT_BACKEND,
             backend_params=dict(backend_params or {}),
             kernel=active_kernel(),
-            parallelism=self.parallelism,
-            max_workers=self.max_workers,
             policy="fixed",
             reason="synthesized from service kwargs (no planner attached)",
         )
@@ -936,9 +800,7 @@ class RoutingService:
 
         Grouping, backend resolution, and query execution are all per
         fingerprint: one preprocess per distinct cold (graph, backend) pair,
-        then every query routed on shared read-only backends — in-process
-        for ``"threads"`` plans, in the worker-process pool for
-        ``"processes"`` plans.
+        then every query routed in-process on shared read-only backends.
         """
         if self._closed:
             # Before touching the pending queue: close() promises queued
@@ -954,24 +816,13 @@ class RoutingService:
         self._m_batches.inc()
         batch_start = time.perf_counter()
 
-        report.distinct_graphs = len({query.fingerprint for query in queries})
-
-        # Each plan names its execution mode; slice the batch per mode.
-        # Legacy plan-less queries ride the service's default mode.
-        by_mode: dict[str, list[RoutingQuery]] = {}
+        by_fingerprint: dict[str, list[RoutingQuery]] = {}
         for query in queries:
-            mode = query.plan.parallelism if query.plan is not None else self.parallelism
-            by_mode.setdefault(mode, []).append(query)
-        for mode in sorted(by_mode):
-            by_fingerprint: dict[str, list[RoutingQuery]] = {}
-            for query in by_mode[mode]:
-                by_fingerprint.setdefault(query.fingerprint, []).append(query)
-            if mode == "processes":
-                self._route_batch_processes(self._ensure_process_pool(), by_fingerprint, report)
-            else:
-                self._route_batch_threads(by_fingerprint, report)
+            by_fingerprint.setdefault(query.fingerprint, []).append(query)
+        report.distinct_graphs = len(by_fingerprint)
+        self._route_batch_threads(by_fingerprint, report)
 
-        # Submission order, regardless of mode slicing and grouping.
+        # Submission order, regardless of grouping.
         report.results.sort(key=lambda result: result.query_id)
         report.cache_hits = sum(1 for result in report.results if result.cache_hit)
         report.cache_misses = len(report.results) - report.cache_hits
@@ -1105,9 +956,9 @@ class RoutingService:
                     self._runner_memo_put(fingerprint, runner, info)
                     report.preprocess_rounds_incurred += info.rounds
                 self._record_preprocess(query, build_seconds)
-            slice_preprocess = time.perf_counter() - preprocess_start
-            report.preprocess_seconds += slice_preprocess
-            self._m_preprocess_seconds.observe(slice_preprocess)
+            build_seconds_total = time.perf_counter() - preprocess_start
+            report.preprocess_seconds += build_seconds_total
+            self._m_preprocess_seconds.observe(build_seconds_total)
         # Admissions and disk promotions above may have evicted artifacts.
         self._runner_memo_prune()
 
@@ -1146,155 +997,6 @@ class RoutingService:
                         plan=query.plan,
                     )
                 )
-        report.route_seconds += time.perf_counter() - route_start
-
-    def _route_batch_processes(
-        self,
-        pool: ProcessPoolExecutor,
-        by_fingerprint: dict[str, list[RoutingQuery]],
-        report: BatchReport,
-    ) -> None:
-        """Process-pool execution: artifacts spilled once, routed in workers.
-
-        The parent keeps the cache-of-record (hits/misses and round
-        accounting are identical to the thread path); worker processes keep a
-        runner per fingerprint, loading each spilled artifact at most once.
-        Worker tasks are pinned to each query's planned kernel (plans record
-        the kernel active at submit time).
-        """
-        default_kernel = active_kernel()
-
-        def query_kernel(query: RoutingQuery) -> str:
-            return query.plan.kernel if query.plan is not None else default_kernel
-
-        self._trim_spill_dir(keep=set(by_fingerprint))
-
-        warm: dict[str, bool] = {}
-        cold: dict[str, RoutingQuery] = {}
-        for fingerprint, group in by_fingerprint.items():
-            query = group[0]
-            factory = backend_factory(query.backend)
-            cached = (
-                self.cache.get(fingerprint) if supports_artifacts(factory) else None
-            )
-            if cached is not None:
-                warm[fingerprint] = True
-                report.preprocess_rounds_reused += cached.preprocessing_rounds
-                self._spill_artifact(fingerprint, cached)
-            else:
-                warm[fingerprint] = False
-                cold[fingerprint] = query
-        if cold:
-            preprocess_start = time.perf_counter()
-            futures = {
-                fingerprint: pool.submit(
-                    build_in_worker,
-                    BuildTask(
-                        fingerprint=fingerprint,
-                        graph=query.graph,
-                        backend=query.backend,
-                        params=self._resolved_backend_params(query),
-                        kernel=query_kernel(query),
-                    ),
-                )
-                for fingerprint, query in cold.items()
-            }
-            self._m_pool_tasks.labels(kind="build").inc(len(futures))
-            for fingerprint, future in futures.items():
-                info, artifact = future.result()
-                if artifact is not None:
-                    self.cache.put(fingerprint, artifact)
-                    self._spill_artifact(fingerprint, artifact)
-                    report.preprocess_rounds_incurred += artifact.preprocessing_rounds
-                else:
-                    report.preprocess_rounds_incurred += info.rounds
-            slice_preprocess = time.perf_counter() - preprocess_start
-            report.preprocess_seconds += slice_preprocess
-            self._m_preprocess_seconds.observe(slice_preprocess)
-            # Worker builds overlap, so per-build wall-clock is not directly
-            # observable from the parent; calibrate with the slice average.
-            for query in cold.values():
-                self._record_preprocess(query, slice_preprocess / len(cold))
-
-        route_start = time.perf_counter()
-        spill = str(self._spill_dir) if self._spill_dir is not None else None
-
-        def task_graph(query: RoutingQuery) -> nx.Graph | None:
-            # Spilled artifacts carry their own graph, so those queries ship
-            # only the request list; stateless backends need the graph.
-            return None if query.fingerprint in self._spilled else query.graph
-
-        solo_futures = []
-        fused_futures = []
-        for fingerprint, group in by_fingerprint.items():
-            plan = group[0].plan
-            if (
-                plan is not None
-                and plan.fused
-                and len(group) >= 2
-                and supports_fusion(backend_factory(group[0].backend))
-            ):
-                task = FusedRouteTask(
-                    fingerprint=fingerprint,
-                    graph=task_graph(group[0]),
-                    request_groups=tuple(query.requests for query in group),
-                    loads=tuple(query.load for query in group),
-                    backend=group[0].backend,
-                    params=self._resolved_backend_params(group[0]),
-                    spill_dir=spill,
-                    kernel=query_kernel(group[0]),
-                )
-                fused_futures.append(
-                    (group, pool.submit(route_group_in_worker, task))
-                )
-                self._m_fused_batches.labels(mode="processes").inc()
-                continue
-            for query in group:
-                task = RouteTask(
-                    fingerprint=query.fingerprint,
-                    graph=task_graph(query),
-                    requests=query.requests,
-                    load=query.load,
-                    backend=query.backend,
-                    params=self._resolved_backend_params(query),
-                    spill_dir=spill,
-                    kernel=query_kernel(query),
-                )
-                solo_futures.append((query, pool.submit(route_in_worker, task)))
-        self._m_pool_tasks.labels(kind="route").inc(
-            len(solo_futures) + len(fused_futures)
-        )
-
-        def record(query: RoutingQuery, outcome: RouteResult, seconds: float) -> None:
-            self._backend_child(self._m_query_seconds, query.backend).observe(seconds)
-            self._record_query(query, seconds)
-            report.results.append(
-                QueryResult(
-                    query_id=query.query_id,
-                    fingerprint=query.fingerprint,
-                    backend=query.backend,
-                    outcome=outcome,
-                    cache_hit=warm[query.fingerprint],
-                    seconds=seconds,
-                    workload=query.workload,
-                    plan=query.plan,
-                )
-            )
-
-        for query, future in solo_futures:
-            outcome, seconds, runner_warm = future.result()
-            self._m_pool_runner_loads.labels(
-                state="warm" if runner_warm else "cold"
-            ).inc()
-            record(query, outcome, seconds)
-        for group, future in fused_futures:
-            outcomes, group_seconds, runner_warm = future.result()
-            self._m_pool_runner_loads.labels(
-                state="warm" if runner_warm else "cold"
-            ).inc()
-            per_query = group_seconds / max(1, len(group))
-            for query, outcome in zip(group, outcomes):
-                record(query, outcome, per_query)
         report.route_seconds += time.perf_counter() - route_start
 
     def _resolved_backend_params(self, query: RoutingQuery) -> dict[str, Any]:

@@ -427,7 +427,8 @@ class WirePlan(WireMessage):
     so the reconstructed plan is ``==`` to the original and its
     ``semantic_id`` / ``plan_id`` hashes are byte-identical (backend
     parameters are JSON-safe scalars, whose ``repr`` survives the round
-    trip).
+    trip).  A legacy ``parallelism="processes"`` decodes as ``"threads"``:
+    the field is physical, so the plan computes the same results.
     """
 
     type: ClassVar[str] = "plan"
@@ -462,7 +463,7 @@ class WirePlan(WireMessage):
             backend=self.backend,
             backend_params=dict(self.backend_params),
             kernel=self.kernel,
-            parallelism=self.parallelism,
+            parallelism="threads" if self.parallelism == "processes" else self.parallelism,
             max_workers=self.max_workers,
             fused=self.fused,
             shard_hint=self.shard_hint,

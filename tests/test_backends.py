@@ -135,7 +135,7 @@ def test_backend_queries_never_share_cache_keys(graph):
 
 
 def test_compare_batch_round_counts_match_direct_routing(graph, workloads):
-    service = RoutingService(epsilon=0.5, max_workers=4)
+    service = RoutingService(epsilon=0.5)
     comparison = service.compare_batch(graph, workloads)
     assert comparison.backends == ALL_BACKENDS
     assert comparison.all_delivered

@@ -37,13 +37,11 @@ def _draws(count: int, graphs: int) -> list[int]:
     return rng.choices(range(graphs), weights=weights, k=count)
 
 
-def _service_batches(parallelism, graphs, check=None):
+def _service_batches(graphs, check=None):
     draws = _draws(40, len(graphs))
     signatures = []
     with RoutingService(
         epsilon=0.5,
-        max_workers=2,
-        parallelism=parallelism,
         cache=ArtifactCache(capacity=2),
         metrics=MetricsRegistry(),
     ) as service:
@@ -69,16 +67,8 @@ def test_runner_memo_holds_only_cached_artifacts(graphs):
         }
         assert memoized <= set(service.cache.fingerprints())
 
-    _, stats = _service_batches("threads", graphs, check=memo_within_cache)
+    _, stats = _service_batches(graphs, check=memo_within_cache)
     assert stats.rejections > 0 and stats.evictions > 0
-
-
-def test_admission_signatures_identical_threads_vs_processes(graphs):
-    threads, thread_stats = _service_batches("threads", graphs)
-    processes, process_stats = _service_batches("processes", graphs)
-    assert threads == processes
-    assert thread_stats.rejections == process_stats.rejections > 0
-    assert thread_stats.as_dict() == process_stats.as_dict()
 
 
 def _cluster_run(transport, graphs):

@@ -329,11 +329,8 @@ def _service_signatures(plan, graph, workloads):
 
 @pytest.mark.parametrize(
     "variant",
-    [
-        ExecutionPlan(backend="deterministic", fused=True),
-        ExecutionPlan(backend="deterministic", parallelism="processes", fused=True),
-    ],
-    ids=["threads-fused", "processes-fused"],
+    [ExecutionPlan(backend="deterministic", fused=True)],
+    ids=["threads-fused"],
 )
 def test_service_fused_signature_parity(variant):
     """BatchReport.signature() is identical across fused/sequential and transports."""

@@ -56,7 +56,7 @@ def spy(monkeypatch):
 
 
 def test_threads_batch_builds_and_routes_on_the_callers_thread(graphs, spy):
-    with RoutingService(epsilon=0.5, max_workers=2, metrics=MetricsRegistry()) as service:
+    with RoutingService(epsilon=0.5, metrics=MetricsRegistry()) as service:
         # Two cold graphs, a fused group of two and a lone query.
         for shift in (1, 2):
             service.submit(graphs[0], permutation_workload(graphs[0], shift=shift), plan=FUSED)

@@ -102,18 +102,11 @@ def test_zero_length_frame_is_rejected():
 # -- shard server processes --------------------------------------------------------
 
 
-def test_shard_server_config_validation(tmp_path):
+def test_shard_server_config_validation():
     with pytest.raises(ValueError, match="unknown family"):
         ShardServerConfig(shard_id="s", family="carrier-pigeon")
     with pytest.raises(ValueError, match="socket_path"):
         ShardServerConfig(shard_id="s", family="unix")
-    with pytest.raises(ValueError, match="process pools"):
-        ShardServerConfig(
-            shard_id="s",
-            family="unix",
-            socket_path=str(tmp_path / "s.sock"),
-            default_plan=ExecutionPlan(backend="deterministic", parallelism="processes"),
-        )
 
 
 def test_shard_server_process_lifecycle(tmp_path, graphs):

@@ -65,12 +65,12 @@ def test_plan_identities_split_semantic_from_physical():
     threads = ExecutionPlan(
         backend="deterministic", backend_params={"epsilon": 0.5}, parallelism="threads"
     )
-    processes = ExecutionPlan(
-        backend="deterministic", backend_params={"epsilon": 0.5}, parallelism="processes"
+    fused = ExecutionPlan(
+        backend="deterministic", backend_params={"epsilon": 0.5}, fused=True
     )
-    # Semantic identity ignores execution mode; full identity does not.
-    assert threads.semantic_id == processes.semantic_id == base.semantic_id
-    assert threads.plan_id != processes.plan_id
+    # Semantic identity ignores physical fields; full identity does not.
+    assert threads.semantic_id == fused.semantic_id == base.semantic_id
+    assert threads.plan_id == base.plan_id != fused.plan_id
     # Placement annotation changes neither identity.
     placed = threads.with_shard("shard-2")
     assert placed.shard_hint == "shard-2"
@@ -81,6 +81,9 @@ def test_plan_identities_split_semantic_from_physical():
 def test_plan_validates_execution_mode():
     with pytest.raises(ValueError):
         ExecutionPlan(backend="direct", parallelism="fibers")
+    # Process mode is gone: "threads" is the only execution mode.
+    with pytest.raises(ValueError):
+        ExecutionPlan(backend="direct", parallelism="processes")
 
 
 def test_plan_canonical_json_is_stable():
@@ -295,14 +298,14 @@ def test_service_adaptive_policy_converges_and_delivers(graph):
 
 
 def test_service_mixed_modes_in_one_batch_share_signature(graph):
-    """Plans may split one batch across thread and process pools."""
+    """Plans with different physical fields may share one batch."""
     workload = make_workload("permutation", graph, shift=1)
-    thread_plan = ExecutionPlan(backend="deterministic", parallelism="threads")
-    process_plan = ExecutionPlan(backend="deterministic", parallelism="processes")
-    with RoutingService(epsilon=0.5, max_workers=2, metrics=MetricsRegistry()) as service:
+    plain_plan = ExecutionPlan(backend="deterministic")
+    fused_plan = ExecutionPlan(backend="deterministic", fused=True, max_workers=2)
+    with RoutingService(epsilon=0.5, metrics=MetricsRegistry()) as service:
         service.route(graph, workload)  # warm the artifact once
-        service.submit(graph, workload, plan=thread_plan)
-        service.submit(graph, workload, plan=process_plan)
+        service.submit(graph, workload, plan=plain_plan)
+        service.submit(graph, workload, plan=fused_plan)
         report = service.route_batch()
     assert report.query_count == 2
     assert report.all_delivered
@@ -345,8 +348,8 @@ def test_cluster_default_plan_replaces_knob_plumbing(graph):
             coordinator.shard_max_workers
         for worker in coordinator.workers.values():
             assert worker.default_plan is coordinator.default_plan
-            assert worker.service.parallelism == "threads"
-            assert worker.service.max_workers == 2
+            assert not hasattr(worker.service, "parallelism")
+            assert not hasattr(worker.service, "max_workers")
         workload = make_workload("permutation", graph, shift=1)
         decision = coordinator.submit(graph, workload)
         assert decision.accepted

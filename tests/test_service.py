@@ -266,7 +266,7 @@ def test_from_artifact_rejects_wrong_graph_and_version(small_graph, small_artifa
 
 
 def test_batch_results_match_sequential_route(small_graph):
-    service = RoutingService(epsilon=0.5, max_workers=4)
+    service = RoutingService(epsilon=0.5)
     workloads = [_permutation(small_graph, shift) for shift in (1, 5, 9, 13)]
     for requests in workloads:
         service.submit(small_graph, requests)

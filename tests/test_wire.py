@@ -113,7 +113,6 @@ def wire_plans(draw):
         backend=draw(names),
         backend_params=draw(params),
         kernel=draw(names),
-        parallelism=draw(st.sampled_from(["serial", "threads", "processes"])),
         max_workers=draw(st.none() | st.integers(1, 16)),
         shard_hint=draw(st.none() | names),
         policy=draw(names),

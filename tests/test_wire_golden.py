@@ -440,6 +440,14 @@ LEGACY_PLAN = (
     b':null,"fused":true,"artifact_transport":"shm","shard_hint":"shard-1","policy":"co'
     b'st","reason":"golden"}'
 )
+#: A plan as written before process mode was removed: ``PLAN`` with
+#: ``parallelism="processes"``.  Journals on disk may hold plans like it; they
+#: must keep decoding, to the equal thread plan.
+PROCESS_PLAN = (
+    b'\x00{"type":"plan","v":1,"backend":"deterministic","backend_params":{"epsilon":0.5,'
+    b'"seed":7},"kernel":"numpy","parallelism":"processes","max_workers":2,"fused":tru'
+    b'e,"shard_hint":"shard-1","policy":"cost","reason":"golden"}'
+)
 #: A checkpoint as written before hot-key replication was removed: a 2-shard
 #: cluster whose one key had been replicated, so it still carries the
 #: ``hot_ewma`` and ``replicas`` maps.  Journals on disk hold records like it;
@@ -493,6 +501,15 @@ def test_legacy_plan_bytes_decode_to_the_current_plan():
         assert decoded == PLAN
         assert decoded.to_plan() == PLAN.to_plan()
         assert decoded.to_plan().plan_id == PLAN.to_plan().plan_id
+
+
+def test_legacy_process_plan_decodes_to_the_thread_plan():
+    decoded = message_from_wire(PROCESS_PLAN)
+    assert decoded.parallelism == "processes"
+    plan = decoded.to_plan()
+    assert plan == PLAN.to_plan()
+    assert plan.parallelism == "threads"
+    assert plan.semantic_id == PLAN.to_plan().semantic_id == "802b7b22e3db8aad"
 
 
 def test_legacy_checkpoint_decodes_without_the_replication_maps():
