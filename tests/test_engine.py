@@ -119,7 +119,7 @@ def test_route_matches_reference_with_bad_vertices(bad_router):
     with kernel("numpy"):
         solo = [bad_router.route(group, load=2) for group in groups]
         fused = bad_router.route_many(groups, [2] * len(groups))
-        # The process-pool reply path: a whole result list pickled unread.
+        # A whole result list pickled unread.
         revived = pickle.loads(pickle.dumps(fused))
     with kernel("reference"):
         reference = [bad_router.route(group, load=2) for group in groups]
