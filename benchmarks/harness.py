@@ -8,7 +8,7 @@ Runs every benchmark scenario two ways —
 * ``numpy``      — vectorized kernels + memoized fast paths
 
 — and writes one ``bench-suite.json`` with per-bench wall times and speedups.
-The headline ``speedup`` column is reference over numpy.
+The headline ``numpy_speedup`` column is reference over numpy.
 
 Regression gate: the run is compared against the checked-in
 ``benchmarks/baseline.json``.  The gated quantity is ``numpy_speedup``
@@ -361,13 +361,13 @@ def run_policy_gate(policy: str) -> dict:
         workloads = [make_workload(name, graph, **params) for name, params in specs]
         services = {
             f"fixed:{backend}": (
-                RoutingService(epsilon=0.5, max_workers=4, metrics=MetricsRegistry()),
+                RoutingService(epsilon=0.5, metrics=MetricsRegistry()),
                 backend,
             )
             for backend in backends
         }
         policy_service = RoutingService(
-            epsilon=0.5, max_workers=4, policy=policy, metrics=MetricsRegistry()
+            epsilon=0.5, policy=policy, metrics=MetricsRegistry()
         )
         services[f"policy:{policy}"] = (policy_service, None)
         try:
@@ -651,8 +651,6 @@ def run_suite() -> dict:
             "reference_seconds": reference_seconds,
             "numpy_seconds": numpy_seconds,
             "numpy_speedup": reference_seconds / numpy_seconds,
-            "optimized_seconds": numpy_seconds,
-            "speedup": reference_seconds / numpy_seconds,
         }
         if name == "bench_route_query":
             print(f"[harness] {name}: fused gate ...", flush=True)
@@ -667,7 +665,7 @@ def run_suite() -> dict:
         print(
             f"[harness] {name}: reference {reference_seconds:.3f}s"
             f"  numpy {numpy_seconds:.3f}s"
-            f"  speedup {row['speedup']:.2f}x",
+            f"  speedup {row['numpy_speedup']:.2f}x",
             flush=True,
         )
     return {
@@ -699,11 +697,11 @@ def compare_to_baseline(
                 f"tolerance {tolerance:.0%})"
             )
         if wall_tolerance is not None:
-            ceiling = reference_row["optimized_seconds"] * (1.0 + wall_tolerance)
-            if row["optimized_seconds"] > ceiling:
+            ceiling = reference_row["numpy_seconds"] * (1.0 + wall_tolerance)
+            if row["numpy_seconds"] > ceiling:
                 problems.append(
-                    f"{name}: optimized wall {row['optimized_seconds']:.3f}s exceeded "
-                    f"{ceiling:.3f}s (blessed {reference_row['optimized_seconds']:.3f}s, "
+                    f"{name}: numpy wall {row['numpy_seconds']:.3f}s exceeded "
+                    f"{ceiling:.3f}s (blessed {reference_row['numpy_seconds']:.3f}s, "
                     f"tolerance {wall_tolerance:.0%})"
                 )
     return problems
@@ -717,9 +715,8 @@ def bless(suite: dict, baseline_path: Path) -> None:
     existing[mode] = {
         name: {
             "reference_seconds": row["reference_seconds"],
-            "optimized_seconds": row["optimized_seconds"],
+            "numpy_seconds": row["numpy_seconds"],
             "numpy_speedup": row["numpy_speedup"],
-            "speedup": row["speedup"],
         }
         for name, row in suite["benches"].items()
     }
@@ -743,7 +740,7 @@ def main(argv: list[str] | None = None) -> int:
         "--wall-tolerance",
         type=float,
         default=None,
-        help="optionally also gate absolute optimized wall seconds (same-machine runs)",
+        help="optionally also gate absolute numpy wall seconds (same-machine runs)",
     )
     parser.add_argument(
         "--policy",
@@ -795,9 +792,9 @@ def main(argv: list[str] | None = None) -> int:
     # Acceptance bar (full mode only; quick sizes are too small to be meaningful).
     if not args.no_assert and not suite["meta"]["quick"]:
         for name in HEADLINE:
-            speedup = suite["benches"][name]["speedup"]
+            speedup = suite["benches"][name]["numpy_speedup"]
             assert speedup >= 2.0, (
-                f"{name}: optimized speedup {speedup:.2f}x below the 2x acceptance bar"
+                f"{name}: numpy speedup {speedup:.2f}x below the 2x acceptance bar"
             )
         print("[harness] acceptance: bench_service and bench_cluster >= 2x ✓")
         fused_speedup = suite["benches"]["bench_route_query"]["fused_speedup_vs_reference"]

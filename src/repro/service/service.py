@@ -507,16 +507,17 @@ class RoutingService:
         self._key_memo: "weakref.WeakKeyDictionary[nx.Graph, dict[tuple, str]]" = (
             weakref.WeakKeyDictionary()
         )
-        # Query-ready runners memoized per fingerprint. Rebuilding a backend from
-        # its artifact every warm batch costs more than the routing itself for cheap
-        # queries; the fingerprint already guarantees the runner matches the (graph,
-        # backend, params) content. Batch accounting (cache hits, incurred/reused
-        # rounds) is computed from the artifact cache exactly as before — the memo
-        # only skips redundant reconstruction work, never changes what is reported.
-        # An artifact-backed runner (info None) is kept only while the cache holds
-        # its artifact, so the memo never serves what the cache evicted or refused
-        # to admit; a runner without an artifact keeps the PreprocessInfo a rebuild
-        # would report.
+        # Query-ready runners memoized per fingerprint for the in-process path.
+        # Rebuilding a backend from its artifact every warm batch costs more
+        # than the routing itself for cheap queries; the fingerprint already
+        # guarantees the runner matches the (graph, backend, params) content.
+        # Batch accounting (cache hits, incurred/reused rounds) is computed
+        # from the artifact cache exactly as before — the memo only skips
+        # redundant reconstruction work, never changes what is reported.
+        # An artifact-backed runner (info None) is kept only while the cache
+        # holds its artifact, so the memo never serves what the cache evicted
+        # or refused to admit; a runner without an artifact keeps the
+        # PreprocessInfo a rebuild would report.
         self._runner_memo: OrderedDict[
             str, tuple[RoutingBackend, PreprocessInfo | None]
         ] = OrderedDict()
